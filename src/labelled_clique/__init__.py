@@ -34,7 +34,7 @@ from .graph_io import (
 )
 from .oracle import oracle_solve
 from .parallel import SharedIncumbent, Subproblem, incumbent_key, solve_parallel, split_root
-from .sequential import Incumbent, SearchStats, Solution, expand, is_better, solve
+from .sequential import Incumbent, SearchStats, Solution, is_better, solve
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "build_labelled",
     "clique_cost",
     "colour_order",
-    "expand",
     "fixture_path",
     "incumbent_key",
     "is_better",

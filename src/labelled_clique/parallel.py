@@ -1,12 +1,17 @@
 """Parallel branch and bound: depth-1 subproblem queue with distance-2 stealing.
 
 The search tree is split immediately below the root: one subproblem per
-root branch, queued in sequential branch order.  When the queue runs dry an
-idle worker resplits the unstarted branches of the in-flight depth-1
-subproblem latest in sequential order, republishing them as depth-2
-subproblems.  Workers share a single monotone incumbent encoded in one
-64-bit key (high bits size, low bits complemented cost) so a candidate can
-be compared and the witness installed in one indivisible step.
+root branch, queued in sequential branch order.  A worker colours its
+depth-1 subproblem's candidates into a cursor and claims the branches one
+at a time; when the queue runs dry an idle worker resplits the unstarted
+branches of the in-flight cursor latest in sequential order, republishing
+them as depth-2 subproblems.  Owner-claimed and stolen branches are the
+same depth-2 subproblem, and every subproblem enters the sequential
+``_expand`` as a one-entry colouring, so the branch step itself (bound,
+label union, feasibility, incumbent update, recursion) is written once.
+Workers share a single monotone incumbent encoded in one 64-bit key (high
+bits size, low bits complemented cost) so a candidate can be compared and
+the witness installed in one indivisible step.
 
 Left-to-right dependencies between subtrees are deliberately ignored, so
 node counts vary from run to run; the final (size, cost) always matches the
@@ -16,7 +21,6 @@ sequential solver, both being optimal.
 from __future__ import annotations
 
 import os
-import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -24,7 +28,7 @@ from time import perf_counter
 
 from .colouring import colour_order, colour_order_into
 from .graph import LabelledGraph, permute_by_degree
-from .sequential import SearchStats, SearchTrace, Solution, _expand, _pass_two_needed
+from .sequential import SearchStats, Solution, _expand, _fit_recursion_limit, _pass_two_needed
 
 _KEY_BITS = 32
 _COST_MASK = (1 << _KEY_BITS) - 1
@@ -74,9 +78,6 @@ class SharedIncumbent:
                 self.labels = labels
                 return True
             return False
-
-    def try_improve(self, clique: list[int] | tuple[int, ...], labels: int) -> bool:
-        return self.replace(list(clique), labels, len(clique), labels.bit_count())
 
     def snapshot(self) -> tuple[list[int], int, int, int]:
         """Consistent (clique, labels, size, cost) view."""
@@ -132,11 +133,12 @@ class _Cursor:
     """Unstarted branches of an in-flight depth-1 subproblem.
 
     ``next_i`` walks the colouring right to left; the owner claims one
-    branch at a time and a thief may claim all the rest.  Mutated only
-    under the pass lock.
+    branch at a time and a thief may claim all the rest.  ``top`` is the
+    first branch's index, so branch ``i`` is number ``top - i`` in
+    sequential order.  Mutated only under the pass lock.
     """
 
-    __slots__ = ("position", "vertex", "labels", "order", "bounds", "cands", "next_i")
+    __slots__ = ("position", "vertex", "labels", "order", "bounds", "cands", "next_i", "top")
 
     def __init__(self, position, vertex, labels, order, bounds, cands, next_i):
         self.position = position
@@ -146,6 +148,20 @@ class _Cursor:
         self.bounds = bounds
         self.cands = cands
         self.next_i = next_i
+        self.top = next_i
+
+
+def _branch(cursor: _Cursor, i: int, cands: int, adjacency: list[int]) -> Subproblem:
+    """Branch ``i`` of a cursor as a depth-2 subproblem; ``cands`` are the
+    cursor's candidates before that branch is removed from them."""
+    w = cursor.order[i]
+    return Subproblem(
+        position=cursor.position + (cursor.top - i,),
+        prefix=(cursor.vertex, w),
+        cands=cands & adjacency[w],
+        labels_before=cursor.labels,
+        bound=cursor.bounds[i],
+    )
 
 
 def steal_from(cursors: dict[tuple[int, ...], _Cursor], adjacency: list[int]) -> list[Subproblem]:
@@ -162,20 +178,9 @@ def steal_from(cursors: dict[tuple[int, ...], _Cursor], adjacency: list[int]) ->
             continue
         stolen = []
         cands = cursor.cands
-        sequence = 0
         for i in range(cursor.next_i, -1, -1):
-            w = cursor.order[i]
-            stolen.append(
-                Subproblem(
-                    position=position + (sequence,),
-                    prefix=(cursor.vertex, w),
-                    cands=cands & adjacency[w],
-                    labels_before=cursor.labels,
-                    bound=cursor.bounds[i],
-                )
-            )
-            cands &= ~(1 << w)
-            sequence += 1
+            stolen.append(_branch(cursor, i, cands, adjacency))
+            cands &= ~(1 << cursor.order[i])
         cursor.next_i = -1
         return stolen
     return []
@@ -186,9 +191,9 @@ class _PassState:
 
     __slots__ = ("cond", "queue", "outstanding", "cursors", "abort", "errors",
                  "adjacency", "label_bits", "budget", "incumbent", "first_pass",
-                 "prune", "trace", "node_totals")
+                 "node_totals")
 
-    def __init__(self, permuted, budget, incumbent, first_pass, prune, trace):
+    def __init__(self, permuted, budget, incumbent, first_pass):
         self.cond = threading.Condition()
         self.queue: deque[Subproblem] = deque()
         self.outstanding = 0
@@ -200,76 +205,32 @@ class _PassState:
         self.budget = budget
         self.incumbent = incumbent
         self.first_pass = first_pass
-        self.prune = prune
-        self.trace = trace
         self.node_totals: list[int] = []
 
 
-def _run_branch(state, ws_nodes, ws_scratch, cursor, i, cands_now):
-    """Execute one claimed depth-1 branch exactly as the sequential loop body."""
-    inc = state.incumbent
-    first = state.first_pass
-    if state.prune:
-        reach = 1 + cursor.bounds[i]
-        inc_size = inc.size
-        if reach < inc_size or (first and reach == inc_size):
-            return False
-    w = cursor.order[i]
-    grown = cursor.labels | state.label_bits[w][cursor.vertex]
-    clique = [cursor.vertex, w]
-    if state.trace is not None:
-        state.trace.record(first, clique)
-    cost = grown.bit_count()
-    if cost <= (state.budget if first else inc.cost - 1):
-        if len(clique) > inc.size or (len(clique) == inc.size and cost < inc.cost):
-            inc.replace(clique, grown, len(clique), cost)
-        remaining = cands_now & state.adjacency[w]
-        if remaining:
-            _expand(first, clique, remaining, grown, inc, state.adjacency,
-                    state.label_bits, state.budget, ws_nodes, ws_scratch, 1,
-                    state.prune, state.trace)
-    return True
+def _step(state: _PassState, sp: Subproblem, cands: int, ws_nodes, ws_scratch) -> bool:
+    """The branch step of ``sp``'s last vertex, as a one-entry colouring of
+    its parent node; True when the colour bound cut it off."""
+    return _expand(state.first_pass, list(sp.prefix[:-1]), cands, sp.labels_before,
+                   state.incumbent, state.adjacency, state.label_bits, state.budget,
+                   ws_nodes, ws_scratch, 0, sp.prefix[-1:], (sp.bound,), 1)
 
 
 def _process(state: _PassState, sp: Subproblem, ws_nodes, ws_scratch) -> None:
     """Run one queued subproblem to completion (depth 1 or stolen depth 2)."""
-    inc = state.incumbent
-    first = state.first_pass
-    parent_size = len(sp.prefix) - 1
-    if state.prune:
-        reach = parent_size + sp.bound
-        inc_size = inc.size
-        if reach < inc_size or (first and reach == inc_size):
-            return
-    last = sp.prefix[-1]
-    row = state.label_bits[last]
-    grown = sp.labels_before
-    for w in sp.prefix[:-1]:
-        grown |= row[w]
-    clique = list(sp.prefix)
-    if state.trace is not None:
-        state.trace.record(first, clique)
-    cost = grown.bit_count()
-    if cost > (state.budget if first else inc.cost - 1):
-        return
-    if len(clique) > inc.size or (len(clique) == inc.size and cost < inc.cost):
-        inc.replace(clique, grown, len(clique), cost)
-    if not sp.cands:
-        return
-    if parent_size > 0:
+    if len(sp.prefix) == 2:
         # Stolen depth-2 work: plain recursion, no further resplitting.
-        _expand(first, clique, sp.cands, grown, inc, state.adjacency,
-                state.label_bits, state.budget, ws_nodes, ws_scratch, 0,
-                state.prune, state.trace)
+        _step(state, sp, sp.cands, ws_nodes, ws_scratch)
         return
-    # Depth-1 work: expand through a stealable branch cursor.
+    # Depth-1 work: the branch step alone (no candidates, so no recursion;
+    # a single vertex is always within the filter, so only the bound can
+    # stop it), then its children through a stealable cursor.
+    if _step(state, sp, 0, ws_nodes, ws_scratch) or not sp.cands:
+        return
     ws_nodes[0] += 1
-    if not ws_scratch:
-        n = len(state.adjacency)
-        ws_scratch.append(([0] * n, [0] * n))
     order, bounds = ws_scratch[0]
     m = colour_order_into(state.adjacency, sp.cands, order, bounds)
-    cursor = _Cursor(sp.position, clique[0], grown, order, bounds, sp.cands, m - 1)
+    cursor = _Cursor(sp.position, sp.prefix[0], 0, order, bounds, sp.cands, m - 1)
     with state.cond:
         state.cursors[sp.position] = cursor
         state.cond.notify_all()
@@ -282,7 +243,8 @@ def _process(state: _PassState, sp: Subproblem, ws_nodes, ws_scratch) -> None:
                 cursor.next_i = i - 1
                 cands_now = cursor.cands
                 cursor.cands = cands_now & ~(1 << cursor.order[i])
-            if not _run_branch(state, ws_nodes, ws_scratch, cursor, i, cands_now):
+            claim = _branch(cursor, i, cands_now, state.adjacency)
+            if _step(state, claim, claim.cands, ws_nodes, ws_scratch):
                 # The bound prunes every remaining branch too (bounds is
                 # non-decreasing), so drain the cursor.
                 with state.cond:
@@ -328,8 +290,8 @@ def _worker(state: _PassState) -> None:
         state.node_totals.append(nodes[0])
 
 
-def _run_pass(permuted, budget, incumbent, first_pass, workers, prune, trace) -> int:
-    state = _PassState(permuted, budget, incumbent, first_pass, prune, trace)
+def _run_pass(permuted, budget, incumbent, first_pass, workers) -> int:
+    state = _PassState(permuted, budget, incumbent, first_pass)
     subproblems = split_root(permuted)
     state.queue.extend(subproblems)
     state.outstanding = len(subproblems)
@@ -348,7 +310,6 @@ def solve_parallel(
     lg: LabelledGraph,
     budget: int,
     workers: int | None = None,
-    _trace: SearchTrace | None = None,
 ) -> Solution:
     """Two-pass parallel search; (size, cost) always equals the sequential result.
 
@@ -364,15 +325,12 @@ def solve_parallel(
         raise ValueError(f"workers must be >= 1, got {workers}")
     start = perf_counter()
     permuted, perm = permute_by_degree(lg)
-    n = permuted.graph.n
-    if sys.getrecursionlimit() < n + 200:
-        sys.setrecursionlimit(n + 200)
+    _fit_recursion_limit(permuted.graph)
     incumbent = SharedIncumbent()
-    prune = _trace is None or not _trace.disable_prune
-    nodes1 = _run_pass(permuted, budget, incumbent, True, workers, prune, _trace)
+    nodes1 = _run_pass(permuted, budget, incumbent, True, workers)
     nodes2 = 0
     if _pass_two_needed(incumbent):
-        nodes2 = _run_pass(permuted, budget, incumbent, False, workers, prune, _trace)
+        nodes2 = _run_pass(permuted, budget, incumbent, False, workers)
     clique, labels, size, cost = incumbent.snapshot()
     elapsed = perf_counter() - start
     stats = SearchStats(nodes1, nodes2, elapsed, workers=workers)

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from .colouring import colour_order_into
-from .graph import LabelledGraph, permute_by_degree
+from .graph import Graph, LabelledGraph, permute_by_degree
+
+_STACK_HEADROOM = 200
 
 
 def is_better(candidate: tuple[int, int], best: tuple[int, int]) -> bool:
@@ -66,56 +68,42 @@ class Solution:
     stats: SearchStats = field(default_factory=SearchStats)
 
 
-class SearchTrace:
-    """Test instrumentation: records first-pass branch prefixes at depth <= 2.
-
-    ``disable_prune`` switches off the colour-bound prune so replay tests can
-    compare explored prefixes without incumbent-timing differences.
-    """
-
-    __slots__ = ("disable_prune", "prefixes")
-
-    def __init__(self, disable_prune: bool = False):
-        self.disable_prune = disable_prune
-        self.prefixes: list[tuple[int, ...]] = []
-
-    def record(self, first_pass: bool, clique: list[int] | tuple[int, ...]) -> None:
-        if first_pass and len(clique) <= 2:
-            self.prefixes.append(tuple(clique))
-
-
 def _expand(first_pass, clique, cands, labels, inc, adjacency, label_bits, budget,
-            nodes, scratch, depth, prune=True, trace=None):
+            nodes, scratch, depth, order=None, bounds=None, m=0):
     """One branch-and-bound node: colour, then branch right to left.
 
     ``clique`` is used like a stack (append/pop), never a bitset, so the
     label union only ever scans the current clique.  ``inc`` is updated in
     place; it may be any object exposing size/cost reads and a
     ``replace(clique, labels, size, cost)`` that keeps only improvements.
+
+    A caller that has already coloured the node passes ``order``, ``bounds``
+    and ``m`` instead; that entry is not counted as a node, since the
+    colouring was counted where it was made.  The parallel solver enters
+    this way with a one-entry colouring per claimed branch.  Returns True
+    when the colour bound cut the node off.
     """
-    nodes[0] += 1
     if depth == len(scratch):
         n = len(adjacency)
         scratch.append(([0] * n, [0] * n))
-    order, bounds = scratch[depth]
-    m = colour_order_into(adjacency, cands, order, bounds)
+    if order is None:
+        nodes[0] += 1
+        order, bounds = scratch[depth]
+        m = colour_order_into(adjacency, cands, order, bounds)
     csize = len(clique)
     for i in range(m - 1, -1, -1):
-        if prune:
-            reach = csize + bounds[i]
-            inc_size = inc.size
-            # bounds never decreases with i, so every remaining branch
-            # would prune too: abandon the whole node.
-            if reach < inc_size or (first_pass and reach == inc_size):
-                return
+        reach = csize + bounds[i]
+        inc_size = inc.size
+        # bounds never decreases with i, so every remaining branch
+        # would prune too: abandon the whole node.
+        if reach < inc_size or (first_pass and reach == inc_size):
+            return True
         v = order[i]
         row = label_bits[v]
         grown = labels
         for w in clique:
             grown |= row[w]
         clique.append(v)
-        if trace is not None:
-            trace.record(first_pass, clique)
         cost = grown.bit_count()
         if cost <= (budget if first_pass else inc.cost - 1):
             size = csize + 1
@@ -124,24 +112,10 @@ def _expand(first_pass, clique, cands, labels, inc, adjacency, label_bits, budge
             remaining = cands & adjacency[v]
             if remaining:
                 _expand(first_pass, clique, remaining, grown, inc, adjacency,
-                        label_bits, budget, nodes, scratch, depth + 1, prune, trace)
+                        label_bits, budget, nodes, scratch, depth + 1)
         clique.pop()
         cands &= ~(1 << v)
-
-
-def expand(first_pass: bool, clique: list[int], cands: int, labels: int,
-           inc: Incumbent, lg: LabelledGraph, budget: int, stats: SearchStats) -> None:
-    """Run one branch-and-bound subtree over an already-permuted graph.
-
-    Updates ``inc`` and the pass's node counter in ``stats`` in place.
-    """
-    nodes = [0]
-    _expand(first_pass, clique, cands, labels, inc, lg.graph.adjacency,
-            lg.label_bits, budget, nodes, [], 0)
-    if first_pass:
-        stats.nodes_pass1 += nodes[0]
-    else:
-        stats.nodes_pass2 += nodes[0]
+    return False
 
 
 def _pass_two_needed(inc: Incumbent) -> bool:
@@ -150,7 +124,19 @@ def _pass_two_needed(inc: Incumbent) -> bool:
     return inc.cost > 1
 
 
-def solve(lg: LabelledGraph, budget: int, _trace: SearchTrace | None = None) -> Solution:
+def _fit_recursion_limit(graph: Graph) -> None:
+    """Raise the interpreter's recursion limit only if the search could hit it.
+
+    ``_expand`` recurses once per clique vertex, so a search is at most
+    omega + 1 <= max degree + 2 frames deep; ``_STACK_HEADROOM`` leaves room
+    for the caller's own frames.
+    """
+    needed = max(graph.degrees, default=0) + 2 + _STACK_HEADROOM
+    if sys.getrecursionlimit() < needed:
+        sys.setrecursionlimit(needed)
+
+
+def solve(lg: LabelledGraph, budget: int) -> Solution:
     """Find a maximum feasible clique, cheapest among the maximum ones.
 
     The graph is permuted into non-increasing degree order, searched twice
@@ -161,22 +147,20 @@ def solve(lg: LabelledGraph, budget: int, _trace: SearchTrace | None = None) -> 
         raise ValueError(f"budget must be a positive integer, got {budget}")
     start = perf_counter()
     permuted, perm = permute_by_degree(lg)
+    _fit_recursion_limit(permuted.graph)
     n = permuted.graph.n
-    if sys.getrecursionlimit() < n + 200:
-        sys.setrecursionlimit(n + 200)
     adjacency = permuted.graph.adjacency
     label_bits = permuted.label_bits
     every_vertex = (1 << n) - 1
     inc = Incumbent()
     scratch: list[tuple[list[int], list[int]]] = []
-    prune = _trace is None or not _trace.disable_prune
     nodes1 = [0]
     _expand(True, [], every_vertex, 0, inc, adjacency, label_bits, budget,
-            nodes1, scratch, 0, prune, _trace)
+            nodes1, scratch, 0)
     nodes2 = [0]
     if _pass_two_needed(inc):
         _expand(False, [], every_vertex, 0, inc, adjacency, label_bits, budget,
-                nodes2, scratch, 0, prune, _trace)
+                nodes2, scratch, 0)
     elapsed = perf_counter() - start
     stats = SearchStats(nodes1[0], nodes2[0], elapsed, workers=1)
     witness = sorted(perm.to_original(inc.clique))

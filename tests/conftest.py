@@ -1,6 +1,7 @@
 """Shared fixtures: bundled example graphs and seeded random instances."""
 
-from itertools import product
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ from labelled_clique import (
     random_labels,
     splitmix_next,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from gen_keller4 import keller4_edges  # noqa: E402
 
 
 def random_graph(n: int, density: float, seed: int) -> Graph:
@@ -35,26 +39,8 @@ def random_instance(n: int, density: float, num_labels: int, seed: int) -> Label
 
 
 def keller4_graph() -> Graph:
-    """keller4 (171 vertices, 9435 edges): the subgraph of the 4-dimensional
-    Keller graph induced on one vertex's neighbourhood, matching the DIMACS
-    instance up to vertex numbering."""
-
-    def adjacent(u, v):
-        if u == v:
-            return False
-        diff_two = any((a - b) % 4 == 2 for a, b in zip(u, v))
-        return diff_two and sum(1 for a, b in zip(u, v) if a != b) >= 2
-
-    origin = (0, 0, 0, 0)
-    vertices = [t for t in product(range(4), repeat=4) if adjacent(origin, t)]
-    n = len(vertices)
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if adjacent(vertices[i], vertices[j])
-    ]
-    return build_graph(n, edges)
+    """keller4 (171 vertices, 9435 edges), from the generator script."""
+    return build_graph(*keller4_edges())
 
 
 @pytest.fixture(scope="session")

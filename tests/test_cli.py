@@ -132,12 +132,12 @@ def test_verify_budget_pct(capsys):
     assert report_value(out, "cost") == "2"
 
 
-def test_solve_default_threads_is_parallel(capsys):
+def test_solve_default_threads_is_sequential(capsys):
     code, out, _ = run(
         ["solve", FIG1, "--label-file", FIG1_LAB, "--budget", "3"], capsys
     )
     assert code == EXIT_OK
-    assert int(report_value(out, "threads")) >= 1
+    assert report_value(out, "threads") == "1"
     assert report_value(out, "size") == "4"
 
 

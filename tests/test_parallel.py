@@ -1,4 +1,6 @@
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -15,8 +17,10 @@ from labelled_clique import (
     solve_parallel,
     split_root,
 )
+import labelled_clique.colouring as colouring_mod
+import labelled_clique.parallel as par_mod
+import labelled_clique.sequential as seq_mod
 from labelled_clique.parallel import _Cursor, steal_from
-from labelled_clique.sequential import SearchTrace
 
 from conftest import random_instance
 
@@ -43,17 +47,17 @@ def test_incumbent_key_orders_like_is_better():
 
 def test_try_improve_examples():
     inc = SharedIncumbent()
-    assert inc.try_improve([7, 8, 9, 10], 0b111)  # (4, 3) over empty
-    assert inc.try_improve([1, 2, 3, 4], 0b011)  # (4, 2) improves (4, 3)
+    assert inc.replace([7, 8, 9, 10], 0b111, 4, 3)  # (4, 3) over empty
+    assert inc.replace([1, 2, 3, 4], 0b011, 4, 2)  # (4, 2) improves (4, 3)
     assert (inc.size, inc.cost) == (4, 2)
     snap_before = inc.snapshot()
-    assert not inc.try_improve([5], 0)  # (1, 0) cannot unseat (4, 2)
+    assert not inc.replace([5], 0, 1, 0)  # (1, 0) cannot unseat (4, 2)
     assert inc.snapshot() == snap_before
 
 
 def test_try_improve_keeps_witness_and_key_consistent():
     inc = SharedIncumbent()
-    inc.try_improve([3, 4], 0b1)
+    inc.replace([3, 4], 0b1, 2, 1)
     clique, labels, size, cost = inc.snapshot()
     assert size == len(clique) == 2
     assert cost == labels.bit_count() == 1
@@ -70,7 +74,7 @@ def test_try_improve_concurrent_race():
         def offer(labels):
             start.wait()
             for _ in range(50):
-                inc.try_improve([1, 2, 3, 4, 5], labels)
+                inc.replace([1, 2, 3, 4, 5], labels, 5, labels.bit_count())
 
         t1 = threading.Thread(target=offer, args=(0b111,))  # (5, 3)
         t2 = threading.Thread(target=offer, args=(0b011,))  # (5, 2)
@@ -83,7 +87,7 @@ def test_key_sequence_monotone_under_mixed_offers():
     inc = SharedIncumbent()
     keys = [inc.key]
     for size, labels in [(1, 0), (3, 0b101), (2, 0), (3, 0b1), (4, 0b1111), (3, 0)]:
-        inc.try_improve(list(range(size)), labels)
+        inc.replace(list(range(size)), labels, size, labels.bit_count())
         keys.append(inc.key)
     assert all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))
 
@@ -178,58 +182,111 @@ def test_many_workers_match_sequential():
                 assert cost == par.cost <= budget and labels == par.labels
 
 
-def test_replay_accounting_prefixes_match_sequential():
-    # With bound pruning disabled there are no incumbent-timing differences,
-    # so the union of depth-1/depth-2 prefixes explored by all workers must
-    # be exactly the set a sequential run explores, each exactly once.
+def record_nodes(monkeypatch) -> list[int]:
+    """Patch every colouring the search calls to record each node's
+    candidate set and lift every colour bound to n, so no node is cut off
+    by its bound and the explored tree no longer depends on when the
+    incumbent improves."""
+    records: list[int] = []
+    original = colouring_mod.colour_order_into
+
+    def recording(adjacency, cands, order, bounds):
+        records.append(cands)
+        m = original(adjacency, cands, order, bounds)
+        bounds[:m] = [len(adjacency)] * m
+        return m
+
+    for module in (colouring_mod, seq_mod, par_mod):
+        monkeypatch.setattr(module, "colour_order_into", recording)
+    return records
+
+
+def first_pass_nodes(records: list[int], run) -> tuple[Counter, object]:
+    """Multiset of the size-pass node records of one solve, and the solve."""
+    records.clear()
+    solution = run()
+    return Counter(records[: solution.stats.nodes_pass1]), solution
+
+
+def test_replay_accounting_prefixes_match_sequential(monkeypatch):
+    # With no bound pruning the size pass explores a fixed tree, so the
+    # nodes coloured by all workers together must be exactly the nodes a
+    # sequential run colours, at every depth, each exactly once.
+    records = record_nodes(monkeypatch)
     lg = random_instance(20, 0.5, 3, seed=1234)
-    seq_trace = SearchTrace(disable_prune=True)
-    solve(lg, 2, _trace=seq_trace)
-    seq_prefixes = set(seq_trace.prefixes)
-    assert len(seq_prefixes) == len(seq_trace.prefixes)
+    seq_nodes, _ = first_pass_nodes(records, lambda: solve(lg, 2))
+    assert sum(seq_nodes.values()) > 1
     for workers in (2, 4):
-        par_trace = SearchTrace(disable_prune=True)
-        solve_parallel(lg, 2, workers=workers, _trace=par_trace)
-        par_prefixes = set(par_trace.prefixes)
-        assert len(par_prefixes) == len(par_trace.prefixes)  # no branch twice
-        assert par_prefixes == seq_prefixes  # no branch lost, none invented
+        par_nodes, _ = first_pass_nodes(
+            records, lambda: solve_parallel(lg, 2, workers=workers))
+        assert par_nodes == seq_nodes  # no node twice, none lost, none invented
 
 
 def test_replay_accounting_with_real_steals(monkeypatch):
     # A dense instance whose first root branches dominate the work, plus a
     # tiny GIL switch interval, makes idle workers actually resplit live
-    # cursors; the explored prefixes must still match sequential exactly.
-    import sys
-
-    import labelled_clique.parallel as par_mod
-
+    # cursors; the explored nodes must still match sequential exactly.
     steals = [0]
-    original = par_mod.steal_from
+    original_steal = par_mod.steal_from
 
     def counting_steal(cursors, adjacency):
-        taken = original(cursors, adjacency)
+        taken = original_steal(cursors, adjacency)
         if taken:
             steals[0] += 1
         return taken
 
     monkeypatch.setattr(par_mod, "steal_from", counting_steal)
+    records = record_nodes(monkeypatch)
+
+    def check(lg, workers):
+        seq_nodes, seq = first_pass_nodes(records, lambda: solve(lg, 2))
+        par_nodes, par = first_pass_nodes(
+            records, lambda: solve_parallel(lg, 2, workers=workers))
+        assert (par.size, par.cost) == (seq.size, seq.cost)
+        assert par_nodes == seq_nodes
+
     previous_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         lg = random_instance(28, 0.75, 3, seed=77)
-        seq_trace = SearchTrace(disable_prune=True)
-        seq = solve(lg, 2, _trace=seq_trace)
-        stolen_any = False
         for attempt in range(5):
-            par_trace = SearchTrace(disable_prune=True)
-            par = solve_parallel(lg, 2, workers=4, _trace=par_trace)
-            assert (par.size, par.cost) == (seq.size, seq.cost)
-            assert len(set(par_trace.prefixes)) == len(par_trace.prefixes)
-            assert set(par_trace.prefixes) == set(seq_trace.prefixes)
+            check(lg, 4)
             if steals[0]:
-                stolen_any = True
                 break
-        assert stolen_any, "no steal was exercised in five attempts"
+        assert steals[0], "no steal was exercised in five attempts"
+
+        # A worker whose first item is stolen starts with no scratch
+        # buffers.  Force one: with more workers than root branches, some
+        # workers never get a root branch, and every other worker is held
+        # at its first owner claim (cursor published, branches left
+        # unstarted) or its first stolen item until one of those has run
+        # stolen work on empty scratch.
+        cold = threading.Event()
+        owning = threading.local()
+        original_process = par_mod._process
+        original_step = par_mod._step
+
+        def watching_process(state, sp, ws_nodes, ws_scratch):
+            if len(sp.prefix) == 2:
+                if ws_scratch:
+                    cold.wait(timeout=10)
+                else:
+                    cold.set()
+            owning.depth_one = len(sp.prefix) == 1
+            try:
+                original_process(state, sp, ws_nodes, ws_scratch)
+            finally:
+                owning.depth_one = False
+
+        def holding_step(state, sp, cands, ws_nodes, ws_scratch):
+            if len(sp.prefix) == 2 and owning.depth_one:
+                cold.wait(timeout=10)
+            return original_step(state, sp, cands, ws_nodes, ws_scratch)
+
+        monkeypatch.setattr(par_mod, "_process", watching_process)
+        monkeypatch.setattr(par_mod, "_step", holding_step)
+        check(random_instance(12, 0.9, 3, seed=5), 16)
+        assert cold.is_set(), "no worker started on stolen work"
     finally:
         sys.setswitchinterval(previous_interval)
 

@@ -1,18 +1,21 @@
+import sys
+
 import networkx as nx
 import pytest
 
 from labelled_clique import (
     Incumbent,
-    SearchStats,
     build_graph,
     build_labelled,
     clique_cost,
-    expand,
     is_better,
     oracle_solve,
     permute_by_degree,
+    random_labels,
     solve,
+    solve_parallel,
 )
+from labelled_clique.sequential import _expand
 
 from conftest import random_instance
 
@@ -51,17 +54,18 @@ def test_is_better_examples():
 
 def test_expand_fig1_first_pass(fig1):
     permuted, _ = permute_by_degree(fig1)
+    adjacency, label_bits = permuted.graph.adjacency, permuted.label_bits
     inc = Incumbent()
-    stats = SearchStats()
-    expand(True, [], (1 << 7) - 1, 0, inc, permuted, 3, stats)
+    nodes1, nodes2 = [0], [0]
+    _expand(True, [], (1 << 7) - 1, 0, inc, adjacency, label_bits, 3, nodes1, [], 0)
     # The size pass settles on a maximum feasible clique; with this branch
     # order that is {1,2,3,5} at cost 3 (hand-traced), and the cost pass is
     # what brings the cost down to 2.
     assert inc.size == 4
     assert inc.cost == 3
-    assert stats.nodes_pass1 > 0
-    assert stats.nodes_pass2 == 0
-    expand(False, [], (1 << 7) - 1, 0, inc, permuted, 3, stats)
+    assert nodes1[0] > 0
+    assert nodes2[0] == 0
+    _expand(False, [], (1 << 7) - 1, 0, inc, adjacency, label_bits, 3, nodes2, [], 0)
     assert (inc.size, inc.cost) == (4, 2)
 
 
@@ -69,14 +73,15 @@ def test_expand_second_pass_admits_equal_sizes():
     # Pass 1 prunes branches that can only tie the incumbent size; pass 2
     # explores them and finds the cheaper triangle.
     permuted, _ = permute_by_degree(two_triangles())
+    adjacency, label_bits = permuted.graph.adjacency, permuted.label_bits
     inc = Incumbent()
-    stats = SearchStats()
+    nodes2 = [0]
     every = (1 << 6) - 1
-    expand(True, [], every, 0, inc, permuted, 3, stats)
+    _expand(True, [], every, 0, inc, adjacency, label_bits, 3, [0], [], 0)
     assert (inc.size, inc.cost) == (3, 3)
-    expand(False, [], every, 0, inc, permuted, 3, stats)
+    _expand(False, [], every, 0, inc, adjacency, label_bits, 3, nodes2, [], 0)
     assert (inc.size, inc.cost) == (3, 1)
-    assert stats.nodes_pass2 > 0
+    assert nodes2[0] > 0
 
 
 def test_solve_two_triangles_end_to_end():
@@ -194,11 +199,41 @@ def test_pass_two_never_grows_and_never_costs_more():
     for seed in range(6):
         lg = random_instance(12, 0.55, 4, seed=600 + seed)
         permuted, _ = permute_by_degree(lg)
+        adjacency, label_bits = permuted.graph.adjacency, permuted.label_bits
         every = (1 << 12) - 1
         inc = Incumbent()
-        stats = SearchStats()
-        expand(True, [], every, 0, inc, permuted, 2, stats)
+        _expand(True, [], every, 0, inc, adjacency, label_bits, 2, [0], [], 0)
         pass1 = (inc.size, inc.cost)
-        expand(False, [], every, 0, inc, permuted, 2, stats)
+        _expand(False, [], every, 0, inc, adjacency, label_bits, 2, [0], [], 0)
         assert inc.size == pass1[0]
         assert inc.cost <= pass1[1]
+
+
+@pytest.fixture
+def recursion_limit():
+    """Start from the interpreter's default limit and restore the old one."""
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(previous)
+
+
+def test_sparse_solve_leaves_recursion_limit_alone(recursion_limit):
+    # Search depth is bounded by the maximum degree, not by n, so a sparse
+    # 7,000-vertex graph (a path plus a planted 8-clique) needs no more
+    # than the default limit, and neither solver may raise it.
+    n = 7000
+    edges = [(v, v + 1) for v in range(n - 1)]
+    edges += [(u, v) for u in range(8) for v in range(u + 2, 8)]
+    lg = random_labels(build_graph(n, edges), 3, seed=1)
+    for run in (solve, lambda lg, b: solve_parallel(lg, b, workers=2)):
+        solution = run(lg, 3)
+        assert (solution.size, solution.cost) == (8, 3)
+        assert sys.getrecursionlimit() == 1000
+
+
+def test_recursion_limit_covers_max_degree(recursion_limit):
+    star = build_graph(1500, [(0, v) for v in range(1, 1500)])
+    solution = solve(random_labels(star, 2, seed=3), 1)
+    assert solution.size == 2
+    assert sys.getrecursionlimit() >= 1499 + 2
