@@ -146,11 +146,27 @@ def build_labelled(
                 f"label {label} for edge {key} out of range [0, {num_labels})"
             )
         normalised[key] = label
+    # Every key is a distinct edge of the graph, so equal counts mean every
+    # edge is covered.
+    if len(normalised) != graph.edge_count():
+        u, v = next(edge for edge in graph.edges() if edge not in normalised)
+        raise GraphError(f"edge ({u}, {v}) has no label")
+    return attach_labels(
+        graph, num_labels, ((u, v, label) for (u, v), label in normalised.items())
+    )
+
+
+def attach_labels(
+    graph: Graph, num_labels: int, labelled_edges: Iterable[tuple[int, int, int]]
+) -> LabelledGraph:
+    """Attach ``(u, v, label)`` triples to a graph without checking them.
+
+    The caller guarantees one triple per edge of ``graph`` with a label in
+    ``[0, num_labels)``; :func:`build_labelled` is the checked entry point
+    for labels from outside the program.
+    """
     label_bits: list[dict[int, int]] = [{} for _ in range(graph.n)]
-    for u, v in graph.edges():
-        label = normalised.get((u, v))
-        if label is None:
-            raise GraphError(f"edge ({u}, {v}) has no label")
+    for u, v, label in labelled_edges:
         mask = 1 << label
         label_bits[u][v] = mask
         label_bits[v][u] = mask

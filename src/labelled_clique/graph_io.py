@@ -21,12 +21,18 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .graph import Graph, LabelledGraph, build_graph, build_labelled
+from .graph import MAX_LABELS, Graph, LabelledGraph, attach_labels, build_graph, build_labelled
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4B7C15
 _SPLITMIX_MUL1 = 0xBF58476D1CE4E5B9
 _SPLITMIX_MUL2 = 0x94D049BB133111EB
+
+# Largest vertex count a DIMACS header may declare.  The graph allocates one
+# row per vertex as soon as the edges are read, so the header alone must
+# not be able to demand gigabytes; the largest DIMACS clique benchmarks have
+# about 4,000 vertices.
+MAX_VERTICES = 1 << 20
 
 
 class ParseError(ValueError):
@@ -50,7 +56,8 @@ def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS clique format into a :class:`Graph`.
 
     Duplicate edges are collapsed; a declared edge count that disagrees with
-    the unique edge count emits a warning rather than an error.
+    the unique edge count emits a warning rather than an error.  A header
+    declaring more than :data:`MAX_VERTICES` vertices is rejected.
     """
     n: int | None = None
     declared = 0
@@ -72,6 +79,10 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: non-integer size in problem line") from None
             if n < 0 or declared < 0:
                 raise ParseError(f"line {lineno}: negative size in problem line")
+            if n > MAX_VERTICES:
+                raise ParseError(
+                    f"line {lineno}: {n} vertices exceeds the limit of {MAX_VERTICES}"
+                )
         elif tokens[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge before problem line")
@@ -164,14 +175,16 @@ def random_labels(g: Graph, num_labels: int, seed: int) -> LabelledGraph:
     Edges consume one splitmix64 value each in canonical order, so the
     labelling depends only on (graph, num_labels, seed).
     """
-    if not 1 <= num_labels <= 64:
-        raise ValueError(f"num_labels must be in [1, 64], got {num_labels}")
-    state = seed & _MASK64
-    assignments: dict[tuple[int, int], int] = {}
-    for u, v in g.edges():
-        value, state = splitmix_next(state)
-        assignments[(u, v)] = value % num_labels
-    return build_labelled(g, num_labels, assignments)
+    if not 1 <= num_labels <= MAX_LABELS:
+        raise ValueError(f"num_labels must be in [1, {MAX_LABELS}], got {num_labels}")
+
+    def labelled_edges():
+        state = seed & _MASK64
+        for u, v in g.edges():
+            value, state = splitmix_next(state)
+            yield u, v, value % num_labels
+
+    return attach_labels(g, num_labels, labelled_edges())
 
 
 def resolve_budget(num_labels: int, budget: int | None = None, budget_pct: int | None = None) -> int:

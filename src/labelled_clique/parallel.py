@@ -28,7 +28,8 @@ from time import perf_counter
 
 from .colouring import colour_order, colour_order_into
 from .graph import LabelledGraph, permute_by_degree
-from .sequential import SearchStats, Solution, _expand, _fit_recursion_limit, _pass_two_needed
+from .sequential import (SearchStats, Solution, WithinLabels, _expand, _fit_recursion_limit,
+                         _pass_two_needed)
 
 _KEY_BITS = 32
 _COST_MASK = (1 << _KEY_BITS) - 1
@@ -190,10 +191,10 @@ class _PassState:
     """Queue, stealable cursors and termination accounting for one pass."""
 
     __slots__ = ("cond", "queue", "outstanding", "cursors", "abort", "errors",
-                 "adjacency", "label_bits", "budget", "incumbent", "first_pass",
-                 "node_totals")
+                 "adjacency", "label_bits", "within", "budget", "incumbent",
+                 "first_pass", "node_totals")
 
-    def __init__(self, permuted, budget, incumbent, first_pass):
+    def __init__(self, permuted, within, budget, incumbent, first_pass):
         self.cond = threading.Condition()
         self.queue: deque[Subproblem] = deque()
         self.outstanding = 0
@@ -202,6 +203,7 @@ class _PassState:
         self.errors: list[BaseException] = []
         self.adjacency = permuted.graph.adjacency
         self.label_bits = permuted.label_bits
+        self.within = within
         self.budget = budget
         self.incumbent = incumbent
         self.first_pass = first_pass
@@ -210,10 +212,14 @@ class _PassState:
 
 def _step(state: _PassState, sp: Subproblem, cands: int, ws_nodes, ws_scratch) -> bool:
     """The branch step of ``sp``'s last vertex, as a one-entry colouring of
-    its parent node; True when the colour bound cut it off."""
+    its parent node; True when the colour bound cut it off.  It enters
+    not ``closed``, which is always exact: the parent is a single vertex
+    (cost 0), so only a limit of 0 would make it closed, and then every
+    branch fails the cost check."""
     return _expand(state.first_pass, list(sp.prefix[:-1]), cands, sp.labels_before,
-                   state.incumbent, state.adjacency, state.label_bits, state.budget,
-                   ws_nodes, ws_scratch, 0, sp.prefix[-1:], (sp.bound,), 1)
+                   state.incumbent, state.adjacency, state.label_bits, state.within,
+                   state.budget, ws_nodes, ws_scratch, 0, False, sp.prefix[-1:],
+                   (sp.bound,), 1)
 
 
 def _process(state: _PassState, sp: Subproblem, ws_nodes, ws_scratch) -> None:
@@ -290,8 +296,8 @@ def _worker(state: _PassState) -> None:
         state.node_totals.append(nodes[0])
 
 
-def _run_pass(permuted, budget, incumbent, first_pass, workers) -> int:
-    state = _PassState(permuted, budget, incumbent, first_pass)
+def _run_pass(permuted, within, budget, incumbent, first_pass, workers) -> int:
+    state = _PassState(permuted, within, budget, incumbent, first_pass)
     subproblems = split_root(permuted)
     state.queue.extend(subproblems)
     state.outstanding = len(subproblems)
@@ -326,11 +332,12 @@ def solve_parallel(
     start = perf_counter()
     permuted, perm = permute_by_degree(lg)
     _fit_recursion_limit(permuted.graph)
+    within = WithinLabels(permuted.label_bits)
     incumbent = SharedIncumbent()
-    nodes1 = _run_pass(permuted, budget, incumbent, True, workers)
+    nodes1 = _run_pass(permuted, within, budget, incumbent, True, workers)
     nodes2 = 0
     if _pass_two_needed(incumbent):
-        nodes2 = _run_pass(permuted, budget, incumbent, False, workers)
+        nodes2 = _run_pass(permuted, within, budget, incumbent, False, workers)
     clique, labels, size, cost = incumbent.snapshot()
     elapsed = perf_counter() - start
     stats = SearchStats(nodes1, nodes2, elapsed, workers=workers)

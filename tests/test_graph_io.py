@@ -5,6 +5,7 @@ from labelled_clique import (
     InstanceSpec,
     ParseError,
     build_graph,
+    build_labelled,
     fixture_path,
     parse_dimacs,
     parse_labels,
@@ -14,6 +15,7 @@ from labelled_clique import (
     write_dimacs,
     write_labels,
 )
+from labelled_clique.graph_io import MAX_VERTICES
 
 from conftest import random_graph
 
@@ -59,6 +61,13 @@ def test_parse_errors_carry_line_numbers():
         parse_dimacs("p col 3 1\ne 1 2")
     with pytest.raises(ParseError, match="line 2: non-integer"):
         parse_dimacs("p edge 3 1\ne 1 two")
+
+
+def test_parse_rejects_vertex_count_above_cap():
+    # One over the cap: without the guard this would allocate only ~8 MB of
+    # rows, so the test stays cheap whether or not the guard holds.
+    with pytest.raises(ParseError, match=f"line 2: {MAX_VERTICES + 1} vertices exceeds"):
+        parse_dimacs(f"c header only\np edge {MAX_VERTICES + 1} 0\n")
 
 
 def test_dimacs_round_trip():
@@ -133,6 +142,14 @@ def test_random_labels_in_range():
         random_labels(g, 0, seed=1)
     with pytest.raises(ValueError):
         random_labels(g, 65, seed=1)
+
+
+def test_random_labels_pass_build_labelled_checks():
+    # random_labels attaches its labels unchecked; the checked builder must
+    # accept them and build identical rows.
+    g = random_graph(12, 0.5, seed=8)
+    lg = random_labels(g, 6, seed=3)
+    assert build_labelled(g, 6, lg.edge_label_map()).label_bits == lg.label_bits
 
 
 def test_parse_labels_fig1(fig1):

@@ -15,7 +15,7 @@ from labelled_clique import (
     solve,
     solve_parallel,
 )
-from labelled_clique.sequential import _expand
+from labelled_clique.sequential import WithinLabels, _expand
 
 from conftest import random_instance
 
@@ -55,9 +55,10 @@ def test_is_better_examples():
 def test_expand_fig1_first_pass(fig1):
     permuted, _ = permute_by_degree(fig1)
     adjacency, label_bits = permuted.graph.adjacency, permuted.label_bits
+    within = WithinLabels(label_bits)
     inc = Incumbent()
     nodes1, nodes2 = [0], [0]
-    _expand(True, [], (1 << 7) - 1, 0, inc, adjacency, label_bits, 3, nodes1, [], 0)
+    _expand(True, [], (1 << 7) - 1, 0, inc, adjacency, label_bits, within, 3, nodes1, [], 0)
     # The size pass settles on a maximum feasible clique; with this branch
     # order that is {1,2,3,5} at cost 3 (hand-traced), and the cost pass is
     # what brings the cost down to 2.
@@ -65,7 +66,7 @@ def test_expand_fig1_first_pass(fig1):
     assert inc.cost == 3
     assert nodes1[0] > 0
     assert nodes2[0] == 0
-    _expand(False, [], (1 << 7) - 1, 0, inc, adjacency, label_bits, 3, nodes2, [], 0)
+    _expand(False, [], (1 << 7) - 1, 0, inc, adjacency, label_bits, within, 3, nodes2, [], 0)
     assert (inc.size, inc.cost) == (4, 2)
 
 
@@ -74,12 +75,13 @@ def test_expand_second_pass_admits_equal_sizes():
     # explores them and finds the cheaper triangle.
     permuted, _ = permute_by_degree(two_triangles())
     adjacency, label_bits = permuted.graph.adjacency, permuted.label_bits
+    within = WithinLabels(label_bits)
     inc = Incumbent()
     nodes2 = [0]
     every = (1 << 6) - 1
-    _expand(True, [], every, 0, inc, adjacency, label_bits, 3, [0], [], 0)
+    _expand(True, [], every, 0, inc, adjacency, label_bits, within, 3, [0], [], 0)
     assert (inc.size, inc.cost) == (3, 3)
-    _expand(False, [], every, 0, inc, adjacency, label_bits, 3, nodes2, [], 0)
+    _expand(False, [], every, 0, inc, adjacency, label_bits, within, 3, nodes2, [], 0)
     assert (inc.size, inc.cost) == (3, 1)
     assert nodes2[0] > 0
 
@@ -190,9 +192,20 @@ def test_deterministic_node_counts():
 def test_fig1_node_counts_frozen(fig1):
     # The stable degree sort and lowest-bit colouring fully determine the
     # branch order, so these counts cannot move unless the search changes.
+    # Candidates that would add a label at the limit are not coloured, so
+    # both passes search fewer nodes than the paper's unfiltered 5 and 11.
     solution = solve(fig1, 3)
-    assert solution.stats.nodes_pass1 == 5
-    assert solution.stats.nodes_pass2 == 11
+    assert solution.stats.nodes_pass1 == 4
+    assert solution.stats.nodes_pass2 == 8
+
+
+def test_keller4_budget_one_node_count_frozen(keller4):
+    # With budget 1 a single edge already reaches the limit, so every node
+    # below depth 1 is filtered: 11,415 size-pass nodes without the filter.
+    solution = solve(random_labels(keller4, 4, seed=0), 1)
+    assert (solution.size, solution.cost) == (5, 1)
+    assert solution.stats.nodes_pass1 == 4571
+    assert solution.stats.nodes_pass2 == 0
 
 
 def test_pass_two_never_grows_and_never_costs_more():
@@ -200,11 +213,12 @@ def test_pass_two_never_grows_and_never_costs_more():
         lg = random_instance(12, 0.55, 4, seed=600 + seed)
         permuted, _ = permute_by_degree(lg)
         adjacency, label_bits = permuted.graph.adjacency, permuted.label_bits
+        within = WithinLabels(label_bits)
         every = (1 << 12) - 1
         inc = Incumbent()
-        _expand(True, [], every, 0, inc, adjacency, label_bits, 2, [0], [], 0)
+        _expand(True, [], every, 0, inc, adjacency, label_bits, within, 2, [0], [], 0)
         pass1 = (inc.size, inc.cost)
-        _expand(False, [], every, 0, inc, adjacency, label_bits, 2, [0], [], 0)
+        _expand(False, [], every, 0, inc, adjacency, label_bits, within, 2, [0], [], 0)
         assert inc.size == pass1[0]
         assert inc.cost <= pass1[1]
 
