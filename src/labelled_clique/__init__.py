@@ -17,7 +17,6 @@ from .graph import (
     build_labelled,
     clique_cost,
     label_indices,
-    labels_with_clique,
     permute_by_degree,
 )
 from .graph_io import (
@@ -59,7 +58,6 @@ __all__ = [
     "incumbent_key",
     "is_better",
     "label_indices",
-    "labels_with_clique",
     "oracle_solve",
     "parse_dimacs",
     "parse_labels",

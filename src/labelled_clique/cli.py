@@ -175,6 +175,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     threads = args.threads
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if args.samples < 1:
+        raise ValueError(f"samples must be >= 1, got {args.samples}")
     print("instance labels pct budget size cost t_seq t_par")
     for path in args.graphs:
         graph = parse_dimacs(Path(path).read_text())

@@ -183,9 +183,6 @@ class Permutation:
     def to_original(self, vertices: Iterable[int]) -> list[int]:
         return [self.forward[v] for v in vertices]
 
-    def to_permuted(self, vertices: Iterable[int]) -> list[int]:
-        return [self.inverse[v] for v in vertices]
-
 
 def permute_by_degree(lg: LabelledGraph) -> tuple[LabelledGraph, Permutation]:
     """Renumber vertices into non-increasing degree order.
@@ -212,18 +209,6 @@ def permute_by_degree(lg: LabelledGraph) -> tuple[LabelledGraph, Permutation]:
         label_bits[new] = {inverse[w]: mask for w, mask in lg.label_bits[old].items()}
     permuted = LabelledGraph(Graph(n, adjacency, degrees), lg.num_labels, label_bits)
     return permuted, Permutation(tuple(forward), tuple(inverse))
-
-
-def labels_with_clique(lg: LabelledGraph, v: int, clique: Iterable[int], labels: int = 0) -> int:
-    """Union ``labels`` with the labels of the edges from ``v`` into ``clique``.
-
-    ``v`` must be adjacent to every vertex of ``clique`` (a KeyError flags a
-    violated precondition).
-    """
-    row = lg.label_bits[v]
-    for w in clique:
-        labels |= row[w]
-    return labels
 
 
 def clique_cost(lg: LabelledGraph, clique: Iterable[int]) -> tuple[int, int]:

@@ -126,7 +126,8 @@ def parse_labels(text: str, g: Graph) -> LabelledGraph:
     """Parse ``l u v k`` lines into a labelling of ``g``.
 
     Every edge of ``g`` must receive exactly one label; the label count is
-    the largest ``k`` seen.
+    the largest ``k`` seen, or 1 for an edgeless graph, since a labelling
+    needs at least one label.
     """
     assignments: dict[tuple[int, int], int] = {}
     max_label = 0
@@ -155,7 +156,7 @@ def parse_labels(text: str, g: Graph) -> LabelledGraph:
     for u, v in g.edges():
         if (u, v) not in assignments:
             raise ParseError(f"edge {u + 1} {v + 1} has no label line")
-    return build_labelled(g, max_label, assignments)
+    return build_labelled(g, max(max_label, 1), assignments)
 
 
 def write_labels(lg: LabelledGraph, comment: str | None = None) -> str:

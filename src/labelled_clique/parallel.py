@@ -24,12 +24,13 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 
 from .colouring import colour_order, colour_order_into
 from .graph import LabelledGraph, permute_by_degree
-from .sequential import (SearchStats, Solution, WithinLabels, _expand, _fit_recursion_limit,
-                         _pass_two_needed)
+from .sequential import (_NODES, SearchStats, Solution, WithinLabels, _expand,
+                         _fit_recursion_limit, _pass_two_needed, _search)
 
 _KEY_BITS = 32
 _COST_MASK = (1 << _KEY_BITS) - 1
@@ -90,16 +91,16 @@ class SharedIncumbent:
 class Subproblem:
     """A search-tree prefix of one or two fixed vertices.
 
-    ``cands`` already excludes non-neighbours of the last prefix vertex, and
-    ``labels_before`` is the label set of the prefix without that vertex, so
-    replaying the prefix from the root reproduces the sequential state.
-    ``bound`` is the colour bound of this branch in its parent's colouring.
+    ``cands`` already excludes non-neighbours of the last prefix vertex, so
+    replaying the prefix from the root reproduces the sequential state; the
+    prefix without its last vertex is at most one vertex, whose label set
+    is empty.  ``bound`` is the colour bound of this branch in its parent's
+    colouring.
     """
 
     position: tuple[int, ...]
     prefix: tuple[int, ...]
     cands: int
-    labels_before: int
     bound: int
 
 
@@ -121,7 +122,6 @@ def split_root(lg: LabelledGraph) -> list[Subproblem]:
                 position=(position,),
                 prefix=(v,),
                 cands=cands & lg.graph.adjacency[v],
-                labels_before=0,
                 bound=result.bounds[i],
             )
         )
@@ -139,12 +139,11 @@ class _Cursor:
     sequential order.  Mutated only under the pass lock.
     """
 
-    __slots__ = ("position", "vertex", "labels", "order", "bounds", "cands", "next_i", "top")
+    __slots__ = ("position", "vertex", "order", "bounds", "cands", "next_i", "top")
 
-    def __init__(self, position, vertex, labels, order, bounds, cands, next_i):
+    def __init__(self, position, vertex, order, bounds, cands, next_i):
         self.position = position
         self.vertex = vertex
-        self.labels = labels
         self.order = order
         self.bounds = bounds
         self.cands = cands
@@ -160,7 +159,6 @@ def _branch(cursor: _Cursor, i: int, cands: int, adjacency: list[int]) -> Subpro
         position=cursor.position + (cursor.top - i,),
         prefix=(cursor.vertex, w),
         cands=cands & adjacency[w],
-        labels_before=cursor.labels,
         bound=cursor.bounds[i],
     )
 
@@ -188,55 +186,51 @@ def steal_from(cursors: dict[tuple[int, ...], _Cursor], adjacency: list[int]) ->
 
 
 class _PassState:
-    """Queue, stealable cursors and termination accounting for one pass."""
+    """Queue, stealable cursors and termination accounting for one pass;
+    each worker builds its own search context with ``search()``."""
 
     __slots__ = ("cond", "queue", "outstanding", "cursors", "abort", "errors",
-                 "adjacency", "label_bits", "within", "budget", "incumbent",
-                 "first_pass", "node_totals")
+                 "adjacency", "search", "node_totals")
 
-    def __init__(self, permuted, within, budget, incumbent, first_pass):
+    def __init__(self, adjacency, search):
         self.cond = threading.Condition()
         self.queue: deque[Subproblem] = deque()
         self.outstanding = 0
         self.cursors: dict[tuple[int, ...], _Cursor] = {}
         self.abort = False
         self.errors: list[BaseException] = []
-        self.adjacency = permuted.graph.adjacency
-        self.label_bits = permuted.label_bits
-        self.within = within
-        self.budget = budget
-        self.incumbent = incumbent
-        self.first_pass = first_pass
+        self.adjacency = adjacency
+        self.search = search
         self.node_totals: list[int] = []
 
 
-def _step(state: _PassState, sp: Subproblem, cands: int, ws_nodes, ws_scratch) -> bool:
+def _step(search, sp: Subproblem, cands: int) -> bool:
     """The branch step of ``sp``'s last vertex, as a one-entry colouring of
     its parent node; True when the colour bound cut it off.  It enters
-    not ``closed``, which is always exact: the parent is a single vertex
+    not ``closed``, which is always exact: the parent is at most one vertex
     (cost 0), so only a limit of 0 would make it closed, and then every
     branch fails the cost check."""
-    return _expand(state.first_pass, list(sp.prefix[:-1]), cands, sp.labels_before,
-                   state.incumbent, state.adjacency, state.label_bits, state.within,
-                   state.budget, ws_nodes, ws_scratch, 0, False, sp.prefix[-1:],
+    return _expand(search, list(sp.prefix[:-1]), cands, 0, False, sp.prefix[-1:],
                    (sp.bound,), 1)
 
 
-def _process(state: _PassState, sp: Subproblem, ws_nodes, ws_scratch) -> None:
+def _process(state: _PassState, search, sp: Subproblem) -> None:
     """Run one queued subproblem to completion (depth 1 or stolen depth 2)."""
     if len(sp.prefix) == 2:
         # Stolen depth-2 work: plain recursion, no further resplitting.
-        _step(state, sp, sp.cands, ws_nodes, ws_scratch)
+        _step(search, sp, sp.cands)
         return
     # Depth-1 work: the branch step alone (no candidates, so no recursion;
     # a single vertex is always within the filter, so only the bound can
     # stop it), then its children through a stealable cursor.
-    if _step(state, sp, 0, ws_nodes, ws_scratch) or not sp.cands:
+    if _step(search, sp, 0) or not sp.cands:
         return
-    ws_nodes[0] += 1
-    order, bounds = ws_scratch[0]
+    search[_NODES][0] += 1
+    # The cursor's own buffers: the worker's scratch belongs to _expand.
+    size = sp.cands.bit_count()
+    order, bounds = [0] * size, [0] * size
     m = colour_order_into(state.adjacency, sp.cands, order, bounds)
-    cursor = _Cursor(sp.position, sp.prefix[0], 0, order, bounds, sp.cands, m - 1)
+    cursor = _Cursor(sp.position, sp.prefix[0], order, bounds, sp.cands, m - 1)
     with state.cond:
         state.cursors[sp.position] = cursor
         state.cond.notify_all()
@@ -250,7 +244,7 @@ def _process(state: _PassState, sp: Subproblem, ws_nodes, ws_scratch) -> None:
                 cands_now = cursor.cands
                 cursor.cands = cands_now & ~(1 << cursor.order[i])
             claim = _branch(cursor, i, cands_now, state.adjacency)
-            if _step(state, claim, claim.cands, ws_nodes, ws_scratch):
+            if _step(search, claim, claim.cands):
                 # The bound prunes every remaining branch too (bounds is
                 # non-decreasing), so drain the cursor.
                 with state.cond:
@@ -262,8 +256,7 @@ def _process(state: _PassState, sp: Subproblem, ws_nodes, ws_scratch) -> None:
 
 
 def _worker(state: _PassState) -> None:
-    nodes = [0]
-    scratch: list[tuple[list[int], list[int]]] = []
+    search = state.search()
     try:
         while True:
             with state.cond:
@@ -282,7 +275,7 @@ def _worker(state: _PassState) -> None:
                     if state.outstanding == 0:
                         return
                     state.cond.wait()
-            _process(state, item, nodes, scratch)
+            _process(state, search, item)
             with state.cond:
                 state.outstanding -= 1
                 if state.outstanding == 0:
@@ -293,11 +286,11 @@ def _worker(state: _PassState) -> None:
             state.abort = True
             state.cond.notify_all()
     finally:
-        state.node_totals.append(nodes[0])
+        state.node_totals.append(search[_NODES][0])
 
 
-def _run_pass(permuted, within, budget, incumbent, first_pass, workers) -> int:
-    state = _PassState(permuted, within, budget, incumbent, first_pass)
+def _run_pass(permuted, search, workers) -> int:
+    state = _PassState(permuted.graph.adjacency, search)
     subproblems = split_root(permuted)
     state.queue.extend(subproblems)
     state.outstanding = len(subproblems)
@@ -332,12 +325,13 @@ def solve_parallel(
     start = perf_counter()
     permuted, perm = permute_by_degree(lg)
     _fit_recursion_limit(permuted.graph)
-    within = WithinLabels(permuted.label_bits)
+    label_bits = permuted.label_bits
     incumbent = SharedIncumbent()
-    nodes1 = _run_pass(permuted, within, budget, incumbent, True, workers)
+    constants = (incumbent, permuted.graph.adjacency, label_bits, WithinLabels(label_bits), budget)
+    nodes1 = _run_pass(permuted, partial(_search, True, *constants), workers)
     nodes2 = 0
     if _pass_two_needed(incumbent):
-        nodes2 = _run_pass(permuted, within, budget, incumbent, False, workers)
+        nodes2 = _run_pass(permuted, partial(_search, False, *constants), workers)
     clique, labels, size, cost = incumbent.snapshot()
     elapsed = perf_counter() - start
     stats = SearchStats(nodes1, nodes2, elapsed, workers=workers)

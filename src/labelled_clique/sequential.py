@@ -115,14 +115,29 @@ class Solution:
     stats: SearchStats = field(default_factory=SearchStats)
 
 
-def _expand(first_pass, clique, cands, labels, inc, adjacency, label_bits, within,
-            budget, nodes, scratch, depth, closed=False, order=None, bounds=None, m=0):
+_NODES = 6
+
+
+def _search(first_pass, inc, adjacency, label_bits, within, budget):
+    """The search context of one pass, as the tuple :func:`_expand` takes.
+
+    It holds the pass's constants, then a node counter ``[count]`` (at
+    index ``_NODES``) and the scratch buffers: one ``(order, bounds)`` pair
+    per clique size, grown on demand.  The buffers make a context belong to
+    one thread.
+    """
+    return (first_pass, inc, adjacency, label_bits, within, budget, [0], [])
+
+
+def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None, m=0):
     """One branch-and-bound node: colour, then branch right to left.
 
-    ``clique`` is used like a stack (append/pop), never a bitset, so the
-    label union only ever scans the current clique.  ``inc`` is updated in
-    place; it may be any object exposing size/cost reads and a
-    ``replace(clique, labels, size, cost)`` that keeps only improvements.
+    ``search`` is the pass's context from :func:`_search`.  ``clique`` is
+    used like a stack (append/pop), never a bitset, so the label union only
+    ever scans the current clique, and its length picks the node's scratch
+    buffers.  The incumbent is updated in place; it may be any object
+    exposing size/cost reads and a ``replace(clique, labels, size, cost)``
+    that keeps only improvements.
 
     A branch whose cost reaches the pass's limit keeps only the candidates
     that ``within`` (a :class:`WithinLabels`) joins to every clique vertex
@@ -137,14 +152,15 @@ def _expand(first_pass, clique, cands, labels, inc, adjacency, label_bits, withi
     this way with a one-entry colouring per claimed branch.  Returns True
     when the colour bound cut the node off.
     """
-    if depth == len(scratch):
-        n = len(adjacency)
-        scratch.append(([0] * n, [0] * n))
+    first_pass, inc, adjacency, label_bits, within, budget, nodes, scratch = search
+    csize = len(clique)
     if order is None:
         nodes[0] += 1
-        order, bounds = scratch[depth]
+        while csize >= len(scratch):
+            n = len(adjacency)
+            scratch.append(([0] * n, [0] * n))
+        order, bounds = scratch[csize]
         m = colour_order_into(adjacency, cands, order, bounds)
-    csize = len(clique)
     for i in range(m - 1, -1, -1):
         reach = csize + bounds[i]
         inc_size = inc.size
@@ -174,9 +190,7 @@ def _expand(first_pass, clique, cands, labels, inc, adjacency, label_bits, withi
                     for w in clique:
                         remaining &= within[w, grown]
             if remaining:
-                _expand(first_pass, clique, remaining, grown, inc, adjacency,
-                        label_bits, within, budget, nodes, scratch, depth + 1,
-                        at_limit)
+                _expand(search, clique, remaining, grown, at_limit)
         clique.pop()
         cands &= ~(1 << v)
     return False
@@ -212,21 +226,19 @@ def solve(lg: LabelledGraph, budget: int) -> Solution:
     start = perf_counter()
     permuted, perm = permute_by_degree(lg)
     _fit_recursion_limit(permuted.graph)
-    n = permuted.graph.n
-    adjacency = permuted.graph.adjacency
     label_bits = permuted.label_bits
-    every_vertex = (1 << n) - 1
-    within = WithinLabels(label_bits)
+    every_vertex = (1 << permuted.graph.n) - 1
     inc = Incumbent()
-    scratch: list[tuple[list[int], list[int]]] = []
-    nodes1 = [0]
-    _expand(True, [], every_vertex, 0, inc, adjacency, label_bits, within, budget,
-            nodes1, scratch, 0)
-    nodes2 = [0]
+    constants = (inc, permuted.graph.adjacency, label_bits, WithinLabels(label_bits), budget)
+    search = _search(True, *constants)
+    _expand(search, [], every_vertex, 0)
+    nodes1 = search[_NODES][0]
+    nodes2 = 0
     if _pass_two_needed(inc):
-        _expand(False, [], every_vertex, 0, inc, adjacency, label_bits, within, budget,
-                nodes2, scratch, 0)
+        search = _search(False, *constants)
+        _expand(search, [], every_vertex, 0)
+        nodes2 = search[_NODES][0]
     elapsed = perf_counter() - start
-    stats = SearchStats(nodes1[0], nodes2[0], elapsed, workers=1)
+    stats = SearchStats(nodes1, nodes2, elapsed, workers=1)
     witness = sorted(perm.to_original(inc.clique))
     return Solution(witness, inc.size, inc.labels, inc.cost, stats)

@@ -241,6 +241,16 @@ def test_bench_fig1_label_file(capsys):
     assert fields[:6] == ["fig1", "4", "75", "3", "4.00", "2.00"]
 
 
+def test_bench_rejects_samples_below_one(capsys):
+    for samples in ("0", "-2"):
+        code, out, err = run(
+            ["bench", FIG1, "--label-file", FIG1_LAB, "--samples", samples], capsys
+        )
+        assert code == EXIT_USAGE
+        assert "samples must be >= 1" in err and "usage" in err
+        assert out == ""  # rejected before the header and any solve
+
+
 def test_bench_resolves_percentage(tmp_path, capsys):
     graph_file = tmp_path / "r.clq"
     graph_file.write_text(write_dimacs(random_graph(8, 0.5, seed=2)))

@@ -6,7 +6,6 @@ from labelled_clique import (
     build_labelled,
     clique_cost,
     label_indices,
-    labels_with_clique,
     permute_by_degree,
 )
 from labelled_clique.graph import iter_bits
@@ -126,23 +125,6 @@ def test_permute_properties():
         for u, v in lg.graph.edges():
             pu, pv = perm.inverse[u], perm.inverse[v]
             assert permuted.label_of(pu, pv) == lg.label_of(u, v)
-
-
-def test_labels_with_clique_fig1(fig1):
-    # edge 1-2 carries the first label
-    assert labels_with_clique(fig1, 1, [0]) == 1 << 0
-    # empty clique leaves the accumulator unchanged
-    assert labels_with_clique(fig1, 4, [], labels=0b101) == 0b101
-    # edges 4-6 and 5-6 carry the second and third labels
-    assert labels_with_clique(fig1, 5, [3, 4]) == (1 << 1) | (1 << 2)
-
-
-def test_labels_with_clique_extends_clique_cost(fig1):
-    base, _ = clique_cost(fig1, [3, 4])
-    grown = labels_with_clique(fig1, 5, [3, 4], base)
-    full, _ = clique_cost(fig1, [3, 4, 5])
-    assert grown == full | base
-    assert grown & base == base
 
 
 def test_clique_cost_fig1(fig1):

@@ -11,6 +11,7 @@ from labelled_clique import (
     parse_labels,
     random_labels,
     resolve_budget,
+    solve,
     splitmix_next,
     write_dimacs,
     write_labels,
@@ -158,15 +159,22 @@ def test_parse_labels_fig1(fig1):
 
 
 def test_parse_labels_round_trip(fig1):
-    text = write_labels(fig1, comment="round trip")
-    again = parse_labels(text, fig1.graph)
-    assert again.edge_label_map() == fig1.edge_label_map()
+    edgeless = build_labelled(build_graph(3, []), 1, {})
+    for lg in (fig1, edgeless):
+        text = write_labels(lg, comment="round trip")
+        again = parse_labels(text, lg.graph)
+        assert again.edge_label_map() == lg.edge_label_map()
+    # An edgeless graph's label file has no label line at all.
+    solution = solve(parse_labels(write_labels(edgeless), edgeless.graph), 1)
+    assert (solution.size, solution.cost) == (1, 0)
 
 
 def test_parse_labels_errors():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(ParseError, match="edge 1 3 has no label"):
         parse_labels("l 1 2 1\nl 2 3 1", g)
+    with pytest.raises(ParseError, match="edge 1 2 has no label"):
+        parse_labels("\n", g)
     with pytest.raises(ParseError, match="no edge 1 3"):
         parse_labels("l 1 3 1", build_graph(3, [(0, 1)]))
     with pytest.raises(ParseError, match="label must be >= 1"):

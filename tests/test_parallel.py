@@ -1,3 +1,4 @@
+import gc
 import sys
 import threading
 from collections import Counter
@@ -21,6 +22,7 @@ import labelled_clique.colouring as colouring_mod
 import labelled_clique.parallel as par_mod
 import labelled_clique.sequential as seq_mod
 from labelled_clique.parallel import _Cursor, steal_from
+from labelled_clique.sequential import _NODES
 
 from conftest import random_instance
 
@@ -108,7 +110,6 @@ def test_split_root_fig1(fig1):
     for sp in subs:
         v = sp.prefix[0]
         assert sp.cands == remaining & permuted.graph.adjacency[v]
-        assert sp.labels_before == 0
         remaining &= ~(1 << v)
 
 
@@ -119,7 +120,7 @@ def test_split_root_empty_graph():
 
 def test_steal_from_claims_all_remaining_branches():
     adjacency = [0b0110, 0b1101, 0b0011, 0b0010]
-    cursor = _Cursor((3,), 0, 0b1, [2, 3, 1], [1, 1, 2], 0b1110, 2)
+    cursor = _Cursor((3,), 0, [2, 3, 1], [1, 1, 2], 0b1110, 2)
     cursors = {(3,): cursor}
     stolen = steal_from(cursors, adjacency)
     # branches i=2,1,0 in sequential order: vertices 1, 3, 2
@@ -130,7 +131,6 @@ def test_steal_from_claims_all_remaining_branches():
     assert stolen[0].cands == 0b1110 & adjacency[1]
     assert stolen[1].cands == (0b1110 & ~0b10) & adjacency[3]
     assert stolen[2].cands == (0b1110 & ~0b1010) & adjacency[2]
-    assert all(sp.labels_before == 0b1 for sp in stolen)
     # the cursor is drained: nothing can run twice
     assert cursor.next_i == -1
     assert steal_from(cursors, adjacency) == []
@@ -138,8 +138,8 @@ def test_steal_from_claims_all_remaining_branches():
 
 def test_steal_from_prefers_latest_position():
     adjacency = [0, 0, 0]
-    early = _Cursor((0,), 1, 0, [0], [1], 0b1, 0)
-    late = _Cursor((5,), 2, 0, [0], [1], 0b1, 0)
+    early = _Cursor((0,), 1, [0], [1], 0b1, 0)
+    late = _Cursor((5,), 2, [0], [1], 0b1, 0)
     stolen = steal_from({(0,): early, (5,): late}, adjacency)
     assert stolen[0].prefix[0] == 2
     assert late.next_i == -1 and early.next_i == 0
@@ -147,8 +147,8 @@ def test_steal_from_prefers_latest_position():
 
 def test_steal_from_skips_drained_cursors():
     adjacency = [0, 0]
-    drained = _Cursor((4,), 0, 0, [1], [1], 0b10, -1)
-    fresh = _Cursor((1,), 1, 0, [0], [1], 0b1, 0)
+    drained = _Cursor((4,), 0, [1], [1], 0b10, -1)
+    fresh = _Cursor((1,), 1, [0], [1], 0b1, 0)
     stolen = steal_from({(4,): drained, (1,): fresh}, adjacency)
     assert stolen and stolen[0].prefix[0] == 1
 
@@ -255,33 +255,33 @@ def test_replay_accounting_with_real_steals(monkeypatch):
                 break
         assert steals[0], "no steal was exercised in five attempts"
 
-        # A worker whose first item is stolen starts with no scratch
-        # buffers.  Force one: with more workers than root branches, some
-        # workers never get a root branch, and every other worker is held
-        # at its first owner claim (cursor published, branches left
-        # unstarted) or its first stolen item until one of those has run
-        # stolen work on empty scratch.
+        # A worker whose first item is stolen has run no node yet, so it
+        # starts with no scratch buffers.  Force one: with more workers
+        # than root branches, some workers never get a root branch, and
+        # every other worker is held at its first owner claim (cursor
+        # published, branches left unstarted) or its first stolen item
+        # until one of those has run stolen work before any node.
         cold = threading.Event()
         owning = threading.local()
         original_process = par_mod._process
         original_step = par_mod._step
 
-        def watching_process(state, sp, ws_nodes, ws_scratch):
+        def watching_process(state, search, sp):
             if len(sp.prefix) == 2:
-                if ws_scratch:
+                if search[_NODES][0]:
                     cold.wait(timeout=10)
                 else:
                     cold.set()
             owning.depth_one = len(sp.prefix) == 1
             try:
-                original_process(state, sp, ws_nodes, ws_scratch)
+                original_process(state, search, sp)
             finally:
                 owning.depth_one = False
 
-        def holding_step(state, sp, cands, ws_nodes, ws_scratch):
+        def holding_step(search, sp, cands):
             if len(sp.prefix) == 2 and owning.depth_one:
                 cold.wait(timeout=10)
-            return original_step(state, sp, cands, ws_nodes, ws_scratch)
+            return original_step(search, sp, cands)
 
         monkeypatch.setattr(par_mod, "_process", watching_process)
         monkeypatch.setattr(par_mod, "_step", holding_step)
@@ -289,6 +289,21 @@ def test_replay_accounting_with_real_steals(monkeypatch):
         assert cold.is_set(), "no worker started on stolen work"
     finally:
         sys.setswitchinterval(previous_interval)
+
+
+def test_solves_leave_no_reference_cycles(fig1):
+    # A cycle would keep a solve's permuted graph, label cache and scratch
+    # buffers alive until a full collection runs, raising peak memory.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for run in (lambda: solve(fig1, 3), lambda: solve_parallel(fig1, 3, workers=2)):
+            gc.collect()
+            run()
+            assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_parallel_rejects_bad_arguments(fig1):

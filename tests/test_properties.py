@@ -1,24 +1,32 @@
-"""Property-based differential tests: both solvers against the oracle.
+"""Property-based tests: both solvers against the oracle, and the parsers
+against arbitrary text.
 
 Every budget of every drawn instance must give the oracle's (size, cost),
 and every witness must re-check as a feasible clique of that size and cost.
-Examples are derandomised so the suite stays deterministic.
+Text fed to the parsers may raise only their own errors.  Examples are
+derandomised so the suite stays deterministic.
 """
+
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelled_clique import (
+    GraphError,
     Incumbent,
+    ParseError,
     build_graph,
     build_labelled,
     clique_cost,
     oracle_solve,
+    parse_dimacs,
+    parse_labels,
     permute_by_degree,
     solve,
     solve_parallel,
 )
-from labelled_clique.sequential import WithinLabels, _expand
+from labelled_clique.sequential import WithinLabels, _expand, _search
 
 from conftest import random_instance
 
@@ -73,10 +81,10 @@ def pass_two_drops_below_parent(lg, budget):
     within = WithinLabels(label_bits)
     every = (1 << permuted.graph.n) - 1
     inc = _RecordingIncumbent()
-    _expand(True, [], every, 0, inc, adjacency, label_bits, within, budget, [0], [], 0)
+    _expand(_search(True, inc, adjacency, label_bits, within, budget), [], every, 0)
     inc.improvements.clear()
     if inc.cost > 1:
-        _expand(False, [], every, 0, inc, adjacency, label_bits, within, budget, [0], [], 0)
+        _expand(_search(False, inc, adjacency, label_bits, within, budget), [], every, 0)
     return any(
         len(clique) >= 3
         and clique_cost(permuted, clique[:-1])[1] == clique_cost(permuted, clique)[1]
@@ -90,3 +98,49 @@ def test_solvers_agree_when_pass_two_lowers_limit_mid_subtree():
         lg = random_instance(n, density, num_labels, seed)
         assert pass_two_drops_below_parent(lg, budget)
         assert_solvers_agree(lg, budget)
+
+
+# Lines one field or one value away from valid, and arbitrary text.
+_small = st.integers(-1, 9)
+_near = st.one_of(
+    st.builds("p edge {} {}".format, _small, _small),
+    st.builds("e {} {}".format, _small, _small),
+    st.builds("l {} {} {}".format, _small, _small, st.integers(-1, 70)),
+    st.sampled_from(["", "c note", "p edge", "p edge 3", "p col 3 2", "p edge x 1",
+                     "e 1", "e 1 2 3", "e x 2", "l 1 2", "l 1 2 x", "l 1 2 3 4"]),
+)
+_noise = st.text(max_size=16)
+
+
+def _spoil(data, lines):
+    """Insert up to two near-valid or arbitrary lines into ``lines``."""
+    for extra in data.draw(st.lists(st.one_of(_near, _noise), max_size=2)):
+        lines.insert(data.draw(st.integers(0, len(lines))), extra)
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 30),
+       st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)), max_size=12), st.data())
+def test_parsers_raise_only_their_own_errors(n, declared, pairs, data):
+    lines = [f"p edge {n} {declared}"]
+    lines += [f"e {u} {v}" for u, v in pairs if u != v and max(u, v) <= n]
+    graph = build_graph(3, [(0, 1), (1, 2)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            graph = parse_dimacs(_spoil(data, lines))
+        except (ParseError, GraphError):
+            pass
+    # A declared edge count that disagrees with the edges read stays a warning.
+    assert all("unique edges found" in str(w.message) for w in caught)
+    # Label every edge of the graph, or all but the last, so that the
+    # checks after the line loop run too.
+    edges = list(graph.edges())
+    labels = data.draw(st.lists(st.integers(0, 70), min_size=len(edges), max_size=len(edges)))
+    own = [f"l {u + 1} {v + 1} {k}" for (u, v), k in zip(edges, labels)]
+    own = own[: len(own) - data.draw(st.integers(0, 1))]
+    try:
+        parse_labels(_spoil(data, own), graph)
+    except (ParseError, GraphError):
+        pass

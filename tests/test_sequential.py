@@ -15,7 +15,7 @@ from labelled_clique import (
     solve,
     solve_parallel,
 )
-from labelled_clique.sequential import WithinLabels, _expand
+from labelled_clique.sequential import _NODES, WithinLabels, _expand, _search
 
 from conftest import random_instance
 
@@ -57,16 +57,17 @@ def test_expand_fig1_first_pass(fig1):
     adjacency, label_bits = permuted.graph.adjacency, permuted.label_bits
     within = WithinLabels(label_bits)
     inc = Incumbent()
-    nodes1, nodes2 = [0], [0]
-    _expand(True, [], (1 << 7) - 1, 0, inc, adjacency, label_bits, within, 3, nodes1, [], 0)
+    search1 = _search(True, inc, adjacency, label_bits, within, 3)
+    search2 = _search(False, inc, adjacency, label_bits, within, 3)
+    _expand(search1, [], (1 << 7) - 1, 0)
     # The size pass settles on a maximum feasible clique; with this branch
     # order that is {1,2,3,5} at cost 3 (hand-traced), and the cost pass is
     # what brings the cost down to 2.
     assert inc.size == 4
     assert inc.cost == 3
-    assert nodes1[0] > 0
-    assert nodes2[0] == 0
-    _expand(False, [], (1 << 7) - 1, 0, inc, adjacency, label_bits, within, 3, nodes2, [], 0)
+    assert search1[_NODES][0] > 0
+    assert search2[_NODES][0] == 0
+    _expand(search2, [], (1 << 7) - 1, 0)
     assert (inc.size, inc.cost) == (4, 2)
 
 
@@ -77,13 +78,13 @@ def test_expand_second_pass_admits_equal_sizes():
     adjacency, label_bits = permuted.graph.adjacency, permuted.label_bits
     within = WithinLabels(label_bits)
     inc = Incumbent()
-    nodes2 = [0]
     every = (1 << 6) - 1
-    _expand(True, [], every, 0, inc, adjacency, label_bits, within, 3, [0], [], 0)
+    _expand(_search(True, inc, adjacency, label_bits, within, 3), [], every, 0)
     assert (inc.size, inc.cost) == (3, 3)
-    _expand(False, [], every, 0, inc, adjacency, label_bits, within, 3, nodes2, [], 0)
+    search2 = _search(False, inc, adjacency, label_bits, within, 3)
+    _expand(search2, [], every, 0)
     assert (inc.size, inc.cost) == (3, 1)
-    assert nodes2[0] > 0
+    assert search2[_NODES][0] > 0
 
 
 def test_solve_two_triangles_end_to_end():
@@ -216,9 +217,9 @@ def test_pass_two_never_grows_and_never_costs_more():
         within = WithinLabels(label_bits)
         every = (1 << 12) - 1
         inc = Incumbent()
-        _expand(True, [], every, 0, inc, adjacency, label_bits, within, 2, [0], [], 0)
+        _expand(_search(True, inc, adjacency, label_bits, within, 2), [], every, 0)
         pass1 = (inc.size, inc.cost)
-        _expand(False, [], every, 0, inc, adjacency, label_bits, within, 2, [0], [], 0)
+        _expand(_search(False, inc, adjacency, label_bits, within, 2), [], every, 0)
         assert inc.size == pass1[0]
         assert inc.cost <= pass1[1]
 
