@@ -42,6 +42,7 @@ class RunReport:
     cost: int
     witness: list[int]
     witness_labels: list[int]
+    vertices_searched: int
     nodes_pass1: int
     nodes_pass2: int
     elapsed_s: float
@@ -60,6 +61,7 @@ class RunReport:
             f"cost: {self.cost}",
             "witness: " + " ".join(str(v) for v in self.witness),
             "witness_labels: " + " ".join(str(k) for k in self.witness_labels),
+            f"vertices_searched: {self.vertices_searched}",
             f"nodes_pass1: {self.nodes_pass1}",
             f"nodes_pass2: {self.nodes_pass2}",
             f"elapsed_s: {self.elapsed_s:.6f}",
@@ -123,6 +125,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         cost=solution.cost,
         witness=[v + 1 for v in solution.clique],
         witness_labels=[k + 1 for k in label_indices(solution.labels)],
+        vertices_searched=solution.stats.vertices_searched,
         nodes_pass1=solution.stats.nodes_pass1,
         nodes_pass2=solution.stats.nodes_pass2,
         elapsed_s=solution.stats.elapsed,

@@ -6,7 +6,10 @@ Formats (all 1-based, ``c`` comment lines allowed):
   declared edge count is advisory; duplicates collapse with a warning on
   mismatch.
 * Label file: ``l u v k`` assigns label ``k >= 1`` to edge (u, v); every
-  edge needs exactly one line and the label count is the largest ``k``.
+  edge needs exactly one line.  A ``c labels K`` line gives the label
+  count, which labels no edge uses can make larger than the largest ``k``;
+  without it the count is the largest ``k``.  Other ``c`` lines are
+  comments.
 
 Random labels use a fixed splitmix64 stream over the canonical edge order
 (ascending vertex pairs in original numbering), so a (graph, label count,
@@ -56,7 +59,9 @@ def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS clique format into a :class:`Graph`.
 
     Duplicate edges are collapsed; a declared edge count that disagrees with
-    the unique edge count emits a warning rather than an error.  A header
+    the unique edge count emits a warning rather than an error.  The
+    declared count sizes nothing, so any value is safe; memory grows only
+    with the vertex count and the edge lines actually read.  A header
     declaring more than :data:`MAX_VERTICES` vertices is rejected.
     """
     n: int | None = None
@@ -122,20 +127,39 @@ def write_dimacs(g: Graph, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _label_count(lineno: int, token: str) -> tuple[int, int]:
+    """(line number, label count) of a ``c labels K`` line."""
+    try:
+        count = int(token)
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-integer label count") from None
+    if not 1 <= count <= MAX_LABELS:
+        raise ParseError(f"line {lineno}: label count must be in [1, {MAX_LABELS}], got {count}")
+    return lineno, count
+
+
 def parse_labels(text: str, g: Graph) -> LabelledGraph:
     """Parse ``l u v k`` lines into a labelling of ``g``.
 
-    Every edge of ``g`` must receive exactly one label; the label count is
-    the largest ``k`` seen, or 1 for an edgeless graph, since a labelling
-    needs at least one label.
+    Every edge of ``g`` must receive exactly one label.  The label count is
+    the ``K`` of a ``c labels K`` line, which must lie in [1, 64] and be at
+    least the largest ``k`` seen; without that line it is the largest ``k``,
+    or 1 for an edgeless graph, since a labelling needs at least one label.
     """
     assignments: dict[tuple[int, int], int] = {}
     max_label = 0
+    count: tuple[int, int] | None = None  # (line number, declared label count)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line[0] == "c":
+        if not line:
             continue
         tokens = line.split()
+        if line[0] == "c":
+            if len(tokens) == 3 and tokens[:2] == ["c", "labels"]:
+                if count is not None:
+                    raise ParseError(f"line {lineno}: duplicate label count line")
+                count = _label_count(lineno, tokens[2])
+            continue
         if tokens[0] != "l" or len(tokens) != 4:
             raise ParseError(f"line {lineno}: expected 'l u v k'")
         try:
@@ -156,14 +180,21 @@ def parse_labels(text: str, g: Graph) -> LabelledGraph:
     for u, v in g.edges():
         if (u, v) not in assignments:
             raise ParseError(f"edge {u + 1} {v + 1} has no label line")
-    return build_labelled(g, max(max_label, 1), assignments)
+    if count is None:
+        return build_labelled(g, max(max_label, 1), assignments)
+    lineno, num_labels = count
+    if num_labels < max_label:
+        raise ParseError(f"line {lineno}: label count {num_labels} is below label {max_label}")
+    return build_labelled(g, num_labels, assignments)
 
 
 def write_labels(lg: LabelledGraph, comment: str | None = None) -> str:
-    """Render a labelling to label-file text."""
+    """Render a labelling to label-file text (round-trips with parse_labels,
+    label count included)."""
     lines = []
     if comment:
         lines.extend(f"c {part}" for part in comment.splitlines())
+    lines.append(f"c labels {lg.num_labels}")
     lines.extend(
         f"l {u + 1} {v + 1} {label + 1}" for (u, v), label in sorted(lg.edge_label_map().items())
     )

@@ -28,7 +28,7 @@ from functools import partial
 from time import perf_counter
 
 from .colouring import colour_order, colour_order_into
-from .graph import LabelledGraph, permute_by_degree
+from .graph import LabelledGraph, permute_by_degree, reduce_to_core
 from .sequential import (_NODES, SearchStats, Solution, WithinLabels, _expand,
                          _fit_recursion_limit, _pass_two_needed, _search)
 
@@ -323,7 +323,7 @@ def solve_parallel(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     start = perf_counter()
-    permuted, perm = permute_by_degree(lg)
+    permuted, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
     _fit_recursion_limit(permuted.graph)
     label_bits = permuted.label_bits
     incumbent = SharedIncumbent()
@@ -334,6 +334,6 @@ def solve_parallel(
         nodes2 = _run_pass(permuted, partial(_search, False, *constants), workers)
     clique, labels, size, cost = incumbent.snapshot()
     elapsed = perf_counter() - start
-    stats = SearchStats(nodes1, nodes2, elapsed, workers=workers)
+    stats = SearchStats(nodes1, nodes2, elapsed, workers, vertices_searched=permuted.graph.n)
     witness = sorted(perm.to_original(clique))
     return Solution(witness, size, labels, cost, stats)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from .colouring import colour_order_into
-from .graph import Graph, LabelledGraph, permute_by_degree
+from .graph import Graph, LabelledGraph, permute_by_degree, reduce_to_core
 
 _STACK_HEADROOM = 200
 
@@ -96,12 +96,14 @@ class WithinLabels(dict):
 
 @dataclass
 class SearchStats:
-    """Recursion-call counters and wall time for one solve."""
+    """Recursion-call counters and wall time for one solve, and the number
+    of vertices left to search after the core peel."""
 
     nodes_pass1: int = 0
     nodes_pass2: int = 0
     elapsed: float = 0.0
     workers: int = 1
+    vertices_searched: int = 0
 
 
 @dataclass
@@ -217,14 +219,15 @@ def _fit_recursion_limit(graph: Graph) -> None:
 def solve(lg: LabelledGraph, budget: int) -> Solution:
     """Find a maximum feasible clique, cheapest among the maximum ones.
 
-    The graph is permuted into non-increasing degree order, searched twice
+    The graph is peeled to the core that holds every clique as large as a
+    greedy one, permuted into non-increasing degree order, searched twice
     (size pass, then cost pass, keeping the incumbent in between), and the
     witness is mapped back to original numbering.
     """
     if budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget}")
     start = perf_counter()
-    permuted, perm = permute_by_degree(lg)
+    permuted, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
     _fit_recursion_limit(permuted.graph)
     label_bits = permuted.label_bits
     every_vertex = (1 << permuted.graph.n) - 1
@@ -239,6 +242,6 @@ def solve(lg: LabelledGraph, budget: int) -> Solution:
         _expand(search, [], every_vertex, 0)
         nodes2 = search[_NODES][0]
     elapsed = perf_counter() - start
-    stats = SearchStats(nodes1, nodes2, elapsed, workers=1)
+    stats = SearchStats(nodes1, nodes2, elapsed, workers=1, vertices_searched=permuted.graph.n)
     witness = sorted(perm.to_original(inc.clique))
     return Solution(witness, inc.size, inc.labels, inc.cost, stats)

@@ -205,6 +205,8 @@ def test_criterion_7_keller4_performance_smoke(keller4):
                 seq = solve(lg, budget)
                 par = solve_parallel(lg, budget, workers=4)
                 assert (par.size, par.cost) == (seq.size, seq.cost)
+                # Minimum degree 102 is far above any clique found: no peel.
+                assert seq.stats.vertices_searched == par.stats.vertices_searched == 171
                 ratio = par.stats.elapsed / seq.stats.elapsed
                 worst_seq = max(worst_seq, seq.stats.elapsed)
                 reports.append(
@@ -245,10 +247,12 @@ def test_criterion_8_large_sparse_graphs():
     assert graph.n == 7000
     assert 11_000 <= graph.edge_count() <= 13_000
     worst = 0.0
+    searched = []
     for num_labels in (3, 4, 5):
         for budget in (2, 3, 4):
             lg = random_labels(graph, num_labels, seed=num_labels * 31 + budget)
             solution = solve(lg, budget)
+            searched.append(solution.stats.vertices_searched)
             labels, cost = clique_cost(lg, solution.clique)
             assert labels == solution.labels and cost == solution.cost <= budget
             worst = max(worst, solution.stats.elapsed)
@@ -256,6 +260,9 @@ def test_criterion_8_large_sparse_graphs():
                 f"large sparse run took {solution.stats.elapsed:.2f}s "
                 f"(K={num_labels}, b={budget})"
             )
+    # The core of the greedy clique is the planted 8-clique alone, or the
+    # 3-core (2,610 vertices) when the greedy clique has 4 vertices.
+    assert searched.count(8) == 6 and max(searched) == 2610
     print(f"ACCEPTANCE 8: PASS (9 runs on 7000-vertex sparse graph, worst {worst:.2f}s < 5s)")
 
 

@@ -64,6 +64,9 @@ def test_solve_json_mirror(capsys):
     assert payload["cost"] == 2
     assert payload["witness"] == [4, 5, 6, 7]
     assert payload["threads"] == 2
+    # fig1's minimum degree is too high for the core peel to drop a vertex.
+    assert payload["vertices_searched"] == 7
+    assert report_value(out, "vertices_searched") == "7"
 
 
 def test_solve_seeded_labels(capsys):

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 
 from labelled_clique import (
@@ -7,10 +8,11 @@ from labelled_clique import (
     clique_cost,
     label_indices,
     permute_by_degree,
+    solve,
 )
-from labelled_clique.graph import iter_bits
+from labelled_clique.graph import core, greedy_clique_size, iter_bits
 
-from conftest import random_instance
+from conftest import random_graph, random_instance
 
 
 def triangle_labelled(num_labels=1, labels=(0, 0, 0)):
@@ -125,6 +127,48 @@ def test_permute_properties():
         for u, v in lg.graph.edges():
             pu, pv = perm.inverse[u], perm.inverse[v]
             assert permuted.label_of(pu, pv) == lg.label_of(u, v)
+
+
+def test_permute_kept_vertices_builds_induced_subgraph():
+    for seed in range(5):
+        lg = random_instance(12, 0.4, 3, seed=seed)
+        kept = 0b101101110101 >> seed
+        permuted, perm = permute_by_degree(lg, kept)
+        assert sorted(perm.forward) == list(iter_bits(kept))
+        assert [perm.inverse[v] is None for v in range(12)] == [
+            not kept >> v & 1 for v in range(12)
+        ]
+        degs = permuted.graph.degrees
+        assert degs == [row.bit_count() for row in permuted.graph.adjacency]
+        assert all(degs[i] >= degs[i + 1] for i in range(len(degs) - 1))
+        induced = [(u, v) for u, v in lg.graph.edges() if kept >> u & kept >> v & 1]
+        assert permuted.graph.edge_count() == len(induced)
+        for u, v in induced:
+            pu, pv = perm.inverse[u], perm.inverse[v]
+            assert permuted.label_of(pu, pv) == lg.label_of(u, v)
+
+
+def test_core_matches_networkx_and_is_stable():
+    for seed in range(6):
+        g = random_graph(40, 0.05 + 0.05 * seed, seed)
+        reference = nx.Graph(list(g.edges()))
+        reference.add_nodes_from(range(g.n))
+        for k in range(8):
+            alive = core(g, k)
+            assert set(iter_bits(alive)) == set(nx.k_core(reference, k))
+            for v in iter_bits(alive):
+                assert (g.adjacency[v] & alive).bit_count() >= k
+            # Peeling the core's own subgraph again removes nothing.
+            again = build_graph(g.n, [(u, v) for u, v in g.edges() if alive >> u & alive >> v & 1])
+            assert core(again, k) == alive
+
+
+def test_greedy_clique_size_is_feasible_lower_bound():
+    for seed in range(8):
+        lg = random_instance(12, 0.6, 4, seed=seed)
+        for budget in range(1, 5):
+            size = greedy_clique_size(lg, budget)
+            assert 2 <= size <= solve(lg, budget).size
 
 
 def test_clique_cost_fig1(fig1):

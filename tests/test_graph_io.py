@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from labelled_clique import (
@@ -43,6 +45,12 @@ def test_parse_collapses_duplicates_with_warning():
     with pytest.warns(UserWarning, match="declares 2 edges but 1"):
         g = parse_dimacs("p edge 3 2\ne 1 2\ne 1 2")
     assert g.edge_count() == 1
+    # The declared edge count sizes nothing, so an absurd one costs nothing.
+    start = time.perf_counter()
+    with pytest.warns(UserWarning, match="unique edges found"):
+        g = parse_dimacs(f"p edge 3 {10**30}\ne 1 2\ne 2 3")
+    assert time.perf_counter() - start < 1.0
+    assert list(g.edges()) == [(0, 1), (1, 2)]
 
 
 def test_parse_errors_carry_line_numbers():
@@ -160,10 +168,14 @@ def test_parse_labels_fig1(fig1):
 
 def test_parse_labels_round_trip(fig1):
     edgeless = build_labelled(build_graph(3, []), 1, {})
-    for lg in (fig1, edgeless):
+    # No edge of fig1 gets a label above 55 in this 64-label labelling.
+    sparse_use = random_labels(fig1.graph, 64, seed=1)
+    for lg in (fig1, edgeless, sparse_use):
         text = write_labels(lg, comment="round trip")
         again = parse_labels(text, lg.graph)
         assert again.edge_label_map() == lg.edge_label_map()
+        assert again.num_labels == lg.num_labels
+    assert sparse_use.num_labels == 64
     # An edgeless graph's label file has no label line at all.
     solution = solve(parse_labels(write_labels(edgeless), edgeless.graph), 1)
     assert (solution.size, solution.cost) == (1, 0)
@@ -185,6 +197,19 @@ def test_parse_labels_errors():
         parse_labels("l 1 2", g)
     with pytest.raises(ParseError, match="vertex out of range"):
         parse_labels("l 1 9 1", g)
+    # A label count line must hold every label used and lie in [1, 64].
+    full = "l 1 2 1\nl 2 3 3\nl 1 3 2\n"
+    assert parse_labels("c labels 5\n" + full, g).num_labels == 5
+    assert parse_labels("c labels were drawn at random\n" + full, g).num_labels == 3
+    with pytest.raises(ParseError, match="line 2: label count 2 is below label 3"):
+        parse_labels("l 1 2 1\nc labels 2\nl 2 3 3\nl 1 3 2", g)
+    for count in (0, 65):
+        with pytest.raises(ParseError, match=f"line 1: label count must be in .*got {count}"):
+            parse_labels(f"c labels {count}\n" + full, g)
+    with pytest.raises(ParseError, match="line 1: non-integer label count"):
+        parse_labels("c labels x\n" + full, g)
+    with pytest.raises(ParseError, match="line 5: duplicate label count"):
+        parse_labels("c labels 4\n" + full + "c labels 4", g)
 
 
 def test_resolve_budget():

@@ -9,7 +9,7 @@ derandomised so the suite stays deterministic.
 
 import warnings
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from labelled_clique import (
@@ -44,13 +44,38 @@ def labelled_graphs(draw, max_n=12, max_labels=5):
     return build_labelled(build_graph(n, edges), num_labels, dict(zip(edges, labels)))
 
 
+@st.composite
+def peelable_graphs(draw, max_n=14, max_labels=5):
+    """A planted clique on vertices 0..c-1, pendant paths hanging off it and
+    sparse noise edges: low-degree vertices that the core peel can drop."""
+    c = draw(st.integers(3, 6))
+    n = draw(st.integers(c + 1, max_n))
+    edges = {(u, v) for u in range(c) for v in range(u + 1, c)}
+    for v in range(c, n):
+        # Start a new path at a clique vertex, or extend the last one.
+        edges.add((draw(st.integers(0, c - 1)) if draw(st.booleans()) else v - 1, v))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges.update(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    edges = sorted(edges)
+    num_labels = draw(st.integers(1, max_labels))
+    labels = draw(
+        st.lists(st.integers(0, num_labels - 1), min_size=len(edges), max_size=len(edges))
+    )
+    return build_labelled(build_graph(n, edges), num_labels, dict(zip(edges, labels)))
+
+
 def assert_solvers_agree(lg, budget):
+    """Both solvers give the oracle's (size, cost) with witnesses that
+    re-check on ``lg``; returns how many vertices each searched."""
     size, cost, _ = oracle_solve(lg, budget)
+    searched = []
     for solution in (solve(lg, budget), solve_parallel(lg, budget, workers=2)):
         assert (solution.size, solution.cost) == (size, cost)
         assert len(set(solution.clique)) == solution.size
         assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
         assert solution.cost <= budget
+        searched.append(solution.stats.vertices_searched)
+    return searched
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -58,6 +83,18 @@ def assert_solvers_agree(lg, budget):
 def test_solvers_match_oracle_at_every_budget(lg):
     for budget in range(1, lg.num_labels + 1):
         assert_solvers_agree(lg, budget)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(peelable_graphs())
+def test_solvers_match_oracle_on_peeled_graphs(lg):
+    peeled = False
+    for budget in range(1, lg.num_labels + 1):
+        searched = assert_solvers_agree(lg, budget)
+        assert searched[0] == searched[1]
+        peeled |= searched[0] < lg.graph.n
+    # Count only graphs that the peel reduced at some budget.
+    assume(peeled)
 
 
 class _RecordingIncumbent(Incumbent):
