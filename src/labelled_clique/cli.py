@@ -45,6 +45,8 @@ class RunReport:
     vertices_searched: int
     nodes_pass1: int
     nodes_pass2: int
+    subsets_pass1: int
+    subsets_pass2: int
     elapsed_s: float
 
     def lines(self) -> list[str]:
@@ -64,6 +66,8 @@ class RunReport:
             f"vertices_searched: {self.vertices_searched}",
             f"nodes_pass1: {self.nodes_pass1}",
             f"nodes_pass2: {self.nodes_pass2}",
+            f"subsets_pass1: {self.subsets_pass1}",
+            f"subsets_pass2: {self.subsets_pass2}",
             f"elapsed_s: {self.elapsed_s:.6f}",
         ]
 
@@ -128,6 +132,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         vertices_searched=solution.stats.vertices_searched,
         nodes_pass1=solution.stats.nodes_pass1,
         nodes_pass2=solution.stats.nodes_pass2,
+        subsets_pass1=solution.stats.subsets_pass1,
+        subsets_pass2=solution.stats.subsets_pass2,
         elapsed_s=solution.stats.elapsed,
     )
     for line in report.lines():

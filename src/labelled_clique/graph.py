@@ -178,6 +178,16 @@ def attach_labels(
     return LabelledGraph(graph, num_labels, label_bits)
 
 
+def label_adjacency(lg: LabelledGraph) -> list[list[int]]:
+    """One adjacency per label: ``rows[k][v]`` is the bitset of the
+    neighbours of ``v`` joined to it by an edge labelled ``k``."""
+    rows = [[0] * lg.graph.n for _ in range(lg.num_labels)]
+    for v, labels in enumerate(lg.label_bits):
+        for w, bit in labels.items():
+            rows[bit.bit_length() - 1][v] |= 1 << w
+    return rows
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Vertex renumbering: ``forward[new] = old`` and ``inverse[old] = new``.

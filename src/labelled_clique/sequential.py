@@ -11,16 +11,26 @@ equals the pass's limit no vertex joined to the clique by a new label can
 extend it feasibly.  Such vertices are dropped from the candidates before
 they are coloured, and below that node the label union is skipped, since
 every remaining candidate adds no label.
+
+A pass may instead search the subgraphs G_T that keep only the edges
+labelled in T, with no label union: every feasible clique lies in some G_T
+with |T| = min(budget, K), and trying the smallest T first finds the
+cheapest clique of a size.  :func:`_few` decides from the graph's size and
+average degree whether the subsets are worth it.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, combinations
+from math import comb
+from operator import or_
 from time import perf_counter
 
 from .colouring import colour_order_into
-from .graph import Graph, LabelledGraph, permute_by_degree, reduce_to_core
+from .graph import (Graph, LabelledGraph, clique_cost, label_adjacency, permute_by_degree,
+                    reduce_to_core)
 
 _STACK_HEADROOM = 200
 
@@ -96,14 +106,17 @@ class WithinLabels(dict):
 
 @dataclass
 class SearchStats:
-    """Recursion-call counters and wall time for one solve, and the number
-    of vertices left to search after the core peel."""
+    """Recursion-call counters and wall time for one solve, the number of
+    vertices left to search after the core peel, and the label-subset
+    sub-searches each pass ran (0 when it ran the paper's search)."""
 
     nodes_pass1: int = 0
     nodes_pass2: int = 0
     elapsed: float = 0.0
     workers: int = 1
     vertices_searched: int = 0
+    subsets_pass1: int = 0
+    subsets_pass2: int = 0
 
 
 @dataclass
@@ -216,32 +229,89 @@ def _fit_recursion_limit(graph: Graph) -> None:
         sys.setrecursionlimit(needed)
 
 
+def _few(count: int, graph: Graph) -> bool:
+    """True when ``count`` label-subset sub-searches are worth their setup.
+
+    Each builds and colours n rows of n bits.  That pays when the subsets
+    are no more than the average degree d = 2m/n, and when a row's n/64
+    machine words are no more than d as well: on a sparse graph of
+    thousands of vertices, building the rows outweighs the whole search.
+    """
+    degree_sum = sum(graph.degrees)
+    return count * graph.n <= degree_sum and graph.n * graph.n <= 64 * degree_sum
+
+
+def _search_subset(inc, lg: LabelledGraph, by_label, labels: tuple[int, ...], every: int) -> int:
+    """Search G_T closed for T = ``labels``; returns the nodes it took.
+
+    G_T's rows are the OR of ``by_label``'s rows for T.  Its limit is
+    |T| + 1, which no cost in G_T reaches, so no branch filters through
+    ``within``.  A witness found here is recorded with T as its labels, which
+    can overstate them, so its own label set replaces T afterwards.
+    """
+    rows = by_label[labels[0]]
+    for k in labels[1:]:
+        rows = list(map(or_, rows, by_label[k]))
+    mask = sum(1 << k for k in labels)
+    search = _search(True, inc, rows, lg.label_bits, None, len(labels) + 1)
+    _expand(search, [], every, mask, True)
+    if inc.labels == mask:
+        inc.labels, inc.cost = clique_cost(lg, inc.clique)
+    return search[_NODES][0]
+
+
 def solve(lg: LabelledGraph, budget: int) -> Solution:
     """Find a maximum feasible clique, cheapest among the maximum ones.
 
     The graph is peeled to the core that holds every clique as large as a
     greedy one, permuted into non-increasing degree order, searched twice
     (size pass, then cost pass, keeping the incumbent in between), and the
-    witness is mapped back to original numbering.
+    witness is mapped back to original numbering.  Each pass searches the
+    label subsets' subgraphs when they are few, and the whole graph
+    otherwise.
     """
     if budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget}")
     start = perf_counter()
     permuted, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
-    _fit_recursion_limit(permuted.graph)
+    graph = permuted.graph
+    _fit_recursion_limit(graph)
     label_bits = permuted.label_bits
-    every_vertex = (1 << permuted.graph.n) - 1
+    labels = range(permuted.num_labels)
+    every_vertex = (1 << graph.n) - 1
     inc = Incumbent()
-    constants = (inc, permuted.graph.adjacency, label_bits, WithinLabels(label_bits), budget)
-    search = _search(True, *constants)
-    _expand(search, [], every_vertex, 0)
-    nodes1 = search[_NODES][0]
-    nodes2 = 0
-    if _pass_two_needed(inc):
-        search = _search(False, *constants)
+    constants = (inc, graph.adjacency, label_bits, WithinLabels(label_bits), budget)
+    by_label = None
+    width = min(budget, permuted.num_labels)
+    subsets1 = subsets2 = nodes1 = nodes2 = 0
+    if _few(comb(permuted.num_labels, width), graph):
+        by_label = label_adjacency(permuted)
+        for subset in combinations(labels, width):
+            nodes1 += _search_subset(inc, permuted, by_label, subset, every_vertex)
+            subsets1 += 1
+    else:
+        search = _search(True, *constants)
         _expand(search, [], every_vertex, 0)
-        nodes2 = search[_NODES][0]
+        nodes1 = search[_NODES][0]
+    if _pass_two_needed(inc):
+        costs = range(1, inc.cost)
+        if _few(sum(comb(permuted.num_labels, c) for c in costs), graph):
+            by_label = by_label or label_adjacency(permuted)
+            # The probe holds a clique one vertex short of the incumbent, so
+            # only a clique of the full size replaces it.
+            probe = Incumbent(inc.clique[:-1])
+            for subset in chain.from_iterable(combinations(labels, c) for c in costs):
+                nodes2 += _search_subset(probe, permuted, by_label, subset, every_vertex)
+                subsets2 += 1
+                if probe.size == inc.size:
+                    inc.replace(probe.clique, probe.labels, probe.size, probe.cost)
+                    break
+        else:
+            search = _search(False, *constants)
+            _expand(search, [], every_vertex, 0)
+            nodes2 = search[_NODES][0]
     elapsed = perf_counter() - start
-    stats = SearchStats(nodes1, nodes2, elapsed, workers=1, vertices_searched=permuted.graph.n)
+    stats = SearchStats(nodes1, nodes2, elapsed, vertices_searched=graph.n,
+                        subsets_pass1=subsets1, subsets_pass2=subsets2)
     witness = sorted(perm.to_original(inc.clique))
     return Solution(witness, inc.size, inc.labels, inc.cost, stats)

@@ -7,14 +7,20 @@ import pytest
 
 from labelled_clique import (
     Graph,
+    Incumbent,
     LabelledGraph,
+    SearchStats,
+    Solution,
     build_graph,
     fixture_path,
     parse_dimacs,
     parse_labels,
+    permute_by_degree,
     random_labels,
     splitmix_next,
 )
+from labelled_clique.graph import reduce_to_core
+from labelled_clique.sequential import _NODES, WithinLabels, _expand, _search
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from gen_keller4 import keller4_edges  # noqa: E402
@@ -36,6 +42,28 @@ def random_graph(n: int, density: float, seed: int) -> Graph:
 def random_instance(n: int, density: float, num_labels: int, seed: int) -> LabelledGraph:
     g = random_graph(n, density, seed)
     return random_labels(g, num_labels, seed + 1_000_003)
+
+
+def paper_solve(lg: LabelledGraph, budget: int) -> Solution:
+    """The paper's two passes run directly through ``_expand`` on the graph
+    ``solve`` searches (peeled, then permuted), never through label subsets.
+
+    The reference for the label-subset search and for the parallel solver's
+    node accounting; the witness is in original numbering.
+    """
+    permuted, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
+    label_bits = permuted.label_bits
+    inc = Incumbent()
+    constants = (inc, permuted.graph.adjacency, label_bits, WithinLabels(label_bits), budget)
+    every = (1 << permuted.graph.n) - 1
+    nodes = [0, 0]
+    for pass_index, first_pass in enumerate((True, False)):
+        if first_pass or inc.cost > 1:
+            search = _search(first_pass, *constants)
+            _expand(search, [], every, 0)
+            nodes[pass_index] = search[_NODES][0]
+    stats = SearchStats(*nodes, vertices_searched=permuted.graph.n)
+    return Solution(sorted(perm.to_original(inc.clique)), inc.size, inc.labels, inc.cost, stats)
 
 
 def keller4_graph() -> Graph:

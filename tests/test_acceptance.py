@@ -266,6 +266,28 @@ def test_criterion_8_large_sparse_graphs():
     print(f"ACCEPTANCE 8: PASS (9 runs on 7000-vertex sparse graph, worst {worst:.2f}s < 5s)")
 
 
+def test_subset_rule_follows_average_degree(keller4):
+    # A pass searches the label subsets' subgraphs only when there are no
+    # more subsets than the average degree: 2 * 9,435 / 171 = 110.4 on
+    # keller4.  K=8, b=4: C(8, 4) = 70 subsets, then 8 + 28 + 56 = 92 below
+    # the pass-1 cost of 4, none of which holds a 7-clique.
+    both = solve(random_labels(keller4, 8, 0), 4)
+    assert (both.size, both.cost) == (7, 4)
+    assert (both.stats.subsets_pass1, both.stats.subsets_pass2) == (70, 92)
+    # K=8, b=6: C(8, 6) = 28 subsets, but 218 below the pass-1 cost of 6.
+    first = solve(random_labels(keller4, 8, 0), 6)
+    assert (first.size, first.cost) == (10, 6)
+    assert (first.stats.subsets_pass1, first.stats.subsets_pass2) == (28, 0)
+    assert first.stats.nodes_pass2 > 0
+    # Criterion 8's graph at K=5, b=2 keeps 2,610 vertices after the peel,
+    # whose average degree (3.8) is below both C(5, 2) = 10 and the 41
+    # machine words of a row.
+    sparse = solve(random_labels(_collaboration_scale_graph(), 5, seed=5 * 31 + 2), 2)
+    assert sparse.stats.vertices_searched == 2610
+    assert (sparse.stats.subsets_pass1, sparse.stats.subsets_pass2) == (0, 0)
+    assert sparse.stats.nodes_pass1 > 0 and sparse.stats.nodes_pass2 > 0
+
+
 def test_criterion_9_cli_contract(tmp_path, capsys):
     # every solve witness is accepted by verify, across the criterion-3 grid
     graph_files = {}

@@ -67,6 +67,19 @@ def test_solve_json_mirror(capsys):
     # fig1's minimum degree is too high for the core peel to drop a vertex.
     assert payload["vertices_searched"] == 7
     assert report_value(out, "vertices_searched") == "7"
+    # The parallel solver runs the paper's search; the sequential one
+    # searches fig1's label subsets in both passes.
+    for threads, subsets in (("2", 0), ("1", 4)):
+        code, out, _ = run(
+            ["solve", FIG1, "--label-file", FIG1_LAB, "--budget", "3", "--threads", threads,
+             "--json"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out.splitlines()[-1])
+        for key in ("subsets_pass1", "subsets_pass2"):
+            assert payload[key] == subsets
+            assert report_value(out, key) == str(subsets)
 
 
 def test_solve_seeded_labels(capsys):

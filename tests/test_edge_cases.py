@@ -57,6 +57,18 @@ def test_sixty_four_labels_boundary():
     assert (tight.size, tight.cost) == (size, cost)
 
 
+def test_sixty_four_labels_keep_the_papers_search():
+    # C(64, 2) = 2,016 subsets dwarf the complete graph's degree of 11.  At
+    # budget 64 the size pass has one subset, all labels (a plain clique
+    # search), and the cost pass would need sum C(64, c) below the cost.
+    lg = random_labels(complete_graph(12), 64, seed=3)
+    tight = solve(lg, 2)
+    assert (tight.stats.subsets_pass1, tight.stats.subsets_pass2) == (0, 0)
+    loose = solve(lg, 64)
+    assert (loose.stats.subsets_pass1, loose.stats.subsets_pass2) == (1, 0)
+    assert loose.stats.nodes_pass2 > 0
+
+
 def test_disconnected_components():
     # a triangle, an edge, and two isolated vertices
     g = build_graph(7, [(0, 1), (1, 2), (0, 2), (3, 4)])

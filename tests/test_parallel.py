@@ -24,7 +24,7 @@ import labelled_clique.sequential as seq_mod
 from labelled_clique.parallel import _Cursor, steal_from
 from labelled_clique.sequential import _NODES
 
-from conftest import random_instance
+from conftest import paper_solve, random_instance
 
 
 def test_incumbent_key_examples():
@@ -210,11 +210,11 @@ def first_pass_nodes(records: list[int], run) -> tuple[Counter, object]:
 
 def test_replay_accounting_prefixes_match_sequential(monkeypatch):
     # With no bound pruning the size pass explores a fixed tree, so the
-    # nodes coloured by all workers together must be exactly the nodes a
-    # sequential run colours, at every depth, each exactly once.
+    # nodes coloured by all workers together must be exactly the nodes the
+    # paper's sequential search colours, at every depth, each exactly once.
     records = record_nodes(monkeypatch)
     lg = random_instance(20, 0.5, 3, seed=1234)
-    seq_nodes, _ = first_pass_nodes(records, lambda: solve(lg, 2))
+    seq_nodes, _ = first_pass_nodes(records, lambda: paper_solve(lg, 2))
     assert sum(seq_nodes.values()) > 1
     for workers in (2, 4):
         par_nodes, _ = first_pass_nodes(
@@ -239,7 +239,7 @@ def test_replay_accounting_with_real_steals(monkeypatch):
     records = record_nodes(monkeypatch)
 
     def check(lg, workers):
-        seq_nodes, seq = first_pass_nodes(records, lambda: solve(lg, 2))
+        seq_nodes, seq = first_pass_nodes(records, lambda: paper_solve(lg, 2))
         par_nodes, par = first_pass_nodes(
             records, lambda: solve_parallel(lg, 2, workers=workers))
         assert (par.size, par.cost) == (seq.size, seq.cost)

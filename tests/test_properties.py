@@ -1,10 +1,11 @@
-"""Property-based tests: both solvers against the oracle, and the parsers
-against arbitrary text.
+"""Property-based tests: both solvers against the oracle, the label-subset
+search against the paper's, and the parsers against arbitrary text.
 
 Every budget of every drawn instance must give the oracle's (size, cost),
 and every witness must re-check as a feasible clique of that size and cost.
-Text fed to the parsers may raise only their own errors.  Examples are
-derandomised so the suite stays deterministic.
+Text fed to the parsers may raise only their own errors, and a label file
+written for a labelling must parse back to it.  Examples are derandomised
+so the suite stays deterministic.
 """
 
 import warnings
@@ -23,12 +24,15 @@ from labelled_clique import (
     parse_dimacs,
     parse_labels,
     permute_by_degree,
+    random_labels,
     solve,
     solve_parallel,
+    write_labels,
 )
+from labelled_clique.graph import MAX_LABELS
 from labelled_clique.sequential import WithinLabels, _expand, _search
 
-from conftest import random_instance
+from conftest import paper_solve, random_instance
 
 
 @st.composite
@@ -95,6 +99,47 @@ def test_solvers_match_oracle_on_peeled_graphs(lg):
         peeled |= searched[0] < lg.graph.n
     # Count only graphs that the peel reduced at some budget.
     assume(peeled)
+
+
+def test_subset_search_matches_papers_search_on_dense_graphs():
+    # Beyond the oracle's reach (n up to 40), where the average degree is
+    # high enough for most solves to search label subsets.
+    took_subsets = []
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.integers(10, 40), st.sampled_from([0.6, 0.75, 0.9]), st.integers(2, 5),
+           st.integers(0, 2**32))
+    def check(n, density, num_labels, seed):
+        lg = random_instance(n, density, num_labels, seed)
+        passes = [0, 0]
+        for budget in range(1, num_labels + 1):
+            got = solve(lg, budget)
+            want = paper_solve(lg, budget)
+            assert (got.size, got.cost) == (want.size, want.cost)
+            assert len(set(got.clique)) == got.size
+            assert clique_cost(lg, got.clique) == (got.labels, got.cost)
+            assert got.cost <= budget
+            passes[0] += got.stats.subsets_pass1 > 0
+            passes[1] += got.stats.subsets_pass2 > 0
+        took_subsets.append(passes)
+
+    check()
+    assert sum(p1 > 0 for p1, _ in took_subsets) > 0.8 * len(took_subsets)
+    assert any(p2 > 0 for _, p2 in took_subsets)
+
+
+@st.composite
+def seeded_labellings(draw):
+    graph = draw(labelled_graphs()).graph
+    return random_labels(graph, draw(st.integers(1, MAX_LABELS)), draw(st.integers(0, 2**64 - 1)))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.one_of(seeded_labellings(), labelled_graphs(max_labels=MAX_LABELS)))
+def test_label_file_round_trip(lg):
+    back = parse_labels(write_labels(lg), lg.graph)
+    assert back.num_labels == lg.num_labels
+    assert back.label_bits == lg.label_bits
 
 
 class _RecordingIncumbent(Incumbent):

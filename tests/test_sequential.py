@@ -193,20 +193,38 @@ def test_deterministic_node_counts():
 def test_fig1_node_counts_frozen(fig1):
     # The stable degree sort and lowest-bit colouring fully determine the
     # branch order, so these counts cannot move unless the search changes.
-    # Candidates that would add a label at the limit are not coloured, so
-    # both passes search fewer nodes than the paper's unfiltered 5 and 11.
+    # fig1's average degree (30/7) admits C(4, 3) = 4 label subsets, so pass
+    # 1 searches four subgraphs (a root node each), and pass 2 the four
+    # single labels, none of which holds a 4-clique.  The paper's search
+    # with the at-limit filter took 4 and 8 nodes (5 and 11 unfiltered).
     solution = solve(fig1, 3)
-    assert solution.stats.nodes_pass1 == 4
-    assert solution.stats.nodes_pass2 == 8
+    assert (solution.stats.subsets_pass1, solution.stats.subsets_pass2) == (4, 4)
+    assert solution.stats.nodes_pass1 == 7
+    assert solution.stats.nodes_pass2 == 4
 
 
 def test_keller4_budget_one_node_count_frozen(keller4):
-    # With budget 1 a single edge already reaches the limit, so every node
-    # below depth 1 is filtered: 11,415 size-pass nodes without the filter.
+    # With budget 1 the size pass is four plain clique searches, one per
+    # single-label subgraph.  The paper's search took 4,571 nodes with the
+    # at-limit filter and 11,415 without it.
     solution = solve(random_labels(keller4, 4, seed=0), 1)
     assert (solution.size, solution.cost) == (5, 1)
-    assert solution.stats.nodes_pass1 == 4571
+    assert solution.stats.subsets_pass1 == 4
+    assert solution.stats.nodes_pass1 == 398
     assert solution.stats.nodes_pass2 == 0
+
+
+def test_subset_rule_needs_rows_no_wider_than_the_average_degree():
+    # A circulant graph (v joined to v +- 1 and v +- 2) is 4-regular and
+    # the peel keeps all of it.  Its C(2, 1) = 2 subsets never exceed the
+    # degree, so only the row width n/64 decides: 256 vertices fit in four
+    # words, 257 do not.
+    for n, subsets in ((256, 2), (257, 0)):
+        edges = [(v, (v + step) % n) for v in range(n) for step in (1, 2)]
+        solution = solve(random_labels(build_graph(n, edges), 2, seed=n), 1)
+        assert solution.stats.vertices_searched == n
+        assert (solution.size, solution.cost) == (3, 1)
+        assert solution.stats.subsets_pass1 == subsets
 
 
 def test_pass_two_never_grows_and_never_costs_more():
