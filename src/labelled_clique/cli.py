@@ -47,6 +47,7 @@ class RunReport:
     nodes_pass2: int
     subsets_pass1: int
     subsets_pass2: int
+    worker_nodes: list[int]
     elapsed_s: float
 
     def lines(self) -> list[str]:
@@ -68,6 +69,7 @@ class RunReport:
             f"nodes_pass2: {self.nodes_pass2}",
             f"subsets_pass1: {self.subsets_pass1}",
             f"subsets_pass2: {self.subsets_pass2}",
+            "worker_nodes: " + (" ".join(str(k) for k in self.worker_nodes) or "-"),
             f"elapsed_s: {self.elapsed_s:.6f}",
         ]
 
@@ -134,6 +136,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         nodes_pass2=solution.stats.nodes_pass2,
         subsets_pass1=solution.stats.subsets_pass1,
         subsets_pass2=solution.stats.subsets_pass2,
+        worker_nodes=solution.stats.worker_nodes,
         elapsed_s=solution.stats.elapsed,
     )
     for line in report.lines():
@@ -176,8 +179,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """Seeded benchmark rows: per-sample labels, sequential and parallel runs.
 
     Sample ``i`` uses seed ``base + i``.  Solve times cover permutation and
-    thread startup but not file reading or label generation; the size/cost
-    columns are bit-reproducible for a fixed base seed.
+    forking the workers but not file reading or label generation; the
+    size/cost columns are bit-reproducible for a fixed base seed.
     """
     if (args.labels is None) == (args.label_file is None):
         raise ValueError("exactly one label source: --labels or --label-file")
@@ -244,8 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--budget", type=int, help="label budget")
     solve_p.add_argument("--budget-pct", type=int, help="budget as %% of labels (25/50/75)")
     solve_p.add_argument("--threads", type=int, default=1,
-                         help="worker threads; 1 = dedicated sequential solver "
-                              "(default: 1, faster than threads under the GIL)")
+                         help="worker processes; 1 = the sequential solver (default: 1); "
+                              "more fork that many workers over the same work units")
     solve_p.add_argument("--json", action="store_true", help="also print a JSON object")
     solve_p.set_defaults(func=_cmd_solve)
 
@@ -265,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="budget percentages (default: 25 50 75)")
     bench_p.add_argument("--samples", type=int, default=100, help="samples per row (default 100)")
     bench_p.add_argument("--threads", type=int, default=1,
-                         help="worker threads for the parallel column (default: 1)")
+                         help="worker processes for the parallel column (default: 1)")
     bench_p.set_defaults(func=_cmd_bench)
     bench_p.set_defaults(seed=0)
     return parser

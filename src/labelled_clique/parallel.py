@@ -1,39 +1,34 @@
-"""Parallel branch and bound: depth-1 subproblem queue with distance-2 stealing.
+"""Parallel branch and bound: forked workers over ``solve``'s own work units.
 
-The search tree is split immediately below the root: one subproblem per
-root branch, queued in sequential branch order.  A worker colours its
-depth-1 subproblem's candidates into a cursor and claims the branches one
-at a time; when the queue runs dry an idle worker resplits the unstarted
-branches of the in-flight cursor latest in sequential order, republishing
-them as depth-2 subproblems.  Owner-claimed and stolen branches are the
-same depth-2 subproblem, and every subproblem enters the sequential
-``_expand`` as a one-entry colouring, so the branch step itself (bound,
-label union, feasibility, incumbent update, recursion) is written once.
-Workers share a single monotone incumbent encoded in one 64-bit key (high
-bits size, low bits complemented cost) so a candidate can be compared and
-the witness installed in one indivisible step.
+A pass hands out, in sequential order, the label subsets of
+:func:`sequential._pass_subsets` or, when it runs the paper's search, the
+root branches of :func:`split_root`; early root branches hold most of the
+work.  Each ``os.fork`` child claims the next unit from a shared counter,
+lifts its bound to the best 64-bit ``incumbent_key`` any child has
+published, runs the unit and publishes its improvements.  Its witness stays
+its own and comes back through a pipe with its node count; the parent keeps
+the best one and forks pass 2 from it.
 
-Left-to-right dependencies between subtrees are deliberately ignored, so
-node counts vary from run to run; the final (size, cost) always matches the
-sequential solver, both being optimal.
+Node counts vary with scheduling; (size, cost) always equals the
+sequential result, both being optimal.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from collections import deque
+import struct
 from dataclasses import dataclass
-from functools import partial
 from time import perf_counter
 
-from .colouring import colour_order, colour_order_into
-from .graph import LabelledGraph, permute_by_degree, reduce_to_core
+from .colouring import colour_order
+from .graph import LabelledGraph, label_adjacency, permute_by_degree, reduce_to_core
 from .sequential import (_NODES, SearchStats, Solution, WithinLabels, _expand,
-                         _fit_recursion_limit, _pass_two_needed, _search)
+                         _fit_recursion_limit, _pass_subsets, _pass_two_needed, _run_subset,
+                         _search, solve)
 
 _KEY_BITS = 32
 _COST_MASK = (1 << _KEY_BITS) - 1
+_SHARED = struct.Struct("QQ")  # next unit index, best published key
 
 
 def incumbent_key(size: int, cost: int) -> int:
@@ -50,18 +45,16 @@ def incumbent_key(size: int, cost: int) -> int:
 
 
 class SharedIncumbent:
-    """Monotone best-so-far shared by all workers.
+    """One worker's incumbent, keyed by :func:`incumbent_key`.
 
-    Improvements are filtered twice: callers pre-check against racily read
-    ``size``/``cost`` (stale reads only cost pruning power, never
-    correctness), and the locked update re-validates against the key so the
-    key and witness always change together and only ever increase.
+    ``replace`` installs a better candidate, witness and all; ``lift`` only
+    raises the key and the (size, cost) that pruning reads, to a key another
+    worker published, so the witness is always this worker's own best.
     """
 
-    __slots__ = ("_lock", "key", "size", "cost", "clique", "labels")
+    __slots__ = ("key", "size", "cost", "clique", "labels")
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self.key = incumbent_key(0, 0)
         self.size = 0
         self.cost = 0
@@ -71,34 +64,34 @@ class SharedIncumbent:
     def replace(self, clique: list[int], labels: int, size: int, cost: int) -> bool:
         """Install the candidate iff it beats the stored key; returns success."""
         key = incumbent_key(size, cost)
-        with self._lock:
-            if key > self.key:
-                self.key = key
-                self.size = size
-                self.cost = cost
-                self.clique = list(clique)
-                self.labels = labels
-                return True
+        if key <= self.key:
             return False
+        self.key = key
+        self.size = size
+        self.cost = cost
+        self.clique = list(clique)
+        self.labels = labels
+        return True
+
+    def lift(self, key: int) -> None:
+        """Prune against ``key`` from now on, if it is the better one."""
+        if key > self.key:
+            self.key = key
+            self.size = key >> _KEY_BITS
+            self.cost = _COST_MASK ^ (key & _COST_MASK)
 
     def snapshot(self) -> tuple[list[int], int, int, int]:
-        """Consistent (clique, labels, size, cost) view."""
-        with self._lock:
-            return list(self.clique), self.labels, self.size, self.cost
+        """(clique, labels, size, cost): the witness and the bound, which
+        differ only after ``lift``."""
+        return list(self.clique), self.labels, self.size, self.cost
 
 
 @dataclass(frozen=True)
 class Subproblem:
-    """A search-tree prefix of one or two fixed vertices.
+    """One root branch: its vertex as a one-vertex ``prefix``, the root's
+    candidates that remain beside it (``cands``), and its colour ``bound``
+    in the root colouring."""
 
-    ``cands`` already excludes non-neighbours of the last prefix vertex, so
-    replaying the prefix from the root reproduces the sequential state; the
-    prefix without its last vertex is at most one vertex, whose label set
-    is empty.  ``bound`` is the colour bound of this branch in its parent's
-    colouring.
-    """
-
-    position: tuple[int, ...]
     prefix: tuple[int, ...]
     cands: int
     bound: int
@@ -107,202 +100,147 @@ class Subproblem:
 def split_root(lg: LabelledGraph) -> list[Subproblem]:
     """One subproblem per root branch, in sequential branch order.
 
-    The branch order (and therefore the queue order) is the same in both
-    passes, so the split does not depend on which pass is running.
+    The branch order is the same in both passes, so the split does not
+    depend on which pass is running.
     """
     n = lg.graph.n
     cands = (1 << n) - 1
     result = colour_order(lg.graph, cands)
     subproblems = []
-    position = 0
     for i in range(len(result.order) - 1, -1, -1):
         v = result.order[i]
-        subproblems.append(
-            Subproblem(
-                position=(position,),
-                prefix=(v,),
-                cands=cands & lg.graph.adjacency[v],
-                bound=result.bounds[i],
-            )
-        )
+        subproblems.append(Subproblem((v,), cands & lg.graph.adjacency[v], result.bounds[i]))
         cands &= ~(1 << v)
-        position += 1
     return subproblems
 
 
-class _Cursor:
-    """Unstarted branches of an in-flight depth-1 subproblem.
-
-    ``next_i`` walks the colouring right to left; the owner claims one
-    branch at a time and a thief may claim all the rest.  ``top`` is the
-    first branch's index, so branch ``i`` is number ``top - i`` in
-    sequential order.  Mutated only under the pass lock.
-    """
-
-    __slots__ = ("position", "vertex", "order", "bounds", "cands", "next_i", "top")
-
-    def __init__(self, position, vertex, order, bounds, cands, next_i):
-        self.position = position
-        self.vertex = vertex
-        self.order = order
-        self.bounds = bounds
-        self.cands = cands
-        self.next_i = next_i
-        self.top = next_i
-
-
-def _branch(cursor: _Cursor, i: int, cands: int, adjacency: list[int]) -> Subproblem:
-    """Branch ``i`` of a cursor as a depth-2 subproblem; ``cands`` are the
-    cursor's candidates before that branch is removed from them."""
-    w = cursor.order[i]
-    return Subproblem(
-        position=cursor.position + (cursor.top - i,),
-        prefix=(cursor.vertex, w),
-        cands=cands & adjacency[w],
-        bound=cursor.bounds[i],
-    )
-
-
-def steal_from(cursors: dict[tuple[int, ...], _Cursor], adjacency: list[int]) -> list[Subproblem]:
-    """Claim every unstarted branch of the stealable cursor latest in
-    sequential order, as depth-2 subproblems.  Caller holds the pass lock.
-
-    Returns an empty list when nothing is stealable.  Claimed branches are
-    removed from the cursor, so no branch can run twice, and every branch is
-    either kept by the owner or returned here, so none is lost.
-    """
-    for position in sorted(cursors, reverse=True):
-        cursor = cursors[position]
-        if cursor.next_i < 0:
-            continue
-        stolen = []
-        cands = cursor.cands
-        for i in range(cursor.next_i, -1, -1):
-            stolen.append(_branch(cursor, i, cands, adjacency))
-            cands &= ~(1 << cursor.order[i])
-        cursor.next_i = -1
-        return stolen
+def steal_from(*_) -> list[Subproblem]:
+    """Always ``[]``, as workers never split a unit; the benchmark's layer
+    trace still counts steals through this name."""
     return []
 
 
-class _PassState:
-    """Queue, stealable cursors and termination accounting for one pass;
-    each worker builds its own search context with ``search()``."""
+class _Shared:
+    """A pass's next unit index and best published key, in memory shared
+    with the children; a one-byte token in a pipe serialises each access."""
 
-    __slots__ = ("cond", "queue", "outstanding", "cursors", "abort", "errors",
-                 "adjacency", "search", "node_totals")
+    __slots__ = ("memory", "token")
 
-    def __init__(self, adjacency, search):
-        self.cond = threading.Condition()
-        self.queue: deque[Subproblem] = deque()
-        self.outstanding = 0
-        self.cursors: dict[tuple[int, ...], _Cursor] = {}
-        self.abort = False
-        self.errors: list[BaseException] = []
-        self.adjacency = adjacency
-        self.search = search
-        self.node_totals: list[int] = []
+    def __init__(self, key: int):
+        import mmap
+
+        self.memory = mmap.mmap(-1, _SHARED.size)
+        _SHARED.pack_into(self.memory, 0, 0, key)
+        self.token = os.pipe()
+        os.write(self.token[1], b".")
+
+    def update(self, step: int, key: int = 0) -> tuple[int, int]:
+        """Add ``step`` to the unit index and publish ``key``; returns the
+        index and the best key from before."""
+        os.read(self.token[0], 1)
+        try:
+            index, best = _SHARED.unpack_from(self.memory)
+            _SHARED.pack_into(self.memory, 0, index + step, max(best, key))
+        finally:
+            os.write(self.token[1], b".")
+        return index, best
+
+    def close(self) -> None:
+        self.memory.close()
+        for fd in self.token:
+            os.close(fd)
 
 
-def _step(search, sp: Subproblem, cands: int) -> bool:
-    """The branch step of ``sp``'s last vertex, as a one-entry colouring of
-    its parent node; True when the colour bound cut it off.  It enters
-    not ``closed``, which is always exact: the parent is at most one vertex
-    (cost 0), so only a limit of 0 would make it closed, and then every
-    branch fails the cost check."""
-    return _expand(search, list(sp.prefix[:-1]), cands, 0, False, sp.prefix[-1:],
-                   (sp.bound,), 1)
+def _worker(state) -> None:
+    """The loop each child runs until the pass's units run out.
+
+    It appends to ``state``'s last item, a list, the child's own best
+    witness (clique, labels), its nodes and the label subsets it searched;
+    the benchmark's layer trace wraps this function and drops its return
+    value.  A root branch enters ``_expand`` as a one-entry colouring of the
+    root, which the parent counted.
+    """
+    shared, units, first_pass, lg, by_label, within, budget, out = state
+    inc = SharedIncumbent()
+    search = _search(first_pass, inc, lg.graph.adjacency, lg.label_bits, within, budget)
+    every = (1 << lg.graph.n) - 1
+    searched = 0
+    while True:
+        index, key = shared.update(1)
+        if index >= len(units):
+            out.append((inc.clique, inc.labels, search[_NODES][0], searched))
+            return
+        inc.lift(key)
+        unit = units[index]
+        if isinstance(unit, Subproblem):
+            _expand(search, [], unit.cands, 0, False, unit.prefix, (unit.bound,), 1)
+        else:
+            nodes = _run_subset(inc, first_pass, lg, by_label, every, unit)
+            if nodes is not None:
+                search[_NODES][0] += nodes
+                searched += 1
+        if inc.key > key:
+            shared.update(0, inc.key)
 
 
-def _process(state: _PassState, search, sp: Subproblem) -> None:
-    """Run one queued subproblem to completion (depth 1 or stolen depth 2)."""
-    if len(sp.prefix) == 2:
-        # Stolen depth-2 work: plain recursion, no further resplitting.
-        _step(search, sp, sp.cands)
-        return
-    # Depth-1 work: the branch step alone (no candidates, so no recursion;
-    # a single vertex is always within the filter, so only the bound can
-    # stop it), then its children through a stealable cursor.
-    if _step(search, sp, 0) or not sp.cands:
-        return
-    search[_NODES][0] += 1
-    # The cursor's own buffers: the worker's scratch belongs to _expand.
-    size = sp.cands.bit_count()
-    order, bounds = [0] * size, [0] * size
-    m = colour_order_into(state.adjacency, sp.cands, order, bounds)
-    cursor = _Cursor(sp.position, sp.prefix[0], order, bounds, sp.cands, m - 1)
-    with state.cond:
-        state.cursors[sp.position] = cursor
-        state.cond.notify_all()
+def _child(write: int, state) -> None:
+    """Run ``_worker`` in a forked child and send its result, or the
+    exception it raised, through ``write``.  Never returns."""
     try:
-        while True:
-            with state.cond:
-                i = cursor.next_i
-                if i < 0:
-                    break
-                cursor.next_i = i - 1
-                cands_now = cursor.cands
-                cursor.cands = cands_now & ~(1 << cursor.order[i])
-            claim = _branch(cursor, i, cands_now, state.adjacency)
-            if _step(search, claim, claim.cands):
-                # The bound prunes every remaining branch too (bounds is
-                # non-decreasing), so drain the cursor.
-                with state.cond:
-                    cursor.next_i = -1
-                break
+        import pickle
+
+        try:
+            _worker(state)
+            data = pickle.dumps((True, state[-1][0]))
+        except BaseException as exc:  # the parent re-raises it
+            data = pickle.dumps((False, exc))
+        with open(write, "wb") as stream:
+            stream.write(data)
     finally:
-        with state.cond:
-            del state.cursors[sp.position]
+        os._exit(0)
 
 
-def _worker(state: _PassState) -> None:
-    search = state.search()
+def _run_pass(children: int, state, key: int) -> list[tuple[list[int], int, int, int]]:
+    """Fork ``children`` workers over a pass whose bound starts at ``key``;
+    returns each one's :func:`_worker` result.  Every child has been
+    reaped when this returns or raises."""
+    import pickle
+    import signal
+
+    shared = _Shared(key)
+    pids: list[int] = []
+    reads: list[int] = []
     try:
-        while True:
-            with state.cond:
-                while True:
-                    if state.abort:
-                        return
-                    if state.queue:
-                        item = state.queue.popleft()
-                        break
-                    stolen = steal_from(state.cursors, state.adjacency)
-                    if stolen:
-                        state.queue.extend(stolen)
-                        state.outstanding += len(stolen)
-                        state.cond.notify_all()
-                        continue
-                    if state.outstanding == 0:
-                        return
-                    state.cond.wait()
-            _process(state, search, item)
-            with state.cond:
-                state.outstanding -= 1
-                if state.outstanding == 0:
-                    state.cond.notify_all()
-    except BaseException as exc:  # propagate to the caller, never hang the pass
-        with state.cond:
-            state.errors.append(exc)
-            state.abort = True
-            state.cond.notify_all()
+        for _ in range(children):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(write, (shared, *state, []))
+            finally:
+                os.close(write)
+            pids.append(pid)
+        results = []
+        for read in reads:
+            with open(read, "rb", closefd=False) as stream:
+                data = stream.read()
+            if not data:
+                raise RuntimeError("a worker exited without a result")
+            ok, result = pickle.loads(data)
+            if not ok:
+                raise result
+            results.append(result)
+        return results
     finally:
-        state.node_totals.append(search[_NODES][0])
-
-
-def _run_pass(permuted, search, workers) -> int:
-    state = _PassState(permuted.graph.adjacency, search)
-    subproblems = split_root(permuted)
-    state.queue.extend(subproblems)
-    state.outstanding = len(subproblems)
-    threads = [threading.Thread(target=_worker, args=(state,)) for _ in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if state.errors:
-        raise state.errors[0]
-    # The root split's colouring mirrors the sequential root node.
-    return 1 + sum(state.node_totals)
+        # A child that has finished is a zombie until it is waited for, so
+        # the kill cannot reach a recycled pid.
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for read in reads:
+            os.close(read)
+        shared.close()
 
 
 def solve_parallel(
@@ -312,28 +250,47 @@ def solve_parallel(
 ) -> Solution:
     """Two-pass parallel search; (size, cost) always equals the sequential result.
 
-    ``workers`` defaults to the hardware concurrency.  A full barrier sits
-    between the passes because the cost pass filters against the final
-    size-pass incumbent.
+    ``workers`` defaults to the CPUs this process may run on; one worker,
+    or no ``os.fork``, runs :func:`sequential.solve`.  No pass forks more
+    children than it has units, and every child is reaped before this
+    returns or raises.  Pass 2 forks from pass 1's merged incumbent.
     """
     if budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget}")
     if workers is None:
-        workers = os.cpu_count() or 1
+        affinity = getattr(os, "sched_getaffinity", None)
+        workers = len(affinity(0)) if affinity else os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1 or not hasattr(os, "fork"):
+        return solve(lg, budget)
     start = perf_counter()
     permuted, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
     _fit_recursion_limit(permuted.graph)
-    label_bits = permuted.label_bits
-    incumbent = SharedIncumbent()
-    constants = (incumbent, permuted.graph.adjacency, label_bits, WithinLabels(label_bits), budget)
-    nodes1 = _run_pass(permuted, partial(_search, True, *constants), workers)
-    nodes2 = 0
-    if _pass_two_needed(incumbent):
-        nodes2 = _run_pass(permuted, partial(_search, False, *constants), workers)
-    clique, labels, size, cost = incumbent.snapshot()
+    within = WithinLabels(permuted.label_bits)
+    best = SharedIncumbent()
+    by_label = None
+    nodes, subsets, worker_nodes = [0, 0], [0, 0], []
+    for index, first_pass in enumerate((True, False)):
+        if not (first_pass or _pass_two_needed(best)):
+            break
+        units = _pass_subsets(permuted, first_pass, budget, best.cost)
+        if units is None:
+            units = split_root(permuted)
+            nodes[index] = 1  # the root colouring split_root made
+        else:
+            by_label = by_label or label_adjacency(permuted)
+        state = (units, first_pass, permuted, by_label, within, budget)
+        results = _run_pass(min(workers, len(units)), state, best.key)
+        worker_nodes += [0] * (len(results) - len(worker_nodes))
+        for slot, (clique, labels, count, searched) in enumerate(results):
+            best.replace(clique, labels, len(clique), labels.bit_count())
+            nodes[index] += count
+            subsets[index] += searched
+            worker_nodes[slot] += count
+    clique, labels, size, cost = best.snapshot()
     elapsed = perf_counter() - start
-    stats = SearchStats(nodes1, nodes2, elapsed, workers, vertices_searched=permuted.graph.n)
-    witness = sorted(perm.to_original(clique))
-    return Solution(witness, size, labels, cost, stats)
+    stats = SearchStats(*nodes, elapsed, len(worker_nodes), vertices_searched=permuted.graph.n,
+                        subsets_pass1=subsets[0], subsets_pass2=subsets[1],
+                        worker_nodes=worker_nodes)
+    return Solution(sorted(perm.to_original(clique)), size, labels, cost, stats)

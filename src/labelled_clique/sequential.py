@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from operator import or_
 from time import perf_counter
@@ -107,8 +107,9 @@ class WithinLabels(dict):
 @dataclass
 class SearchStats:
     """Recursion-call counters and wall time for one solve, the number of
-    vertices left to search after the core peel, and the label-subset
-    sub-searches each pass ran (0 when it ran the paper's search)."""
+    vertices left to search after the core peel, the label-subset
+    sub-searches each pass ran (0 when it ran the paper's search), and the
+    nodes each forked worker searched over both passes (empty in ``solve``)."""
 
     nodes_pass1: int = 0
     nodes_pass2: int = 0
@@ -117,6 +118,7 @@ class SearchStats:
     vertices_searched: int = 0
     subsets_pass1: int = 0
     subsets_pass2: int = 0
+    worker_nodes: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -256,8 +258,41 @@ def _search_subset(inc, lg: LabelledGraph, by_label, labels: tuple[int, ...], ev
     search = _search(True, inc, rows, lg.label_bits, None, len(labels) + 1)
     _expand(search, [], every, mask, True)
     if inc.labels == mask:
-        inc.labels, inc.cost = clique_cost(lg, inc.clique)
+        labels, cost = clique_cost(lg, inc.clique)
+        inc.replace(inc.clique, labels, inc.size, cost)
     return search[_NODES][0]
+
+
+def _pass_subsets(lg: LabelledGraph, first_pass: bool, budget: int,
+                  cost: int) -> list[tuple[int, ...]] | None:
+    """The label subsets a pass searches, in order: every T with |T| =
+    min(budget, K) in pass 1, T of size 1 ... cost - 1 in pass 2.  None when
+    :func:`_few` leaves the pass to the paper's search."""
+    sizes = [min(budget, lg.num_labels)] if first_pass else range(1, cost)
+    if not _few(sum(comb(lg.num_labels, c) for c in sizes), lg.graph):
+        return None
+    return [t for c in sizes for t in combinations(range(lg.num_labels), c)]
+
+
+def _run_subset(inc, first_pass: bool, lg: LabelledGraph, by_label, every: int,
+                labels: tuple[int, ...]) -> int | None:
+    """Run one unit of :func:`_pass_subsets` against ``inc``; returns its
+    nodes, or None when it was skipped.
+
+    Pass 2 asks whether G_T holds a clique of ``inc``'s size, and skips T
+    unless |T| < inc.cost: a cheaper clique lies in a smaller T, a unit of
+    its own.  The probe is one vertex short at cost 0, so only a clique of
+    the full size replaces it.
+    """
+    if first_pass:
+        return _search_subset(inc, lg, by_label, labels, every)
+    if len(labels) >= inc.cost:
+        return None
+    probe = Incumbent(range(inc.size - 1))
+    nodes = _search_subset(probe, lg, by_label, labels, every)
+    if probe.size == inc.size:
+        inc.replace(probe.clique, probe.labels, probe.size, probe.cost)
+    return nodes
 
 
 def solve(lg: LabelledGraph, budget: int) -> Solution:
@@ -277,41 +312,28 @@ def solve(lg: LabelledGraph, budget: int) -> Solution:
     graph = permuted.graph
     _fit_recursion_limit(graph)
     label_bits = permuted.label_bits
-    labels = range(permuted.num_labels)
     every_vertex = (1 << graph.n) - 1
     inc = Incumbent()
     constants = (inc, graph.adjacency, label_bits, WithinLabels(label_bits), budget)
     by_label = None
-    width = min(budget, permuted.num_labels)
-    subsets1 = subsets2 = nodes1 = nodes2 = 0
-    if _few(comb(permuted.num_labels, width), graph):
-        by_label = label_adjacency(permuted)
-        for subset in combinations(labels, width):
-            nodes1 += _search_subset(inc, permuted, by_label, subset, every_vertex)
-            subsets1 += 1
-    else:
-        search = _search(True, *constants)
-        _expand(search, [], every_vertex, 0)
-        nodes1 = search[_NODES][0]
-    if _pass_two_needed(inc):
-        costs = range(1, inc.cost)
-        if _few(sum(comb(permuted.num_labels, c) for c in costs), graph):
-            by_label = by_label or label_adjacency(permuted)
-            # The probe holds a clique one vertex short of the incumbent, so
-            # only a clique of the full size replaces it.
-            probe = Incumbent(inc.clique[:-1])
-            for subset in chain.from_iterable(combinations(labels, c) for c in costs):
-                nodes2 += _search_subset(probe, permuted, by_label, subset, every_vertex)
-                subsets2 += 1
-                if probe.size == inc.size:
-                    inc.replace(probe.clique, probe.labels, probe.size, probe.cost)
-                    break
-        else:
-            search = _search(False, *constants)
+    nodes, subsets = [0, 0], [0, 0]
+    for index, first_pass in enumerate((True, False)):
+        if not (first_pass or _pass_two_needed(inc)):
+            break
+        units = _pass_subsets(permuted, first_pass, budget, inc.cost)
+        if units is None:
+            search = _search(first_pass, *constants)
             _expand(search, [], every_vertex, 0)
-            nodes2 = search[_NODES][0]
+            nodes[index] = search[_NODES][0]
+            continue
+        by_label = by_label or label_adjacency(permuted)
+        for subset in units:
+            searched = _run_subset(inc, first_pass, permuted, by_label, every_vertex, subset)
+            if searched is not None:
+                nodes[index] += searched
+                subsets[index] += 1
     elapsed = perf_counter() - start
-    stats = SearchStats(nodes1, nodes2, elapsed, vertices_searched=graph.n,
-                        subsets_pass1=subsets1, subsets_pass2=subsets2)
+    stats = SearchStats(*nodes, elapsed, vertices_searched=graph.n,
+                        subsets_pass1=subsets[0], subsets_pass2=subsets[1])
     witness = sorted(perm.to_original(inc.clique))
     return Solution(witness, inc.size, inc.labels, inc.cost, stats)

@@ -67,9 +67,9 @@ def test_solve_json_mirror(capsys):
     # fig1's minimum degree is too high for the core peel to drop a vertex.
     assert payload["vertices_searched"] == 7
     assert report_value(out, "vertices_searched") == "7"
-    # The parallel solver runs the paper's search; the sequential one
-    # searches fig1's label subsets in both passes.
-    for threads, subsets in (("2", 0), ("1", 4)):
+    # Both solvers search fig1's label subsets in both passes; only the
+    # parallel one forks workers, and their nodes add up to the passes'.
+    for threads, workers in (("2", 2), ("1", 0)):
         code, out, _ = run(
             ["solve", FIG1, "--label-file", FIG1_LAB, "--budget", "3", "--threads", threads,
              "--json"],
@@ -78,8 +78,13 @@ def test_solve_json_mirror(capsys):
         assert code == EXIT_OK
         payload = json.loads(out.splitlines()[-1])
         for key in ("subsets_pass1", "subsets_pass2"):
-            assert payload[key] == subsets
-            assert report_value(out, key) == str(subsets)
+            assert payload[key] == 4
+            assert report_value(out, key) == "4"
+        worker_nodes = payload["worker_nodes"]
+        assert len(worker_nodes) == workers
+        if workers:
+            assert sum(worker_nodes) == payload["nodes_pass1"] + payload["nodes_pass2"]
+        assert report_value(out, "worker_nodes") == (" ".join(map(str, worker_nodes)) or "-")
 
 
 def test_solve_seeded_labels(capsys):

@@ -1,6 +1,8 @@
+import dataclasses
 import gc
-import sys
-import threading
+import os
+import signal
+import time
 from collections import Counter
 
 import pytest
@@ -21,8 +23,8 @@ from labelled_clique import (
 import labelled_clique.colouring as colouring_mod
 import labelled_clique.parallel as par_mod
 import labelled_clique.sequential as seq_mod
-from labelled_clique.parallel import _Cursor, steal_from
-from labelled_clique.sequential import _NODES
+from labelled_clique.graph import reduce_to_core
+from labelled_clique.sequential import WithinLabels
 
 from conftest import paper_solve, random_instance
 
@@ -66,23 +68,17 @@ def test_try_improve_keeps_witness_and_key_consistent():
     assert inc.key == incumbent_key(size, cost)
 
 
-def test_try_improve_concurrent_race():
-    # Two equal-size candidates racing: the cheaper one must win no matter
-    # what order the threads run in.
-    for _ in range(20):
-        inc = SharedIncumbent()
-        start = threading.Barrier(2)
-
-        def offer(labels):
-            start.wait()
-            for _ in range(50):
-                inc.replace([1, 2, 3, 4, 5], labels, 5, labels.bit_count())
-
-        t1 = threading.Thread(target=offer, args=(0b111,))  # (5, 3)
-        t2 = threading.Thread(target=offer, args=(0b011,))  # (5, 2)
-        t1.start(), t2.start()
-        t1.join(), t2.join()
-        assert (inc.size, inc.cost) == (5, 2)
+def test_lift_raises_the_bound_but_keeps_the_witness():
+    inc = SharedIncumbent()
+    inc.replace([1, 2, 3], 0b11, 3, 2)
+    inc.lift(incumbent_key(4, 3))  # another worker's (4, 3)
+    assert (inc.size, inc.cost) == (4, 3)
+    assert inc.snapshot() == ([1, 2, 3], 0b11, 4, 3)
+    inc.lift(incumbent_key(2, 0))  # never lowers the bound
+    assert (inc.size, inc.cost) == (4, 3)
+    assert not inc.replace([5, 6, 7], 0b1, 3, 1)
+    assert inc.replace([4, 5, 6, 7], 0b1, 4, 1)
+    assert inc.snapshot() == ([4, 5, 6, 7], 0b1, 4, 1)
 
 
 def test_key_sequence_monotone_under_mixed_offers():
@@ -102,7 +98,6 @@ def test_split_root_fig1(fig1):
     # queue order is the sequential branch order: right to left over the
     # root colouring
     assert [sp.prefix[0] for sp in subs] == list(reversed(result.order))
-    assert [sp.position for sp in subs] == [(k,) for k in range(7)]
     assert [sp.bound for sp in subs] == list(reversed(result.bounds))
     # candidates replay the sequential loop: earlier-branched vertices are
     # gone, and the rest intersect the branch vertex's neighbourhood
@@ -116,41 +111,6 @@ def test_split_root_fig1(fig1):
 def test_split_root_empty_graph():
     lg = build_labelled(build_graph(0, []), 1, {})
     assert split_root(lg) == []
-
-
-def test_steal_from_claims_all_remaining_branches():
-    adjacency = [0b0110, 0b1101, 0b0011, 0b0010]
-    cursor = _Cursor((3,), 0, [2, 3, 1], [1, 1, 2], 0b1110, 2)
-    cursors = {(3,): cursor}
-    stolen = steal_from(cursors, adjacency)
-    # branches i=2,1,0 in sequential order: vertices 1, 3, 2
-    assert [sp.prefix for sp in stolen] == [(0, 1), (0, 3), (0, 2)]
-    assert [sp.bound for sp in stolen] == [2, 1, 1]
-    assert [sp.position for sp in stolen] == [(3, 0), (3, 1), (3, 2)]
-    # candidate sets thread through removals exactly like the owner loop
-    assert stolen[0].cands == 0b1110 & adjacency[1]
-    assert stolen[1].cands == (0b1110 & ~0b10) & adjacency[3]
-    assert stolen[2].cands == (0b1110 & ~0b1010) & adjacency[2]
-    # the cursor is drained: nothing can run twice
-    assert cursor.next_i == -1
-    assert steal_from(cursors, adjacency) == []
-
-
-def test_steal_from_prefers_latest_position():
-    adjacency = [0, 0, 0]
-    early = _Cursor((0,), 1, [0], [1], 0b1, 0)
-    late = _Cursor((5,), 2, [0], [1], 0b1, 0)
-    stolen = steal_from({(0,): early, (5,): late}, adjacency)
-    assert stolen[0].prefix[0] == 2
-    assert late.next_i == -1 and early.next_i == 0
-
-
-def test_steal_from_skips_drained_cursors():
-    adjacency = [0, 0]
-    drained = _Cursor((4,), 0, [1], [1], 0b10, -1)
-    fresh = _Cursor((1,), 1, [0], [1], 0b1, 0)
-    stolen = steal_from({(4,): drained, (1,): fresh}, adjacency)
-    assert stolen and stolen[0].prefix[0] == 1
 
 
 def test_parallel_fig1(fig1):
@@ -196,7 +156,7 @@ def record_nodes(monkeypatch) -> list[int]:
         bounds[:m] = [len(adjacency)] * m
         return m
 
-    for module in (colouring_mod, seq_mod, par_mod):
+    for module in (colouring_mod, seq_mod):
         monkeypatch.setattr(module, "colour_order_into", recording)
     return records
 
@@ -210,85 +170,45 @@ def first_pass_nodes(records: list[int], run) -> tuple[Counter, object]:
 
 def test_replay_accounting_prefixes_match_sequential(monkeypatch):
     # With no bound pruning the size pass explores a fixed tree, so the
-    # nodes coloured by all workers together must be exactly the nodes the
-    # paper's sequential search colours, at every depth, each exactly once.
+    # nodes the unit runner colours over split_root's branches must be
+    # exactly the nodes the paper's sequential search colours, at every
+    # depth, each exactly once.  Workers split the units between them, so
+    # one in-process runner that claims them all stands for any number.
     records = record_nodes(monkeypatch)
     lg = random_instance(20, 0.5, 3, seed=1234)
-    seq_nodes, _ = first_pass_nodes(records, lambda: paper_solve(lg, 2))
+    seq_nodes, seq = first_pass_nodes(records, lambda: paper_solve(lg, 2))
     assert sum(seq_nodes.values()) > 1
-    for workers in (2, 4):
-        par_nodes, _ = first_pass_nodes(
-            records, lambda: solve_parallel(lg, 2, workers=workers))
-        assert par_nodes == seq_nodes  # no node twice, none lost, none invented
-
-
-def test_replay_accounting_with_real_steals(monkeypatch):
-    # A dense instance whose first root branches dominate the work, plus a
-    # tiny GIL switch interval, makes idle workers actually resplit live
-    # cursors; the explored nodes must still match sequential exactly.
-    steals = [0]
-    original_steal = par_mod.steal_from
-
-    def counting_steal(cursors, adjacency):
-        taken = original_steal(cursors, adjacency)
-        if taken:
-            steals[0] += 1
-        return taken
-
-    monkeypatch.setattr(par_mod, "steal_from", counting_steal)
-    records = record_nodes(monkeypatch)
-
-    def check(lg, workers):
-        seq_nodes, seq = first_pass_nodes(records, lambda: paper_solve(lg, 2))
-        par_nodes, par = first_pass_nodes(
-            records, lambda: solve_parallel(lg, 2, workers=workers))
-        assert (par.size, par.cost) == (seq.size, seq.cost)
-        assert par_nodes == seq_nodes
-
-    previous_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
+    permuted, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
+    records.clear()
+    units = par_mod.split_root(permuted)
+    shared = par_mod._Shared(incumbent_key(0, 0))
     try:
-        lg = random_instance(28, 0.75, 3, seed=77)
-        for attempt in range(5):
-            check(lg, 4)
-            if steals[0]:
-                break
-        assert steals[0], "no steal was exercised in five attempts"
-
-        # A worker whose first item is stolen has run no node yet, so it
-        # starts with no scratch buffers.  Force one: with more workers
-        # than root branches, some workers never get a root branch, and
-        # every other worker is held at its first owner claim (cursor
-        # published, branches left unstarted) or its first stolen item
-        # until one of those has run stolen work before any node.
-        cold = threading.Event()
-        owning = threading.local()
-        original_process = par_mod._process
-        original_step = par_mod._step
-
-        def watching_process(state, search, sp):
-            if len(sp.prefix) == 2:
-                if search[_NODES][0]:
-                    cold.wait(timeout=10)
-                else:
-                    cold.set()
-            owning.depth_one = len(sp.prefix) == 1
-            try:
-                original_process(state, search, sp)
-            finally:
-                owning.depth_one = False
-
-        def holding_step(search, sp, cands):
-            if len(sp.prefix) == 2 and owning.depth_one:
-                cold.wait(timeout=10)
-            return original_step(search, sp, cands)
-
-        monkeypatch.setattr(par_mod, "_process", watching_process)
-        monkeypatch.setattr(par_mod, "_step", holding_step)
-        check(random_instance(12, 0.9, 3, seed=5), 16)
-        assert cold.is_set(), "no worker started on stolen work"
+        out = []
+        par_mod._worker(
+            (shared, units, True, permuted, None, WithinLabels(permuted.label_bits), 2, out))
+        [(clique, labels, nodes, _)] = out
     finally:
-        sys.setswitchinterval(previous_interval)
+        shared.close()
+    assert Counter(records) == seq_nodes  # no node twice, none lost, none invented
+    assert 1 + nodes == seq.stats.nodes_pass1  # the root colouring is split_root's
+    assert len(clique) == seq.size
+
+
+def test_each_unit_runs_once_with_more_workers_than_cores(monkeypatch):
+    # With every colour bound lifted the size pass's tree is fixed, so a
+    # unit that a lost counter update let two workers claim, or that none
+    # ran, would move the node count.  One instance hands out label
+    # subsets, the other (16 labels, too many subsets) root branches.
+    record_nodes(monkeypatch)
+    workers = 3 * len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 6
+    for num_labels, subsets in ((3, True), (16, False)):
+        lg = random_instance(24, 0.6, num_labels, seed=2024)
+        seq = solve(lg, 2)
+        assert (seq.stats.subsets_pass1 > 0) == subsets
+        for _ in range(3):
+            par = solve_parallel(lg, 2, workers=workers)
+            assert par.stats.nodes_pass1 == seq.stats.nodes_pass1
+            assert par.stats.subsets_pass1 == seq.stats.subsets_pass1
 
 
 def test_solves_leave_no_reference_cycles(fig1):
@@ -317,3 +237,103 @@ def test_parallel_empty_graph():
     lg = build_labelled(build_graph(0, []), 1, {})
     solution = solve_parallel(lg, 1, workers=3)
     assert (solution.size, solution.cost) == (0, 0)
+
+
+def no_children_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_workers_are_reaped_after_a_solve(fig1):
+    solution = solve_parallel(fig1, 3, workers=2)
+    assert (solution.size, solution.cost) == (4, 2)
+    assert no_children_left()
+
+
+def test_worker_exception_is_reraised(fig1, monkeypatch):
+    def failing(state):
+        raise ValueError("worker failed")
+
+    monkeypatch.setattr(par_mod, "_worker", failing)
+    with pytest.raises(ValueError, match="worker failed"):
+        solve_parallel(fig1, 3, workers=2)
+    assert no_children_left()
+
+
+def test_keyboard_interrupt_kills_the_workers(fig1, monkeypatch):
+    # The workers hang, so the interrupt lands while they run; fork does
+    # not pass the timer on, so only the parent is interrupted.
+    def hanging(state):
+        time.sleep(60)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(par_mod, "_worker", hanging)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.3)
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            solve_parallel(fig1, 3, workers=2)
+        assert time.perf_counter() - started < 30
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert no_children_left()
+
+
+def untimed(solution):
+    """The solution with its wall time zeroed, to compare two solves."""
+    return dataclasses.replace(solution, stats=dataclasses.replace(solution.stats, elapsed=0.0))
+
+
+def test_no_fork_runs_solve(fig1, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    for budget in (1, 2, 3, 4):
+        assert untimed(solve_parallel(fig1, budget, workers=2)) == untimed(solve(fig1, budget))
+
+
+def count_forks(monkeypatch) -> list[int]:
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def test_no_more_children_than_units(fig1, monkeypatch):
+    # fig1 at budget 3 has four label subsets in each pass.
+    forks = count_forks(monkeypatch)
+    solution = solve_parallel(fig1, 3, workers=8)
+    assert (solution.stats.subsets_pass1, solution.stats.subsets_pass2) == (4, 4)
+    assert len(forks) == 8
+    assert solution.stats.workers == len(solution.stats.worker_nodes) == 4
+
+
+def test_default_workers_follow_affinity(fig1, monkeypatch):
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert untimed(solve_parallel(fig1, 3)) == untimed(solve(fig1, 3))
+    assert not forks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert solve_parallel(fig1, 3).stats.workers == 2
+    assert len(forks) == 4
+
+
+def test_worker_nodes_add_up():
+    lg = random_instance(30, 0.6, 5, seed=314)
+    for budget in (1, 2, 3):
+        par = solve_parallel(lg, budget, workers=2)
+        stats = par.stats
+        assert len(stats.worker_nodes) == stats.workers == 2
+        # The parent colours the root of each pass it splits at the root.
+        roots = (stats.subsets_pass1 == 0) + (stats.subsets_pass2 == 0 and stats.nodes_pass2 > 0)
+        assert sum(stats.worker_nodes) + roots == stats.nodes_pass1 + stats.nodes_pass2
