@@ -3,8 +3,9 @@
 Finds the largest clique whose edges use at most a budgeted number of
 distinct labels and, among equally large feasible cliques, the one using
 fewest labels.  Sequential and parallel two-pass branch-and-bound solvers
-share a bitset graph encoding and a greedy-colouring bound; an exhaustive
-oracle, DIMACS/label-file IO and a CLI round out the package.
+share one pass loop, a bitset graph encoding and a greedy-colouring
+bound; an exhaustive oracle, DIMACS/label-file IO and a CLI round out the
+package.
 """
 
 from .colouring import ColourResult, colour_order
@@ -32,8 +33,9 @@ from .graph_io import (
     write_labels,
 )
 from .oracle import oracle_solve
-from .parallel import SharedIncumbent, Subproblem, incumbent_key, solve_parallel, split_root
-from .sequential import Incumbent, SearchStats, Solution, is_better, solve
+from .parallel import solve_parallel, split_root
+from .sequential import (Incumbent, SearchStats, Solution, Subproblem, incumbent_key, is_better,
+                         solve)
 
 __version__ = "0.1.0"
 
@@ -47,7 +49,6 @@ __all__ = [
     "ParseError",
     "Permutation",
     "SearchStats",
-    "SharedIncumbent",
     "Solution",
     "Subproblem",
     "build_graph",

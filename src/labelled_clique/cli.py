@@ -90,12 +90,6 @@ def _check_witness(lg: LabelledGraph, budget: int, solution: Solution) -> str | 
     return None
 
 
-def _run_one(lg: LabelledGraph, budget: int, threads: int) -> Solution:
-    if threads == 1:
-        return solve(lg, budget)
-    return solve_parallel(lg, budget, workers=threads)
-
-
 def _instance_spec(args: argparse.Namespace) -> InstanceSpec:
     return InstanceSpec(
         graph_path=Path(args.graph),
@@ -113,7 +107,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     threads = args.threads
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    solution = _run_one(lg, budget, threads)
+    solution = solve_parallel(lg, budget, workers=threads)
     problem = _check_witness(lg, budget, solution)
     if problem is not None:
         print(f"internal validation failure: {problem}", file=sys.stderr)
@@ -247,8 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--budget", type=int, help="label budget")
     solve_p.add_argument("--budget-pct", type=int, help="budget as %% of labels (25/50/75)")
     solve_p.add_argument("--threads", type=int, default=1,
-                         help="worker processes; 1 = the sequential solver (default: 1); "
-                              "more fork that many workers over the same work units")
+                         help="worker processes over the search's work units "
+                              "(default: 1, which forks none)")
     solve_p.add_argument("--json", action="store_true", help="also print a JSON object")
     solve_p.set_defaults(func=_cmd_solve)
 

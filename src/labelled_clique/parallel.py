@@ -1,11 +1,13 @@
 """Parallel branch and bound: forked workers over ``solve``'s own work units.
 
-A pass hands out, in sequential order, the label subsets of
-:func:`sequential._pass_subsets` or, when it runs the paper's search, the
-root branches of :func:`split_root`; early root branches hold most of the
-work.  Each ``os.fork`` child claims the next unit from a shared counter,
-lifts its bound to the best 64-bit ``incumbent_key`` any child has
-published, runs the unit and publishes its improvements.  Its witness stays
+:func:`solve_parallel` runs the pass loop of :func:`sequential.solve`;
+only how a pass's units run differs.  They are handed out in sequential
+order: the label subsets of :func:`sequential._pass_subsets` or, when a
+pass runs the paper's search, the root branches of :func:`split_root`;
+early root branches hold most of the work.  Each ``os.fork`` child claims
+the next unit from a shared counter, lifts its bound to the best 64-bit
+``incumbent_key`` any child has published, runs the unit and publishes its
+improvements; a dead unit ends the pass for every child.  Its witness stays
 its own and comes back through a pipe with its node count; the parent keeps
 the best one and forks pass 2 from it.
 
@@ -17,101 +19,21 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
-from time import perf_counter
+from functools import partial
 
-from .colouring import colour_order
-from .graph import LabelledGraph, label_adjacency, permute_by_degree, reduce_to_core
-from .sequential import (_NODES, SearchStats, Solution, WithinLabels, _expand,
-                         _fit_recursion_limit, _pass_subsets, _pass_two_needed, _run_subset,
-                         _search, solve)
+# permute_by_degree is unused here, but perfbench/layers.py wraps it by name.
+from .graph import LabelledGraph, permute_by_degree  # noqa: F401
+from .sequential import (_NODES, Incumbent, Solution, Subproblem, _root_branches, _run_unit,
+                         _search, _solve, solve)
 
-_KEY_BITS = 32
-_COST_MASK = (1 << _KEY_BITS) - 1
 _SHARED = struct.Struct("QQ")  # next unit index, best published key
 
 
-def incumbent_key(size: int, cost: int) -> int:
-    """Encode (size, cost) as one unsigned key that sorts like the solution order.
-
-    High 32 bits hold the size, low 32 bits the bitwise complement of the
-    cost, so ``key(a) > key(b)`` exactly when ``a`` is the better solution.
-    """
-    if not 0 <= size <= _COST_MASK:
-        raise ValueError(f"size out of range: {size}")
-    if not 0 <= cost <= _COST_MASK:
-        raise ValueError(f"cost out of range: {cost}")
-    return (size << _KEY_BITS) | (_COST_MASK ^ cost)
-
-
-class SharedIncumbent:
-    """One worker's incumbent, keyed by :func:`incumbent_key`.
-
-    ``replace`` installs a better candidate, witness and all; ``lift`` only
-    raises the key and the (size, cost) that pruning reads, to a key another
-    worker published, so the witness is always this worker's own best.
-    """
-
-    __slots__ = ("key", "size", "cost", "clique", "labels")
-
-    def __init__(self) -> None:
-        self.key = incumbent_key(0, 0)
-        self.size = 0
-        self.cost = 0
-        self.clique: list[int] = []
-        self.labels = 0
-
-    def replace(self, clique: list[int], labels: int, size: int, cost: int) -> bool:
-        """Install the candidate iff it beats the stored key; returns success."""
-        key = incumbent_key(size, cost)
-        if key <= self.key:
-            return False
-        self.key = key
-        self.size = size
-        self.cost = cost
-        self.clique = list(clique)
-        self.labels = labels
-        return True
-
-    def lift(self, key: int) -> None:
-        """Prune against ``key`` from now on, if it is the better one."""
-        if key > self.key:
-            self.key = key
-            self.size = key >> _KEY_BITS
-            self.cost = _COST_MASK ^ (key & _COST_MASK)
-
-    def snapshot(self) -> tuple[list[int], int, int, int]:
-        """(clique, labels, size, cost): the witness and the bound, which
-        differ only after ``lift``."""
-        return list(self.clique), self.labels, self.size, self.cost
-
-
-@dataclass(frozen=True)
-class Subproblem:
-    """One root branch: its vertex as a one-vertex ``prefix``, the root's
-    candidates that remain beside it (``cands``), and its colour ``bound``
-    in the root colouring."""
-
-    prefix: tuple[int, ...]
-    cands: int
-    bound: int
-
-
 def split_root(lg: LabelledGraph) -> list[Subproblem]:
-    """One subproblem per root branch, in sequential branch order.
-
-    The branch order is the same in both passes, so the split does not
-    depend on which pass is running.
-    """
-    n = lg.graph.n
-    cands = (1 << n) - 1
-    result = colour_order(lg.graph, cands)
-    subproblems = []
-    for i in range(len(result.order) - 1, -1, -1):
-        v = result.order[i]
-        subproblems.append(Subproblem((v,), cands & lg.graph.adjacency[v], result.bounds[i]))
-        cands &= ~(1 << v)
-    return subproblems
+    """One subproblem per root branch, in sequential branch order: every
+    branch that :func:`sequential._root_branches` draws, listed so that
+    workers can claim them by index."""
+    return list(_root_branches(lg))
 
 
 def steal_from(*_) -> list[Subproblem]:
@@ -157,28 +79,20 @@ def _worker(state) -> None:
     It appends to ``state``'s last item, a list, the child's own best
     witness (clique, labels), its nodes and the label subsets it searched;
     the benchmark's layer trace wraps this function and drops its return
-    value.  A root branch enters ``_expand`` as a one-entry colouring of the
-    root, which the parent counted.
+    value.  A dead unit moves the shared index past the end, since every
+    later unit is dead too, so no child claims another.
     """
     shared, units, first_pass, lg, by_label, within, budget, out = state
-    inc = SharedIncumbent()
+    inc = Incumbent()
     search = _search(first_pass, inc, lg.graph.adjacency, lg.label_bits, within, budget)
-    every = (1 << lg.graph.n) - 1
-    searched = 0
     while True:
         index, key = shared.update(1)
         if index >= len(units):
-            out.append((inc.clique, inc.labels, search[_NODES][0], searched))
+            out.append((inc.clique, inc.labels, *search[_NODES]))
             return
         inc.lift(key)
-        unit = units[index]
-        if isinstance(unit, Subproblem):
-            _expand(search, [], unit.cands, 0, False, unit.prefix, (unit.bound,), 1)
-        else:
-            nodes = _run_subset(inc, first_pass, lg, by_label, every, unit)
-            if nodes is not None:
-                search[_NODES][0] += nodes
-                searched += 1
+        if not _run_unit(search, lg, by_label, units[index]):
+            shared.update(len(units))
         if inc.key > key:
             shared.update(0, inc.key)
 
@@ -200,28 +114,29 @@ def _child(write: int, state) -> None:
         os._exit(0)
 
 
-def _run_pass(children: int, state, key: int) -> list[tuple[list[int], int, int, int]]:
-    """Fork ``children`` workers over a pass whose bound starts at ``key``;
-    returns each one's :func:`_worker` result.  Every child has been
-    reaped when this returns or raises."""
+def _run_pass(workers: int, units, state, best: Incumbent) -> tuple[int, int, list[int]]:
+    """Fork up to ``workers`` children over a pass's ``units``, with the
+    bound starting at ``best``'s key, and merge their witnesses into
+    ``best``; returns the nodes and subsets they searched and each child's
+    nodes.  Every child has been reaped when this returns or raises."""
     import pickle
     import signal
 
-    shared = _Shared(key)
+    shared = _Shared(best.key)
     pids: list[int] = []
     reads: list[int] = []
     try:
-        for _ in range(children):
+        for _ in range(min(workers, len(units))):
             read, write = os.pipe()
             reads.append(read)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(write, (shared, *state, []))
+                    _child(write, (shared, units, *state, []))
             finally:
                 os.close(write)
             pids.append(pid)
-        results = []
+        subsets, per_child = 0, []
         for read in reads:
             with open(read, "rb", closefd=False) as stream:
                 data = stream.read()
@@ -230,8 +145,11 @@ def _run_pass(children: int, state, key: int) -> list[tuple[list[int], int, int,
             ok, result = pickle.loads(data)
             if not ok:
                 raise result
-            results.append(result)
-        return results
+            clique, labels, count, searched = result
+            best.replace(clique, labels, len(clique), labels.bit_count())
+            subsets += searched
+            per_child.append(count)
+        return sum(per_child), subsets, per_child
     finally:
         # A child that has finished is a zombie until it is waited for, so
         # the kill cannot reach a recycled pid.
@@ -255,8 +173,6 @@ def solve_parallel(
     children than it has units, and every child is reaped before this
     returns or raises.  Pass 2 forks from pass 1's merged incumbent.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {budget}")
     if workers is None:
         affinity = getattr(os, "sched_getaffinity", None)
         workers = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -264,33 +180,4 @@ def solve_parallel(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1 or not hasattr(os, "fork"):
         return solve(lg, budget)
-    start = perf_counter()
-    permuted, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
-    _fit_recursion_limit(permuted.graph)
-    within = WithinLabels(permuted.label_bits)
-    best = SharedIncumbent()
-    by_label = None
-    nodes, subsets, worker_nodes = [0, 0], [0, 0], []
-    for index, first_pass in enumerate((True, False)):
-        if not (first_pass or _pass_two_needed(best)):
-            break
-        units = _pass_subsets(permuted, first_pass, budget, best.cost)
-        if units is None:
-            units = split_root(permuted)
-            nodes[index] = 1  # the root colouring split_root made
-        else:
-            by_label = by_label or label_adjacency(permuted)
-        state = (units, first_pass, permuted, by_label, within, budget)
-        results = _run_pass(min(workers, len(units)), state, best.key)
-        worker_nodes += [0] * (len(results) - len(worker_nodes))
-        for slot, (clique, labels, count, searched) in enumerate(results):
-            best.replace(clique, labels, len(clique), labels.bit_count())
-            nodes[index] += count
-            subsets[index] += searched
-            worker_nodes[slot] += count
-    clique, labels, size, cost = best.snapshot()
-    elapsed = perf_counter() - start
-    stats = SearchStats(*nodes, elapsed, len(worker_nodes), vertices_searched=permuted.graph.n,
-                        subsets_pass1=subsets[0], subsets_pass2=subsets[1],
-                        worker_nodes=worker_nodes)
-    return Solution(sorted(perm.to_original(clique)), size, labels, cost, stats)
+    return _solve(lg, budget, split_root, partial(_run_pass, workers))

@@ -17,18 +17,25 @@ labelled in T, with no label union: every feasible clique lies in some G_T
 with |T| = min(budget, K), and trying the smallest T first finds the
 cheapest clique of a size.  :func:`_few` decides from the graph's size and
 average degree whether the subsets are worth it.
+
+A pass runs its work units in sequential order: the label subsets, or the
+root's branches (:class:`Subproblem`) when it runs the paper's search.
+:func:`_solve` is the pass loop of both solvers: :func:`solve` runs each
+pass's units in this process and stops at the first dead one, and
+``parallel.solve_parallel`` hands the same units to forked workers.
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import comb
 from operator import or_
 from time import perf_counter
 
-from .colouring import colour_order_into
+from .colouring import colour_order, colour_order_into
 from .graph import (Graph, LabelledGraph, clique_cost, label_adjacency, permute_by_degree,
                     reduce_to_core)
 
@@ -48,22 +55,59 @@ def is_better(candidate: tuple[int, int], best: tuple[int, int]) -> bool:
     return size > best_size or (size == best_size and cost < best_cost)
 
 
-class Incumbent:
-    """Best feasible clique found so far, in permuted vertex numbering."""
+_KEY_BITS = 32
+_COST_MASK = (1 << _KEY_BITS) - 1
 
-    __slots__ = ("clique", "labels", "size", "cost")
+
+def incumbent_key(size: int, cost: int) -> int:
+    """Encode (size, cost) as one unsigned key that sorts like the solution order.
+
+    High 32 bits hold the size, low 32 bits the bitwise complement of the
+    cost, so ``key(a) > key(b)`` exactly when ``a`` is the better solution.
+    """
+    if not 0 <= size <= _COST_MASK:
+        raise ValueError(f"size out of range: {size}")
+    if not 0 <= cost <= _COST_MASK:
+        raise ValueError(f"cost out of range: {cost}")
+    return (size << _KEY_BITS) | (_COST_MASK ^ cost)
+
+
+class Incumbent:
+    """Best feasible clique found so far, in permuted vertex numbering,
+    keyed by :func:`incumbent_key`.
+
+    ``replace`` installs a better candidate, witness and all; ``lift`` only
+    raises the key and the (size, cost) that pruning reads, to a key another
+    worker published, so the witness is always this search's own best.
+    """
+
+    __slots__ = ("clique", "labels", "size", "cost", "key")
 
     def __init__(self, clique: list[int] | tuple[int, ...] = (), labels: int = 0):
         self.clique = list(clique)
         self.labels = labels
         self.size = len(self.clique)
         self.cost = labels.bit_count()
+        self.key = incumbent_key(self.size, self.cost)
 
-    def replace(self, clique: list[int], labels: int, size: int, cost: int) -> None:
+    def replace(self, clique: list[int], labels: int, size: int, cost: int) -> bool:
+        """Install the candidate iff it beats the stored key; returns success."""
+        key = incumbent_key(size, cost)
+        if key <= self.key:
+            return False
+        self.key = key
         self.clique = list(clique)
         self.labels = labels
         self.size = size
         self.cost = cost
+        return True
+
+    def lift(self, key: int) -> None:
+        """Prune against ``key`` from now on, if it is the better one."""
+        if key > self.key:
+            self.key = key
+            self.size = key >> _KEY_BITS
+            self.cost = _COST_MASK ^ (key & _COST_MASK)
 
     def __repr__(self) -> str:
         return f"Incumbent(size={self.size}, cost={self.cost}, clique={self.clique})"
@@ -132,18 +176,30 @@ class Solution:
     stats: SearchStats = field(default_factory=SearchStats)
 
 
+@dataclass(frozen=True)
+class Subproblem:
+    """One root branch: its vertex as a one-vertex ``prefix``, the root's
+    candidates that remain beside it (``cands``), and its colour ``bound``
+    in the root colouring."""
+
+    prefix: tuple[int, ...]
+    cands: int
+    bound: int
+
+
 _NODES = 6
 
 
 def _search(first_pass, inc, adjacency, label_bits, within, budget):
     """The search context of one pass, as the tuple :func:`_expand` takes.
 
-    It holds the pass's constants, then a node counter ``[count]`` (at
-    index ``_NODES``) and the scratch buffers: one ``(order, bounds)`` pair
-    per clique size, grown on demand.  The buffers make a context belong to
-    one thread.
+    It holds the pass's constants, then the counters ``[nodes, subsets]``
+    (at index ``_NODES``): the nodes searched and the label-subset
+    sub-searches run.  Last come the scratch buffers: one ``(order,
+    bounds)`` pair per clique size, grown on demand, so a context serves
+    one search at a time.
     """
-    return (first_pass, inc, adjacency, label_bits, within, budget, [0], [])
+    return (first_pass, inc, adjacency, label_bits, within, budget, [0, 0], [])
 
 
 def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None, m=0):
@@ -152,9 +208,7 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
     ``search`` is the pass's context from :func:`_search`.  ``clique`` is
     used like a stack (append/pop), never a bitset, so the label union only
     ever scans the current clique, and its length picks the node's scratch
-    buffers.  The incumbent is updated in place; it may be any object
-    exposing size/cost reads and a ``replace(clique, labels, size, cost)``
-    that keeps only improvements.
+    buffers.  The :class:`Incumbent` is updated in place.
 
     A branch whose cost reaches the pass's limit keeps only the candidates
     that ``within`` (a :class:`WithinLabels`) joins to every clique vertex
@@ -165,9 +219,9 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
 
     A caller that has already coloured the node passes ``order``, ``bounds``
     and ``m`` instead; that entry is not counted as a node, since the
-    colouring was counted where it was made.  The parallel solver enters
-    this way with a one-entry colouring per claimed branch.  Returns True
-    when the colour bound cut the node off.
+    colouring was counted where it was made.  Every root branch enters
+    this way, as a one-entry colouring of the root (:func:`_run_unit`).
+    Returns True when the colour bound cut the node off.
     """
     first_pass, inc, adjacency, label_bits, within, budget, nodes, scratch = search
     csize = len(clique)
@@ -213,12 +267,6 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
     return False
 
 
-def _pass_two_needed(inc: Incumbent) -> bool:
-    # A clique of size >= 2 has cost >= 1 and singletons cost 0, so when the
-    # incumbent cost is already <= 1 no cheaper equal-size clique can exist.
-    return inc.cost > 1
-
-
 def _fit_recursion_limit(graph: Graph) -> None:
     """Raise the interpreter's recursion limit only if the search could hit it.
 
@@ -243,7 +291,7 @@ def _few(count: int, graph: Graph) -> bool:
     return count * graph.n <= degree_sum and graph.n * graph.n <= 64 * degree_sum
 
 
-def _search_subset(inc, lg: LabelledGraph, by_label, labels: tuple[int, ...], every: int) -> int:
+def _search_subset(inc, lg: LabelledGraph, by_label, labels: tuple[int, ...]) -> int:
     """Search G_T closed for T = ``labels``; returns the nodes it took.
 
     G_T's rows are the OR of ``by_label``'s rows for T.  Its limit is
@@ -256,7 +304,7 @@ def _search_subset(inc, lg: LabelledGraph, by_label, labels: tuple[int, ...], ev
         rows = list(map(or_, rows, by_label[k]))
     mask = sum(1 << k for k in labels)
     search = _search(True, inc, rows, lg.label_bits, None, len(labels) + 1)
-    _expand(search, [], every, mask, True)
+    _expand(search, [], (1 << lg.graph.n) - 1, mask, True)
     if inc.labels == mask:
         labels, cost = clique_cost(lg, inc.clique)
         inc.replace(inc.clique, labels, inc.size, cost)
@@ -274,25 +322,101 @@ def _pass_subsets(lg: LabelledGraph, first_pass: bool, budget: int,
     return [t for c in sizes for t in combinations(range(lg.num_labels), c)]
 
 
-def _run_subset(inc, first_pass: bool, lg: LabelledGraph, by_label, every: int,
-                labels: tuple[int, ...]) -> int | None:
-    """Run one unit of :func:`_pass_subsets` against ``inc``; returns its
-    nodes, or None when it was skipped.
+def _root_branches(lg: LabelledGraph) -> Iterator[Subproblem]:
+    """The root's branches, in sequential branch order, drawn lazily: a
+    pass that stops at a pruned branch builds none of the rest.
 
-    Pass 2 asks whether G_T holds a clique of ``inc``'s size, and skips T
-    unless |T| < inc.cost: a cheaper clique lies in a smaller T, a unit of
-    its own.  The probe is one vertex short at cost 0, so only a clique of
-    the full size replaces it.
+    The branch order is the same in both passes, so the branches do not
+    depend on which pass is running.
     """
+    cands = (1 << lg.graph.n) - 1
+    result = colour_order(lg.graph, cands)
+    for i in range(len(result.order) - 1, -1, -1):
+        v = result.order[i]
+        yield Subproblem((v,), cands & lg.graph.adjacency[v], result.bounds[i])
+        cands &= ~(1 << v)
+
+
+def _run_unit(search, lg: LabelledGraph, by_label, unit) -> bool:
+    """Run one work unit of a pass against ``search``'s incumbent, adding
+    its nodes, and its sub-search if it ran one, to ``search``'s counters.
+
+    Returns False when this unit and every later unit of the pass are
+    dead.  A root branch enters :func:`_expand` as a one-entry colouring of
+    the root, which the pass counted; it is dead when its colour bound
+    cannot beat the incumbent, as root bounds never increase along the
+    pass and the incumbent only improves.  Pass 2 asks whether G_T holds a
+    clique of the incumbent's size, and T is dead unless |T| < inc.cost: a
+    cheaper clique lies in a smaller T, a unit of its own, and later T only
+    grow while the cost only falls.  The probe is one vertex short at cost
+    0, so only a clique of the full size replaces it.
+    """
+    if isinstance(unit, Subproblem):
+        return not _expand(search, [], unit.cands, 0, False, unit.prefix, (unit.bound,), 1)
+    first_pass, inc, counts = search[0], search[1], search[_NODES]
     if first_pass:
-        return _search_subset(inc, lg, by_label, labels, every)
-    if len(labels) >= inc.cost:
-        return None
-    probe = Incumbent(range(inc.size - 1))
-    nodes = _search_subset(probe, lg, by_label, labels, every)
-    if probe.size == inc.size:
+        counts[0] += _search_subset(inc, lg, by_label, unit)
+    elif len(unit) < inc.cost:
+        probe = Incumbent(range(inc.size - 1))
+        counts[0] += _search_subset(probe, lg, by_label, unit)
         inc.replace(probe.clique, probe.labels, probe.size, probe.cost)
-    return nodes
+    else:
+        return False
+    counts[1] += 1
+    return True
+
+
+def _run_in_order(units, state, inc: Incumbent) -> tuple[int, int, list[int]]:
+    """Run a pass's units in this process, in order, against ``inc``, up to
+    the first dead one; returns the nodes and subsets searched, and no
+    per-worker nodes, since no worker was forked."""
+    first_pass, lg, by_label, within, budget = state
+    search = _search(first_pass, inc, lg.graph.adjacency, lg.label_bits, within, budget)
+    for unit in units:
+        if not _run_unit(search, lg, by_label, unit):
+            break
+    return (*search[_NODES], [])
+
+
+def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
+    """The two passes of both solvers, each over its work units.
+
+    A pass's units are its label subsets when :func:`_pass_subsets` lists
+    them, else the root branches ``roots(graph)`` lists after colouring the
+    root.  ``run_pass(units, state, inc)`` runs them against ``inc`` and
+    returns the nodes and subsets they searched and each forked worker's
+    nodes.
+    """
+    if budget < 1:
+        raise ValueError(f"budget must be a positive integer, got {budget}")
+    start = perf_counter()
+    permuted, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
+    _fit_recursion_limit(permuted.graph)
+    within = WithinLabels(permuted.label_bits)
+    inc = Incumbent()
+    by_label = None
+    nodes, subsets, worker_nodes = [0, 0], [0, 0], []
+    for index, first_pass in enumerate((True, False)):
+        # A clique of size >= 2 has cost >= 1 and singletons cost 0, so when
+        # the incumbent cost is already <= 1 no cheaper equal-size clique exists.
+        if not first_pass and inc.cost <= 1:
+            break
+        units = _pass_subsets(permuted, first_pass, budget, inc.cost)
+        if units is None:
+            units = roots(permuted)
+            nodes[index] = 1  # the root colouring
+        else:
+            by_label = by_label or label_adjacency(permuted)
+        state = (first_pass, permuted, by_label, within, budget)
+        searched, subsets[index], per_worker = run_pass(units, state, inc)
+        nodes[index] += searched
+        worker_nodes = [a + b for a, b in zip_longest(worker_nodes, per_worker, fillvalue=0)]
+    elapsed = perf_counter() - start
+    stats = SearchStats(*nodes, elapsed, len(worker_nodes) or 1,
+                        vertices_searched=permuted.graph.n, subsets_pass1=subsets[0],
+                        subsets_pass2=subsets[1], worker_nodes=worker_nodes)
+    witness = sorted(perm.to_original(inc.clique))
+    return Solution(witness, inc.size, inc.labels, inc.cost, stats)
 
 
 def solve(lg: LabelledGraph, budget: int) -> Solution:
@@ -303,37 +427,6 @@ def solve(lg: LabelledGraph, budget: int) -> Solution:
     (size pass, then cost pass, keeping the incumbent in between), and the
     witness is mapped back to original numbering.  Each pass searches the
     label subsets' subgraphs when they are few, and the whole graph
-    otherwise.
+    otherwise, one root branch at a time, all in this process.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {budget}")
-    start = perf_counter()
-    permuted, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
-    graph = permuted.graph
-    _fit_recursion_limit(graph)
-    label_bits = permuted.label_bits
-    every_vertex = (1 << graph.n) - 1
-    inc = Incumbent()
-    constants = (inc, graph.adjacency, label_bits, WithinLabels(label_bits), budget)
-    by_label = None
-    nodes, subsets = [0, 0], [0, 0]
-    for index, first_pass in enumerate((True, False)):
-        if not (first_pass or _pass_two_needed(inc)):
-            break
-        units = _pass_subsets(permuted, first_pass, budget, inc.cost)
-        if units is None:
-            search = _search(first_pass, *constants)
-            _expand(search, [], every_vertex, 0)
-            nodes[index] = search[_NODES][0]
-            continue
-        by_label = by_label or label_adjacency(permuted)
-        for subset in units:
-            searched = _run_subset(inc, first_pass, permuted, by_label, every_vertex, subset)
-            if searched is not None:
-                nodes[index] += searched
-                subsets[index] += 1
-    elapsed = perf_counter() - start
-    stats = SearchStats(*nodes, elapsed, vertices_searched=graph.n,
-                        subsets_pass1=subsets[0], subsets_pass2=subsets[1])
-    witness = sorted(perm.to_original(inc.clique))
-    return Solution(witness, inc.size, inc.labels, inc.cost, stats)
+    return _solve(lg, budget, _root_branches, _run_in_order)

@@ -24,6 +24,7 @@ from labelled_clique import (
     splitmix_next,
     write_dimacs,
 )
+import labelled_clique.sequential as seq_mod
 from labelled_clique.cli import EXIT_OK, main
 from labelled_clique.oracle import oracle_solve
 
@@ -266,7 +267,7 @@ def test_criterion_8_large_sparse_graphs():
     print(f"ACCEPTANCE 8: PASS (9 runs on 7000-vertex sparse graph, worst {worst:.2f}s < 5s)")
 
 
-def test_subset_rule_follows_average_degree(keller4):
+def test_subset_rule_follows_average_degree(keller4, monkeypatch):
     # A pass searches the label subsets' subgraphs only when there are no
     # more subsets than the average degree: 2 * 9,435 / 171 = 110.4 on
     # keller4.  K=8, b=4: C(8, 4) = 70 subsets, then 8 + 28 + 56 = 92 below
@@ -281,11 +282,23 @@ def test_subset_rule_follows_average_degree(keller4):
     assert first.stats.nodes_pass2 > 0
     # Criterion 8's graph at K=5, b=2 keeps 2,610 vertices after the peel,
     # whose average degree (3.8) is below both C(5, 2) = 10 and the 41
-    # machine words of a row.
+    # machine words of a row.  Its passes walk the root branches lazily and
+    # stop at the first one the bound prunes, so both passes together draw
+    # fewer than the 2,610 a single full list would hold.
+    drawn = []
+    root_branches = seq_mod._root_branches
+
+    def counting(lg):
+        for unit in root_branches(lg):
+            drawn.append(unit)
+            yield unit
+
+    monkeypatch.setattr(seq_mod, "_root_branches", counting)
     sparse = solve(random_labels(_collaboration_scale_graph(), 5, seed=5 * 31 + 2), 2)
     assert sparse.stats.vertices_searched == 2610
     assert (sparse.stats.subsets_pass1, sparse.stats.subsets_pass2) == (0, 0)
     assert sparse.stats.nodes_pass1 > 0 and sparse.stats.nodes_pass2 > 0
+    assert 0 < len(drawn) < sparse.stats.vertices_searched
 
 
 def test_criterion_9_cli_contract(tmp_path, capsys):

@@ -1,14 +1,16 @@
 import dataclasses
 import gc
+import importlib.util
 import os
 import signal
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from labelled_clique import (
-    SharedIncumbent,
+    Incumbent,
     build_graph,
     build_labelled,
     clique_cost,
@@ -49,40 +51,46 @@ def test_incumbent_key_orders_like_is_better():
             assert (incumbent_key(*a) > incumbent_key(*b)) == is_better(a, b)
 
 
+def held(inc):
+    """(clique, labels, size, cost): the witness and the bound, which
+    differ only after ``lift``."""
+    return list(inc.clique), inc.labels, inc.size, inc.cost
+
+
 def test_try_improve_examples():
-    inc = SharedIncumbent()
+    inc = Incumbent()
     assert inc.replace([7, 8, 9, 10], 0b111, 4, 3)  # (4, 3) over empty
     assert inc.replace([1, 2, 3, 4], 0b011, 4, 2)  # (4, 2) improves (4, 3)
     assert (inc.size, inc.cost) == (4, 2)
-    snap_before = inc.snapshot()
+    snap_before = held(inc)
     assert not inc.replace([5], 0, 1, 0)  # (1, 0) cannot unseat (4, 2)
-    assert inc.snapshot() == snap_before
+    assert held(inc) == snap_before
 
 
 def test_try_improve_keeps_witness_and_key_consistent():
-    inc = SharedIncumbent()
+    inc = Incumbent()
     inc.replace([3, 4], 0b1, 2, 1)
-    clique, labels, size, cost = inc.snapshot()
+    clique, labels, size, cost = held(inc)
     assert size == len(clique) == 2
     assert cost == labels.bit_count() == 1
     assert inc.key == incumbent_key(size, cost)
 
 
 def test_lift_raises_the_bound_but_keeps_the_witness():
-    inc = SharedIncumbent()
+    inc = Incumbent()
     inc.replace([1, 2, 3], 0b11, 3, 2)
     inc.lift(incumbent_key(4, 3))  # another worker's (4, 3)
     assert (inc.size, inc.cost) == (4, 3)
-    assert inc.snapshot() == ([1, 2, 3], 0b11, 4, 3)
+    assert held(inc) == ([1, 2, 3], 0b11, 4, 3)
     inc.lift(incumbent_key(2, 0))  # never lowers the bound
     assert (inc.size, inc.cost) == (4, 3)
     assert not inc.replace([5, 6, 7], 0b1, 3, 1)
     assert inc.replace([4, 5, 6, 7], 0b1, 4, 1)
-    assert inc.snapshot() == ([4, 5, 6, 7], 0b1, 4, 1)
+    assert held(inc) == ([4, 5, 6, 7], 0b1, 4, 1)
 
 
 def test_key_sequence_monotone_under_mixed_offers():
-    inc = SharedIncumbent()
+    inc = Incumbent()
     keys = [inc.key]
     for size, labels in [(1, 0), (3, 0b101), (2, 0), (3, 0b1), (4, 0b1111), (3, 0)]:
         inc.replace(list(range(size)), labels, size, labels.bit_count())
@@ -168,6 +176,19 @@ def first_pass_nodes(records: list[int], run) -> tuple[Counter, object]:
     return Counter(records[: solution.stats.nodes_pass1]), solution
 
 
+def drive_worker(units, lg, budget):
+    """Run ``_worker`` in this process as the only worker of a size pass
+    over ``units``; returns its result and the unit index it left shared."""
+    shared = par_mod._Shared(incumbent_key(0, 0))
+    try:
+        out = []
+        par_mod._worker((shared, units, True, lg, None, WithinLabels(lg.label_bits), budget, out))
+        index, _ = shared.update(0)
+    finally:
+        shared.close()
+    return out[0], index
+
+
 def test_replay_accounting_prefixes_match_sequential(monkeypatch):
     # With no bound pruning the size pass explores a fixed tree, so the
     # nodes the unit runner colours over split_root's branches must be
@@ -180,18 +201,39 @@ def test_replay_accounting_prefixes_match_sequential(monkeypatch):
     assert sum(seq_nodes.values()) > 1
     permuted, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
     records.clear()
-    units = par_mod.split_root(permuted)
-    shared = par_mod._Shared(incumbent_key(0, 0))
-    try:
-        out = []
-        par_mod._worker(
-            (shared, units, True, permuted, None, WithinLabels(permuted.label_bits), 2, out))
-        [(clique, labels, nodes, _)] = out
-    finally:
-        shared.close()
+    (clique, labels, nodes, _), _ = drive_worker(par_mod.split_root(permuted), permuted, 2)
     assert Counter(records) == seq_nodes  # no node twice, none lost, none invented
     assert 1 + nodes == seq.stats.nodes_pass1  # the root colouring is split_root's
     assert len(clique) == seq.size
+    # solve walks the same root branches, one unit at a time, when a pass
+    # has too many label subsets to decompose.
+    lg = random_instance(24, 0.6, 16, seed=2024)
+    paper_nodes, paper = first_pass_nodes(records, lambda: paper_solve(lg, 2))
+    solve_nodes, solved = first_pass_nodes(records, lambda: solve(lg, 2))
+    assert solved.stats.subsets_pass1 == 0
+    assert solve_nodes == paper_nodes
+    assert solved.stats.nodes_pass1 == paper.stats.nodes_pass1
+
+
+def test_worker_drains_the_pass_at_a_dead_unit(monkeypatch):
+    # Root bounds never increase along the pass and the bound only rises,
+    # so the first branch the bound prunes ends the pass for every worker.
+    lg = random_instance(24, 0.6, 16, seed=2024)
+    permuted, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
+    units = split_root(permuted)
+    ran = []
+    run_unit = par_mod._run_unit
+
+    def counting(search, lg, by_label, unit):
+        ran.append(unit)
+        return run_unit(search, lg, by_label, unit)
+
+    monkeypatch.setattr(par_mod, "_run_unit", counting)
+    (clique, labels, nodes, _), index = drive_worker(units, permuted, 2)
+    assert len(ran) < len(units) <= index
+    seq = solve(lg, 2)
+    assert (len(clique), labels.bit_count()) == (seq.size, seq.cost)
+    assert 1 + nodes == seq.stats.nodes_pass1
 
 
 def test_each_unit_runs_once_with_more_workers_than_cores(monkeypatch):
@@ -209,6 +251,27 @@ def test_each_unit_runs_once_with_more_workers_than_cores(monkeypatch):
             par = solve_parallel(lg, 2, workers=workers)
             assert par.stats.nodes_pass1 == seq.stats.nodes_pass1
             assert par.stats.subsets_pass1 == seq.stats.subsets_pass1
+
+
+def test_benchmark_layer_trace_still_hooks_in(fig1):
+    # perfbench/layers.py wraps program attributes by name; one that goes
+    # missing makes every traced benchmark run fail.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    tracer = layers.Tracer(profile=True)
+    runs = (lambda: solve(fig1, 3),
+            lambda: solve_parallel(random_instance(24, 0.6, 16, seed=2024), 2, workers=2))
+    with tracer.installed():
+        for run in runs:
+            with tracer.span("solve"):
+                run()
+    solves = [sid for sid, _, _, name, _, _ in tracer.spans if name == "solve"]
+    permutes = [solve for _, _, solve, name, _, _ in tracer.spans
+                if name == "graph.permute_by_degree"]
+    assert sorted(permutes) == sorted(solves) and len(solves) == 2
+    assert tracer.counts["parallel.subproblems"] > 0
 
 
 def test_solves_leave_no_reference_cycles(fig1):
