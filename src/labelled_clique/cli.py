@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .graph import GraphError, LabelledGraph, clique_cost, label_indices
-from .graph_io import InstanceSpec, ParseError, parse_dimacs, parse_labels, random_labels, resolve_budget
+from .graph_io import InstanceSpec, ParseError
 from .parallel import solve_parallel
 from .sequential import Solution, solve
 
@@ -104,10 +104,9 @@ def _instance_spec(args: argparse.Namespace) -> InstanceSpec:
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec = _instance_spec(args)
     lg, budget = spec.load()
-    threads = args.threads
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    solution = solve_parallel(lg, budget, workers=threads)
+    if args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
+    solution = solve_parallel(lg, budget, workers=args.threads)
     problem = _check_witness(lg, budget, solution)
     if problem is not None:
         print(f"internal validation failure: {problem}", file=sys.stderr)
@@ -118,7 +117,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         m=lg.graph.edge_count(),
         num_labels=lg.num_labels,
         budget=budget,
-        threads=threads,
+        threads=args.threads,
         seed=None if args.label_file else spec.seed,
         label_file=args.label_file,
         size=solution.size,
@@ -176,44 +175,35 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     forking the workers but not file reading or label generation; the
     size/cost columns are bit-reproducible for a fixed base seed.
     """
-    if (args.labels is None) == (args.label_file is None):
-        raise ValueError("exactly one label source: --labels or --label-file")
-    threads = args.threads
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    label_file = Path(args.label_file) if args.label_file else None
+    rows = [InstanceSpec(Path(path), count, args.seed, label_file, budget_pct=pct)
+            for path in args.graphs for count in args.labels or [None] for pct in args.budget_pct]
+    if args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
     if args.samples < 1:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
     print("instance labels pct budget size cost t_seq t_par")
-    for path in args.graphs:
-        graph = parse_dimacs(Path(path).read_text())
-        name = Path(path).stem
-        fixed = parse_labels(Path(args.label_file).read_text(), graph) if args.label_file else None
-        label_counts = [fixed.num_labels] if fixed else args.labels
-        for num_labels in label_counts:
-            for pct in args.budget_pct:
-                budget = resolve_budget(num_labels, budget_pct=pct)
-                sum_size = sum_cost = 0
-                sum_seq = sum_par = 0.0
-                for sample in range(args.samples):
-                    seed = args.seed + sample
-                    lg = fixed if fixed else random_labels(graph, num_labels, seed)
-                    seq = solve(lg, budget)
-                    par = solve_parallel(lg, budget, workers=threads)
-                    for solution in (seq, par):
-                        problem = _check_witness(lg, budget, solution)
-                        if problem is not None:
-                            print(f"internal validation failure: {problem}", file=sys.stderr)
-                            return EXIT_INTERNAL
-                    sum_size += seq.size
-                    sum_cost += seq.cost
-                    sum_seq += seq.stats.elapsed
-                    sum_par += par.stats.elapsed
-                k = args.samples
-                print(
-                    f"{name} {num_labels} {pct} {budget} "
-                    f"{sum_size / k:.2f} {sum_cost / k:.2f} "
-                    f"{sum_seq / k:.4f} {sum_par / k:.4f}"
-                )
+    for spec in rows:
+        sum_size = sum_cost = 0
+        sum_seq = sum_par = 0.0
+        for lg, budget in spec.samples(args.samples):
+            seq = solve(lg, budget)
+            par = solve_parallel(lg, budget, workers=args.threads)
+            for solution in (seq, par):
+                problem = _check_witness(lg, budget, solution)
+                if problem is not None:
+                    print(f"internal validation failure: {problem}", file=sys.stderr)
+                    return EXIT_INTERNAL
+            sum_size += seq.size
+            sum_cost += seq.cost
+            sum_seq += seq.stats.elapsed
+            sum_par += par.stats.elapsed
+        k = args.samples
+        print(
+            f"{spec.graph_path.stem} {lg.num_labels} {spec.budget_pct} {budget} "
+            f"{sum_size / k:.2f} {sum_cost / k:.2f} "
+            f"{sum_seq / k:.4f} {sum_par / k:.4f}"
+        )
     return EXIT_OK
 
 

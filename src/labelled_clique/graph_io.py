@@ -20,6 +20,7 @@ regardless of the order edges appeared in the input file.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -257,12 +258,16 @@ class InstanceSpec:
 
     def load(self) -> tuple[LabelledGraph, int]:
         """Read the graph, attach labels, and resolve the budget."""
+        return next(self.samples(1))
+
+    def samples(self, count: int) -> Iterator[tuple[LabelledGraph, int]]:
+        """``count`` labellings of the graph, read once, with their budgets:
+        the label file's each time, or random ones from seed, seed + 1, ..."""
         graph = parse_dimacs(Path(self.graph_path).read_text())
-        if self.label_file is not None:
-            lg = parse_labels(Path(self.label_file).read_text(), graph)
-        else:
-            lg = random_labels(graph, self.num_labels, self.seed)
-        return lg, resolve_budget(lg.num_labels, self.budget, self.budget_pct)
+        fixed = self.label_file and parse_labels(Path(self.label_file).read_text(), graph)
+        for sample in range(count):
+            lg = fixed or random_labels(graph, self.num_labels, self.seed + sample)
+            yield lg, resolve_budget(lg.num_labels, self.budget, self.budget_pct)
 
 
 def fixture_path(name: str) -> Path:

@@ -23,8 +23,8 @@ from functools import partial
 
 # permute_by_degree is unused here, but perfbench/layers.py wraps it by name.
 from .graph import LabelledGraph, permute_by_degree  # noqa: F401
-from .sequential import (_NODES, Incumbent, Solution, Subproblem, _root_branches, _run_unit,
-                         _search, _solve, solve)
+from .sequential import (_NODES, Incumbent, Solution, Subproblem, _root_branches, _run_in_order,
+                         _run_unit, _search, _solve, solve)
 
 _SHARED = struct.Struct("QQ")  # next unit index, best published key
 
@@ -115,13 +115,15 @@ def _child(write: int, state) -> None:
 
 
 def _run_pass(workers: int, units, state, best: Incumbent) -> tuple[int, int, list[int]]:
-    """Fork up to ``workers`` children over a pass's ``units``, with the
-    bound starting at ``best``'s key, and merge their witnesses into
+    """Run a pass's ``units`` in up to ``workers`` forked children (here, if
+    there is one), from ``best``'s key, and merge their witnesses into
     ``best``; returns the nodes and subsets they searched and each child's
     nodes.  Every child has been reaped when this returns or raises."""
     import pickle
     import signal
 
+    if len(units) < 2:
+        return _run_in_order(units, state, best)
     shared = _Shared(best.key)
     pids: list[int] = []
     reads: list[int] = []

@@ -14,9 +14,10 @@ every remaining candidate adds no label.
 
 A pass may instead search the subgraphs G_T that keep only the edges
 labelled in T, with no label union: every feasible clique lies in some G_T
-with |T| = min(budget, K), and trying the smallest T first finds the
-cheapest clique of a size.  :func:`_few` decides from the graph's size and
-average degree whether the subsets are worth it.
+with |T| = min(budget, K), and pass 2 asks level by level whether a G_T
+with |T| one below the incumbent's cost holds a clique of its size.
+:func:`_few` decides from the graph's size and average degree whether
+the subsets of a pass or a level are worth it.
 
 A pass runs its work units in sequential order: the label subsets, or the
 root's branches (:class:`Subproblem`) when it runs the paper's search.
@@ -150,10 +151,10 @@ class WithinLabels(dict):
 
 @dataclass
 class SearchStats:
-    """Recursion-call counters and wall time for one solve, the number of
-    vertices left to search after the core peel, the label-subset
-    sub-searches each pass ran (0 when it ran the paper's search), and the
-    nodes each forked worker searched over both passes (empty in ``solve``)."""
+    """Recursion-call counters and wall time for one solve, the vertices
+    left to search after the core peel, the label-subset sub-searches each
+    pass ran (0 for the paper's search, pass 2's summed over its levels),
+    and the nodes each forked worker searched over both passes."""
 
     nodes_pass1: int = 0
     nodes_pass2: int = 0
@@ -314,12 +315,12 @@ def _search_subset(inc, lg: LabelledGraph, by_label, labels: tuple[int, ...]) ->
 def _pass_subsets(lg: LabelledGraph, first_pass: bool, budget: int,
                   cost: int) -> list[tuple[int, ...]] | None:
     """The label subsets a pass searches, in order: every T with |T| =
-    min(budget, K) in pass 1, T of size 1 ... cost - 1 in pass 2.  None when
-    :func:`_few` leaves the pass to the paper's search."""
-    sizes = [min(budget, lg.num_labels)] if first_pass else range(1, cost)
-    if not _few(sum(comb(lg.num_labels, c) for c in sizes), lg.graph):
+    min(budget, K) in pass 1, or with |T| = ``cost`` - 1 in a pass-2 level.
+    None when :func:`_few` leaves them to the paper's search."""
+    size = min(budget, lg.num_labels) if first_pass else cost - 1
+    if not _few(comb(lg.num_labels, size), lg.graph):
         return None
-    return [t for c in sizes for t in combinations(range(lg.num_labels), c)]
+    return list(combinations(range(lg.num_labels), size))
 
 
 def _root_branches(lg: LabelledGraph) -> Iterator[Subproblem]:
@@ -345,10 +346,10 @@ def _run_unit(search, lg: LabelledGraph, by_label, unit) -> bool:
     dead.  A root branch enters :func:`_expand` as a one-entry colouring of
     the root, which the pass counted; it is dead when its colour bound
     cannot beat the incumbent, as root bounds never increase along the
-    pass and the incumbent only improves.  Pass 2 asks whether G_T holds a
-    clique of the incumbent's size, and T is dead unless |T| < inc.cost: a
-    cheaper clique lies in a smaller T, a unit of its own, and later T only
-    grow while the cost only falls.  The probe is one vertex short at cost
+    pass and the incumbent only improves.  A pass-2 level asks whether G_T
+    holds a clique of the incumbent's size, and T is dead unless |T| <
+    inc.cost: once one T lowers the cost, a cheaper clique lies in a smaller
+    T, which the next level lists.  The probe is one vertex short at cost
     0, so only a clique of the full size replaces it.
     """
     if isinstance(unit, Subproblem):
@@ -379,7 +380,7 @@ def _run_in_order(units, state, inc: Incumbent) -> tuple[int, int, list[int]]:
 
 
 def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
-    """The two passes of both solvers, each over its work units.
+    """The two passes of both solvers, pass 2 by levels, each over its units.
 
     A pass's units are its label subsets when :func:`_pass_subsets` lists
     them, else the root branches ``roots(graph)`` lists after colouring the
@@ -393,24 +394,26 @@ def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
     permuted, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
     _fit_recursion_limit(permuted.graph)
     within = WithinLabels(permuted.label_bits)
-    inc = Incumbent()
-    by_label = None
+    inc, by_label = Incumbent(), None
     nodes, subsets, worker_nodes = [0, 0], [0, 0], []
-    for index, first_pass in enumerate((True, False)):
-        # A clique of size >= 2 has cost >= 1 and singletons cost 0, so when
-        # the incumbent cost is already <= 1 no cheaper equal-size clique exists.
-        if not first_pass and inc.cost <= 1:
-            break
+    first_pass, index, cost = True, 0, 0
+    # A level follows only a level that lowered the cost below ``cost``, as
+    # every smaller T lies in a T it searched; none follows the paper's
+    # search, which is complete.  Singletons cost 0, so stop at cost <= 1.
+    while first_pass or 1 < inc.cost < cost:
         units = _pass_subsets(permuted, first_pass, budget, inc.cost)
+        cost = budget + 1 if first_pass else inc.cost if units else 0
         if units is None:
             units = roots(permuted)
-            nodes[index] = 1  # the root colouring
+            nodes[index] += 1  # the root colouring
         else:
             by_label = by_label or label_adjacency(permuted)
         state = (first_pass, permuted, by_label, within, budget)
-        searched, subsets[index], per_worker = run_pass(units, state, inc)
+        searched, subset_count, per_worker = run_pass(units, state, inc)
         nodes[index] += searched
+        subsets[index] += subset_count
         worker_nodes = [a + b for a, b in zip_longest(worker_nodes, per_worker, fillvalue=0)]
+        first_pass, index = False, 1
     elapsed = perf_counter() - start
     stats = SearchStats(*nodes, elapsed, len(worker_nodes) or 1,
                         vertices_searched=permuted.graph.n, subsets_pass1=subsets[0],

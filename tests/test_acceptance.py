@@ -270,16 +270,23 @@ def test_criterion_8_large_sparse_graphs():
 def test_subset_rule_follows_average_degree(keller4, monkeypatch):
     # A pass searches the label subsets' subgraphs only when there are no
     # more subsets than the average degree: 2 * 9,435 / 171 = 110.4 on
-    # keller4.  K=8, b=4: C(8, 4) = 70 subsets, then 8 + 28 + 56 = 92 below
-    # the pass-1 cost of 4, none of which holds a 7-clique.
+    # keller4.  K=8, b=4: C(8, 4) = 70 subsets, then pass 2's one level,
+    # the C(8, 3) = 56 subsets one label below the pass-1 cost of 4, none of
+    # which holds a 7-clique.
     both = solve(random_labels(keller4, 8, 0), 4)
     assert (both.size, both.cost) == (7, 4)
-    assert (both.stats.subsets_pass1, both.stats.subsets_pass2) == (70, 92)
-    # K=8, b=6: C(8, 6) = 28 subsets, but 218 below the pass-1 cost of 6.
-    first = solve(random_labels(keller4, 8, 0), 6)
-    assert (first.size, first.cost) == (10, 6)
-    assert (first.stats.subsets_pass1, first.stats.subsets_pass2) == (28, 0)
-    assert first.stats.nodes_pass2 > 0
+    assert (both.stats.subsets_pass1, both.stats.subsets_pass2) == (70, 56)
+    # K=8, b=6: C(8, 6) = 28 subsets, then C(8, 5) = 56 in pass 2's level.
+    levels = solve(random_labels(keller4, 8, 0), 6)
+    assert (levels.size, levels.cost) == (10, 6)
+    assert (levels.stats.subsets_pass1, levels.stats.subsets_pass2) == (28, 56)
+    assert levels.stats.nodes_pass2 == 31199
+    # K=16, b=2: C(16, 2) = 120 subsets exceed the average degree, so pass 1
+    # runs the paper's search; pass 2's level has the 16 single labels.
+    first = solve(random_labels(keller4, 16, 0), 2)
+    assert (first.size, first.cost) == (5, 2)
+    assert (first.stats.subsets_pass1, first.stats.subsets_pass2) == (0, 16)
+    assert first.stats.nodes_pass1 > 0
     # Criterion 8's graph at K=5, b=2 keeps 2,610 vertices after the peel,
     # whose average degree (3.8) is below both C(5, 2) = 10 and the 41
     # machine words of a row.  Its passes walk the root branches lazily and

@@ -381,6 +381,25 @@ def test_no_more_children_than_units(fig1, monkeypatch):
     assert solution.stats.workers == len(solution.stats.worker_nodes) == 4
 
 
+def test_one_unit_pass_forks_nothing(fig1, monkeypatch):
+    # At budget 4 = K pass 1 has the one subset C(4, 4), which runs in the
+    # parent; pass 2's level of C(4, 3) = 4 subsets forks two children.
+    forks = count_forks(monkeypatch)
+    per_pass = []
+    run_pass = par_mod._run_pass
+
+    def counting(workers, units, state, best):
+        before = len(forks)
+        result = run_pass(workers, units, state, best)
+        per_pass.append((state[0], len(units), len(forks) - before))
+        return result
+
+    monkeypatch.setattr(par_mod, "_run_pass", counting)
+    solution = solve_parallel(fig1, 4, workers=2)
+    assert (solution.size, solution.cost) == (5, 4)
+    assert per_pass == [(True, 1, 0), (False, 4, 2)]
+
+
 def test_default_workers_follow_affinity(fig1, monkeypatch):
     forks = count_forks(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

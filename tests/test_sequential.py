@@ -1,4 +1,5 @@
 import sys
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -15,6 +16,8 @@ from labelled_clique import (
     solve,
     solve_parallel,
 )
+import labelled_clique.sequential as seq_mod
+from labelled_clique.graph import LabelledGraph
 from labelled_clique.sequential import _NODES, WithinLabels, _expand, _search
 
 from conftest import random_instance
@@ -240,6 +243,44 @@ def test_pass_two_never_grows_and_never_costs_more():
         _expand(_search(False, inc, adjacency, label_bits, within, 2), [], every, 0)
         assert inc.size == pass1[0]
         assert inc.cost <= pass1[1]
+
+
+def staircase() -> LabelledGraph:
+    """Three disjoint 8-cliques over 4 labels, whose edges use the labels
+    {0, 1, 2}, {2, 3} and {0, 1, 2, 3}, each label of a set in turn.
+
+    Pass 1 (budget 4, one subset) settles on the cost-4 clique, which its
+    branch order reaches first.  Pass 2's level of 3-label subsets finds
+    the cost-3 clique in T = {0, 1, 2}, which holds no other; the level of
+    2-label subsets finds the cost-2 one; the single labels hold none.
+    """
+    edges, labels = [], {}
+    for block, label_set in enumerate(((0, 1, 2), (2, 3), (0, 1, 2, 3))):
+        for j, edge in enumerate(combinations(range(8 * block, 8 * block + 8), 2)):
+            edges.append(edge)
+            labels[edge] = label_set[j % len(label_set)]
+    return build_labelled(build_graph(24, edges), 4, labels)
+
+
+def test_pass_two_descends_level_by_level(monkeypatch):
+    lg = staircase()
+    levels = []
+    pass_subsets = seq_mod._pass_subsets
+
+    def recording(lg, first_pass, budget, cost):
+        units = pass_subsets(lg, first_pass, budget, cost)
+        levels.append((first_pass, cost, len(units)))
+        return units
+
+    monkeypatch.setattr(seq_mod, "_pass_subsets", recording)
+    solution = solve(lg, 4)
+    assert (solution.size, solution.cost) == oracle_solve(lg, 4)[:2] == (8, 2)
+    assert levels == [(True, 0, 1), (False, 4, 4), (False, 3, 6), (False, 2, 4)]
+    # 1 subset until the first cost-3 fill, all 6 of the next level, 4 singles.
+    assert solution.stats.subsets_pass2 == 1 + 6 + 4
+    parallel = solve_parallel(lg, 4, workers=2)
+    assert (parallel.size, parallel.cost) == (8, 2)
+    assert clique_cost(lg, parallel.clique) == (parallel.labels, 2)
 
 
 @pytest.fixture
