@@ -1,11 +1,20 @@
 """Greedy sequential colouring: branching order plus a non-decreasing bound.
 
-Colour classes are built lowest-vertex-first: repeatedly take the lowest
-set bit of the still-colourable set, give it the current colour, and knock
-out its neighbours with one and-with-complement.  The ``bounds`` entry for
-a vertex records how many colours were in use when it was coloured, so the
-first ``i`` vertices of ``order`` are always colourable with ``bounds[i-1]``
-colours, which caps any clique among them at that size.
+There are two kernels with the same colouring, numbered both ways.
+:func:`colour_order_into` builds colour classes lowest-vertex-first: it
+repeatedly takes the lowest set bit of the still-colourable set, gives it
+the current colour, and knocks out its neighbours with one
+and-with-complement.  The paper's search and :func:`colour_order` use it.
+:func:`colour_top_down_into` takes the highest set bit, which
+``bit_length`` finds without allocating, and keeps only the vertices a
+precomputed ``below`` row leaves colourable.  The label-subset sub-searches
+number their rows top-down for it, so their colourings are the mirror
+images of the bottom-up ones.
+
+The ``bounds`` entry for a vertex records how many colours were in use
+when it was coloured, so the first ``i`` vertices of ``order`` are always
+colourable with ``bounds[i-1]`` colours, which caps any clique among them
+at that size.
 """
 
 from __future__ import annotations
@@ -46,6 +55,31 @@ def colour_order_into(
             m += 1
             uncoloured ^= bit
             colourable = (colourable ^ bit) & ~adjacency[v]
+    return m
+
+
+def colour_top_down_into(
+    below: list[int], cands: int, order: list[int], bounds: list[int]
+) -> int:
+    """:func:`colour_order_into`, highest vertex first.
+
+    ``below[v]`` is the bitset of ``v``'s non-neighbours numbered below
+    ``v``.  On rows numbered ``v -> n - 1 - v`` this writes the mirror
+    image of :func:`colour_order_into`'s order, with the same bounds.
+    """
+    m = 0
+    colour = 0
+    uncoloured = cands
+    while uncoloured:
+        colour += 1
+        colourable = uncoloured
+        while colourable:
+            v = colourable.bit_length() - 1
+            order[m] = v
+            bounds[m] = colour
+            m += 1
+            uncoloured ^= 1 << v
+            colourable &= below[v]
     return m
 
 

@@ -179,12 +179,18 @@ def attach_labels(
 
 
 def label_adjacency(lg: LabelledGraph) -> list[list[int]]:
-    """One adjacency per label: ``rows[k][v]`` is the bitset of the
-    neighbours of ``v`` joined to it by an edge labelled ``k``."""
+    """One adjacency per label, numbered top-down: vertex ``v`` is
+    ``n - 1 - v`` here, both as a row index and as a bit, so
+    ``rows[k][n - 1 - v]`` is the bitset of the neighbours of ``v`` joined
+    to it by an edge labelled ``k``.
+
+    The label-subset sub-searches colour these rows highest vertex first
+    (``colouring.colour_top_down_into``) and map their witnesses back."""
+    top = lg.graph.n - 1
     rows = [[0] * lg.graph.n for _ in range(lg.num_labels)]
     for v, labels in enumerate(lg.label_bits):
         for w, bit in labels.items():
-            rows[bit.bit_length() - 1][v] |= 1 << w
+            rows[bit.bit_length() - 1][top - v] |= 1 << (top - w)
     return rows
 
 

@@ -36,7 +36,7 @@ from math import comb
 from operator import or_
 from time import perf_counter
 
-from .colouring import colour_order, colour_order_into
+from .colouring import colour_order, colour_order_into, colour_top_down_into
 from .graph import (Graph, LabelledGraph, clique_cost, label_adjacency, permute_by_degree,
                     reduce_to_core)
 
@@ -188,19 +188,23 @@ class Subproblem:
     bound: int
 
 
-_NODES = 6
+_NODES = 8
 
 
-def _search(first_pass, inc, adjacency, label_bits, within, budget):
+def _search(first_pass, inc, adjacency, label_bits, within, budget, below=None):
     """The search context of one pass, as the tuple :func:`_expand` takes.
 
-    It holds the pass's constants, then the counters ``[nodes, subsets]``
-    (at index ``_NODES``): the nodes searched and the label-subset
-    sub-searches run.  Last come the scratch buffers: one ``(order,
-    bounds)`` pair per clique size, grown on demand, so a context serves
-    one search at a time.
+    It holds the pass's constants, then the colouring kernel and the rows
+    it reads: ``colour_order_into`` on ``adjacency``, or, given ``below``,
+    ``colour_top_down_into`` on it (a G_T numbered top-down, as
+    :func:`_search_subset` builds it).  Then come the counters ``[nodes,
+    subsets]`` (at index ``_NODES``): the nodes searched and the
+    label-subset sub-searches run.  Last come the scratch buffers: one
+    ``(order, bounds)`` pair per clique size, grown on demand, so a context
+    serves one search at a time.
     """
-    return (first_pass, inc, adjacency, label_bits, within, budget, [0, 0], [])
+    colour = (colour_order_into, adjacency) if below is None else (colour_top_down_into, below)
+    return (first_pass, inc, adjacency, label_bits, within, budget, *colour, [0, 0], [])
 
 
 def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None, m=0):
@@ -216,7 +220,9 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
     by labels it already has; its subtree is searched ``closed``: no
     candidate there adds a label, so the union is skipped and each branch
     filters by its own vertex alone.  The limit only falls, so the cost
-    check still runs: pass 2 may lower it below a closed node's cost.
+    check still runs: pass 2 may lower it below a closed node's cost.  A
+    closed node's children are closed too, also when the node was entered
+    closed below the limit, as a label-subset sub-search's root is.
 
     A caller that has already coloured the node passes ``order``, ``bounds``
     and ``m`` instead; that entry is not counted as a node, since the
@@ -224,7 +230,7 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
     this way, as a one-entry colouring of the root (:func:`_run_unit`).
     Returns True when the colour bound cut the node off.
     """
-    first_pass, inc, adjacency, label_bits, within, budget, nodes, scratch = search
+    first_pass, inc, adjacency, label_bits, within, budget, colour, rows, nodes, scratch = search
     csize = len(clique)
     if order is None:
         nodes[0] += 1
@@ -232,7 +238,7 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
             n = len(adjacency)
             scratch.append(([0] * n, [0] * n))
         order, bounds = scratch[csize]
-        m = colour_order_into(adjacency, cands, order, bounds)
+        m = colour(rows, cands, order, bounds)
     for i in range(m - 1, -1, -1):
         reach = csize + bounds[i]
         inc_size = inc.size
@@ -262,7 +268,7 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
                     for w in clique:
                         remaining &= within[w, grown]
             if remaining:
-                _expand(search, clique, remaining, grown, at_limit)
+                _expand(search, clique, remaining, grown, closed or at_limit)
         clique.pop()
         cands &= ~(1 << v)
     return False
@@ -292,23 +298,32 @@ def _few(count: int, graph: Graph) -> bool:
     return count * graph.n <= degree_sum and graph.n * graph.n <= 64 * degree_sum
 
 
-def _search_subset(inc, lg: LabelledGraph, by_label, labels: tuple[int, ...]) -> int:
-    """Search G_T closed for T = ``labels``; returns the nodes it took.
+def _search_subset(inc, lg: LabelledGraph, by_label, labels: tuple[int, ...], key: int) -> int:
+    """Search G_T closed for T = ``labels``, pruning against ``key``, and
+    install a clique that beats it in ``inc``; returns the nodes it took.
 
-    G_T's rows are the OR of ``by_label``'s rows for T.  Its limit is
-    |T| + 1, which no cost in G_T reaches, so no branch filters through
-    ``within``.  A witness found here is recorded with T as its labels, which
-    can overstate them, so its own label set replaces T afterwards.
+    G_T's rows are the OR of ``by_label``'s rows for T, so they are numbered
+    top-down (:func:`graph.label_adjacency`), and ``below[v]`` keeps the
+    non-neighbours under ``v`` for :func:`colour_top_down_into`.  The
+    search is closed from its root, so it reads no ``label_bits`` row, and
+    its limit is |T| + 1, which no cost in G_T reaches, so no branch filters
+    through ``within``.  It runs against an incumbent of its own lifted to
+    ``key``, whose witness holds top-down ids and T as its labels, which can
+    overstate them: ``inc`` gets it mapped back, with its own label set.
     """
     rows = by_label[labels[0]]
     for k in labels[1:]:
         rows = list(map(or_, rows, by_label[k]))
-    mask = sum(1 << k for k in labels)
-    search = _search(True, inc, rows, lg.label_bits, None, len(labels) + 1)
-    _expand(search, [], (1 << lg.graph.n) - 1, mask, True)
-    if inc.labels == mask:
-        labels, cost = clique_cost(lg, inc.clique)
-        inc.replace(inc.clique, labels, inc.size, cost)
+    below = [((1 << v) - 1) & ~row for v, row in enumerate(rows)]
+    found = Incumbent()
+    found.lift(key)
+    search = _search(True, found, rows, None, None, len(labels) + 1, below)
+    _expand(search, [], (1 << lg.graph.n) - 1, sum(1 << k for k in labels), True)
+    if found.clique:
+        top = lg.graph.n - 1
+        clique = [top - v for v in found.clique]
+        labels, cost = clique_cost(lg, clique)
+        inc.replace(clique, labels, len(clique), cost)
     return search[_NODES][0]
 
 
@@ -349,20 +364,19 @@ def _run_unit(search, lg: LabelledGraph, by_label, unit) -> bool:
     pass and the incumbent only improves.  A pass-2 level asks whether G_T
     holds a clique of the incumbent's size, and T is dead unless |T| <
     inc.cost: once one T lowers the cost, a cheaper clique lies in a smaller
-    T, which the next level lists.  The probe is one vertex short at cost
-    0, so only a clique of the full size replaces it.
+    T, which the next level lists.  The probe prunes against a clique one
+    vertex short at cost 0, so only a clique of the full size beats it.
     """
     if isinstance(unit, Subproblem):
         return not _expand(search, [], unit.cands, 0, False, unit.prefix, (unit.bound,), 1)
     first_pass, inc, counts = search[0], search[1], search[_NODES]
     if first_pass:
-        counts[0] += _search_subset(inc, lg, by_label, unit)
+        key = inc.key
     elif len(unit) < inc.cost:
-        probe = Incumbent(range(inc.size - 1))
-        counts[0] += _search_subset(probe, lg, by_label, unit)
-        inc.replace(probe.clique, probe.labels, probe.size, probe.cost)
+        key = incumbent_key(inc.size - 1, 0)
     else:
         return False
+    counts[0] += _search_subset(inc, lg, by_label, unit, key)
     counts[1] += 1
     return True
 

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from labelled_clique import build_graph, colour_order
-from labelled_clique.graph import iter_bits
+from labelled_clique import build_graph, colour_order, random_labels
+from labelled_clique.colouring import colour_order_into, colour_top_down_into
+from labelled_clique.graph import iter_bits, label_adjacency
 
 from conftest import random_graph
 
@@ -74,3 +77,33 @@ def test_deterministic(fig2):
     second = colour_order(fig2, cands)
     assert first.order == second.order
     assert first.bounds == second.bounds
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 70), st.sampled_from([0.1, 0.5, 0.9]), st.integers(0, 2**32),
+       st.integers(0, 2**70))
+@example(0, 0.5, 1, 0)
+@example(1, 0.5, 1, 1)
+@example(63, 0.5, 2, 2**70 - 1)
+@example(64, 0.5, 3, 2**70 - 1)
+@example(65, 0.5, 4, 2**70 - 1)
+@example(65, 0.9, 5, 2**64 | 1)
+def test_top_down_kernel_mirrors_the_bottom_up_one(n, density, seed, cands):
+    # Rows numbered v -> n - 1 - v, as label_adjacency numbers a
+    # one-label graph's, coloured highest vertex first, must give the
+    # mirror image of the bottom-up order and the same bounds.
+    g = random_graph(n, density, seed)
+    cands &= (1 << n) - 1
+    top = n - 1
+    rows = label_adjacency(random_labels(g, 1, seed))[0]
+    assert rows == [sum(1 << (top - w) for w in iter_bits(g.adjacency[top - v]))
+                    for v in range(n)]
+    below = [((1 << v) - 1) & ~row for v, row in enumerate(rows)]
+    order, bounds = [0] * n, [0] * n
+    m = colour_order_into(g.adjacency, cands, order, bounds)
+    down_order, down_bounds = [0] * n, [0] * n
+    mirrored = sum(1 << (top - v) for v in iter_bits(cands))
+    assert colour_top_down_into(below, mirrored, down_order, down_bounds) == m
+    assert m == cands.bit_count()
+    assert down_order[:m] == [top - v for v in order[:m]]
+    assert down_bounds[:m] == bounds[:m]

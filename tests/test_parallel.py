@@ -151,21 +151,25 @@ def test_many_workers_match_sequential():
 
 
 def record_nodes(monkeypatch) -> list[int]:
-    """Patch every colouring the search calls to record each node's
-    candidate set and lift every colour bound to n, so no node is cut off
-    by its bound and the explored tree no longer depends on when the
-    incumbent improves."""
+    """Patch both colouring kernels the search calls to record each node's
+    candidate set (top-down numbered in a label-subset sub-search) and lift
+    every colour bound to n, so no node is cut off by its bound and the
+    explored tree no longer depends on when the incumbent improves."""
     records: list[int] = []
-    original = colouring_mod.colour_order_into
 
-    def recording(adjacency, cands, order, bounds):
-        records.append(cands)
-        m = original(adjacency, cands, order, bounds)
-        bounds[:m] = [len(adjacency)] * m
-        return m
+    def recording(kernel):
+        def recorded(rows, cands, order, bounds):
+            records.append(cands)
+            m = kernel(rows, cands, order, bounds)
+            bounds[:m] = [len(rows)] * m
+            return m
 
-    for module in (colouring_mod, seq_mod):
-        monkeypatch.setattr(module, "colour_order_into", recording)
+        return recorded
+
+    for name in ("colour_order_into", "colour_top_down_into"):
+        patched = recording(getattr(colouring_mod, name))
+        for module in (colouring_mod, seq_mod):
+            monkeypatch.setattr(module, name, patched)
     return records
 
 

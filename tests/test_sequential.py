@@ -20,7 +20,7 @@ import labelled_clique.sequential as seq_mod
 from labelled_clique.graph import LabelledGraph
 from labelled_clique.sequential import _NODES, WithinLabels, _expand, _search
 
-from conftest import random_instance
+from conftest import paper_solve, random_instance
 
 
 def to_networkx(g):
@@ -281,6 +281,42 @@ def test_pass_two_descends_level_by_level(monkeypatch):
     parallel = solve_parallel(lg, 4, workers=2)
     assert (parallel.size, parallel.cost) == (8, 2)
     assert clique_cost(lg, parallel.clique) == (parallel.labels, 2)
+
+
+class CountingRows(list):
+    """``label_bits`` that counts the rows read by index."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def test_label_subset_search_reads_no_label_bits(monkeypatch):
+    # A sub-search runs closed from its root down: G_T's edges carry only
+    # T's labels, so no branch needs the label union.  Only the witness
+    # check reads the labels, here from an uncounted copy.
+    lg = random_instance(30, 0.7, 4, seed=2026)
+    paper = paper_solve(lg, 3)
+    permute = seq_mod.permute_by_degree
+    counted = []
+
+    def counting(lg, kept=None):
+        permuted, perm = permute(lg, kept)
+        rows = CountingRows(permuted.label_bits)
+        counted.append((rows, permuted))
+        return LabelledGraph(permuted.graph, permuted.num_labels, rows), perm
+
+    monkeypatch.setattr(seq_mod, "permute_by_degree", counting)
+    monkeypatch.setattr(seq_mod, "clique_cost",
+                        lambda _, clique: clique_cost(counted[-1][1], clique))
+    solution = solve(lg, 3)
+    assert (solution.size, solution.cost) == (paper.size, paper.cost)
+    stats = solution.stats
+    assert (stats.subsets_pass1, stats.subsets_pass2) == (4, 6)
+    assert stats.nodes_pass1 > stats.subsets_pass1 and stats.nodes_pass2 > stats.subsets_pass2
+    assert counted[-1][0].reads == 0
 
 
 @pytest.fixture
