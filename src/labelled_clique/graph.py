@@ -8,8 +8,8 @@ cost = ``mask.bit_count()``; at most 64 labels are supported so a label set
 always fits one machine word in a fixed-width port.
 
 Vertices are 0-based internally; file formats and reports are 1-based.
-All containers here are immutable after construction and safe to share
-across threads.
+All containers here are immutable after construction; forked workers
+read their own copies.
 """
 
 from __future__ import annotations

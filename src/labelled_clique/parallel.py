@@ -82,7 +82,7 @@ def _worker(state) -> None:
     value.  A dead unit moves the shared index past the end, since every
     later unit is dead too, so no child claims another.
     """
-    shared, units, first_pass, lg, by_label, within, budget, out = state
+    shared, units, first_pass, lg, subgraphs, within, budget, out = state
     inc = Incumbent()
     search = _search(first_pass, inc, lg.graph.adjacency, lg.label_bits, within, budget)
     while True:
@@ -91,7 +91,7 @@ def _worker(state) -> None:
             out.append((inc.clique, inc.labels, *search[_NODES]))
             return
         inc.lift(key)
-        if not _run_unit(search, lg, by_label, units[index]):
+        if not _run_unit(search, lg, subgraphs, units[index]):
             shared.update(len(units))
         if inc.key > key:
             shared.update(0, inc.key)

@@ -191,19 +191,20 @@ class Subproblem:
 _NODES = 8
 
 
-def _search(first_pass, inc, adjacency, label_bits, within, budget, below=None):
+def _search(first_pass, inc, adjacency, label_bits, within, budget, top_down=None):
     """The search context of one pass, as the tuple :func:`_expand` takes.
 
     It holds the pass's constants, then the colouring kernel and the rows
-    it reads: ``colour_order_into`` on ``adjacency``, or, given ``below``,
-    ``colour_top_down_into`` on it (a G_T numbered top-down, as
-    :func:`_search_subset` builds it).  Then come the counters ``[nodes,
-    subsets]`` (at index ``_NODES``): the nodes searched and the
+    it reads: ``colour_order_into`` on ``adjacency``, or, given
+    ``top_down``, ``colour_top_down_into`` on it, a G_T's ``(below, bit)``
+    tables numbered top-down, as :func:`_search_subset` builds them.  Both
+    kernels take k_min from :func:`_expand`.  Then come the counters
+    ``[nodes, subsets]`` (at index ``_NODES``): the nodes searched and the
     label-subset sub-searches run.  Last come the scratch buffers: one
     ``(order, bounds)`` pair per clique size, grown on demand, so a context
     serves one search at a time.
     """
-    colour = (colour_order_into, adjacency) if below is None else (colour_top_down_into, below)
+    colour = (colour_top_down_into, top_down) if top_down else (colour_order_into, adjacency)
     return (first_pass, inc, adjacency, label_bits, within, budget, *colour, [0, 0], [])
 
 
@@ -224,11 +225,17 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
     closed node's children are closed too, also when the node was entered
     closed below the limit, as a label-subset sub-search's root is.
 
+    The node's colouring writes only the vertices coloured k_min or above,
+    k_min being the lowest colour whose branch can beat the incumbent: a
+    vertex below it would be pruned, and the incumbent only improves.
+
     A caller that has already coloured the node passes ``order``, ``bounds``
     and ``m`` instead; that entry is not counted as a node, since the
     colouring was counted where it was made.  Every root branch enters
     this way, as a one-entry colouring of the root (:func:`_run_unit`).
-    Returns True when the colour bound cut the node off.
+    Returns True when the colour bound cut the node off: a counted node
+    whose colouring wrote no vertex, or a branch whose bound cannot beat
+    the incumbent.
     """
     first_pass, inc, adjacency, label_bits, within, budget, colour, rows, nodes, scratch = search
     csize = len(clique)
@@ -238,7 +245,9 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
             n = len(adjacency)
             scratch.append(([0] * n, [0] * n))
         order, bounds = scratch[csize]
-        m = colour(rows, cands, order, bounds)
+        m = colour(rows, cands, order, bounds, inc.size - csize + first_pass)
+        if not m:
+            return True
     for i in range(m - 1, -1, -1):
         reach = csize + bounds[i]
         inc_size = inc.size
@@ -298,26 +307,29 @@ def _few(count: int, graph: Graph) -> bool:
     return count * graph.n <= degree_sum and graph.n * graph.n <= 64 * degree_sum
 
 
-def _search_subset(inc, lg: LabelledGraph, by_label, labels: tuple[int, ...], key: int) -> int:
+def _search_subset(inc, lg: LabelledGraph, subgraphs, labels: tuple[int, ...], key: int) -> int:
     """Search G_T closed for T = ``labels``, pruning against ``key``, and
     install a clique that beats it in ``inc``; returns the nodes it took.
 
-    G_T's rows are the OR of ``by_label``'s rows for T, so they are numbered
-    top-down (:func:`graph.label_adjacency`), and ``below[v]`` keeps the
-    non-neighbours under ``v`` for :func:`colour_top_down_into`.  The
+    ``subgraphs`` is the pair of the per-label rows of
+    :func:`graph.label_adjacency`, numbered top-down, and the bit table
+    ``bit[v] = 1 << v``, both built once per solve.  G_T's rows are the OR
+    of the per-label rows for T, and ``below[v]`` keeps the non-neighbours
+    under ``v``; :func:`colour_top_down_into` reads both tables.  The
     search is closed from its root, so it reads no ``label_bits`` row, and
     its limit is |T| + 1, which no cost in G_T reaches, so no branch filters
     through ``within``.  It runs against an incumbent of its own lifted to
     ``key``, whose witness holds top-down ids and T as its labels, which can
     overstate them: ``inc`` gets it mapped back, with its own label set.
     """
+    by_label, bit = subgraphs
     rows = by_label[labels[0]]
     for k in labels[1:]:
         rows = list(map(or_, rows, by_label[k]))
-    below = [((1 << v) - 1) & ~row for v, row in enumerate(rows)]
+    below = [(b - 1) & ~row for b, row in zip(bit, rows)]
     found = Incumbent()
     found.lift(key)
-    search = _search(True, found, rows, None, None, len(labels) + 1, below)
+    search = _search(True, found, rows, None, None, len(labels) + 1, (below, bit))
     _expand(search, [], (1 << lg.graph.n) - 1, sum(1 << k for k in labels), True)
     if found.clique:
         top = lg.graph.n - 1
@@ -353,7 +365,7 @@ def _root_branches(lg: LabelledGraph) -> Iterator[Subproblem]:
         cands &= ~(1 << v)
 
 
-def _run_unit(search, lg: LabelledGraph, by_label, unit) -> bool:
+def _run_unit(search, lg: LabelledGraph, subgraphs, unit) -> bool:
     """Run one work unit of a pass against ``search``'s incumbent, adding
     its nodes, and its sub-search if it ran one, to ``search``'s counters.
 
@@ -376,7 +388,7 @@ def _run_unit(search, lg: LabelledGraph, by_label, unit) -> bool:
         key = incumbent_key(inc.size - 1, 0)
     else:
         return False
-    counts[0] += _search_subset(inc, lg, by_label, unit, key)
+    counts[0] += _search_subset(inc, lg, subgraphs, unit, key)
     counts[1] += 1
     return True
 
@@ -385,10 +397,10 @@ def _run_in_order(units, state, inc: Incumbent) -> tuple[int, int, list[int]]:
     """Run a pass's units in this process, in order, against ``inc``, up to
     the first dead one; returns the nodes and subsets searched, and no
     per-worker nodes, since no worker was forked."""
-    first_pass, lg, by_label, within, budget = state
+    first_pass, lg, subgraphs, within, budget = state
     search = _search(first_pass, inc, lg.graph.adjacency, lg.label_bits, within, budget)
     for unit in units:
-        if not _run_unit(search, lg, by_label, unit):
+        if not _run_unit(search, lg, subgraphs, unit):
             break
     return (*search[_NODES], [])
 
@@ -408,7 +420,7 @@ def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
     permuted, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
     _fit_recursion_limit(permuted.graph)
     within = WithinLabels(permuted.label_bits)
-    inc, by_label = Incumbent(), None
+    inc, subgraphs = Incumbent(), None
     nodes, subsets, worker_nodes = [0, 0], [0, 0], []
     first_pass, index, cost = True, 0, 0
     # A level follows only a level that lowered the cost below ``cost``, as
@@ -420,9 +432,9 @@ def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
         if units is None:
             units = roots(permuted)
             nodes[index] += 1  # the root colouring
-        else:
-            by_label = by_label or label_adjacency(permuted)
-        state = (first_pass, permuted, by_label, within, budget)
+        elif subgraphs is None:
+            subgraphs = (label_adjacency(permuted), [1 << v for v in range(permuted.graph.n)])
+        state = (first_pass, permuted, subgraphs, within, budget)
         searched, subset_count, per_worker = run_pass(units, state, inc)
         nodes[index] += searched
         subsets[index] += subset_count

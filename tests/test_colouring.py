@@ -79,6 +79,13 @@ def test_deterministic(fig2):
     assert first.bounds == second.bounds
 
 
+def kernel_outputs(kernel, rows, n, cands, kmin):
+    """The ``order`` and ``bounds`` prefixes one kernel call writes."""
+    order, bounds = [0] * n, [0] * n
+    m = kernel(rows, cands, order, bounds, kmin)
+    return order[:m], bounds[:m]
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(st.integers(0, 70), st.sampled_from([0.1, 0.5, 0.9]), st.integers(0, 2**32),
        st.integers(0, 2**70))
@@ -91,7 +98,9 @@ def test_deterministic(fig2):
 def test_top_down_kernel_mirrors_the_bottom_up_one(n, density, seed, cands):
     # Rows numbered v -> n - 1 - v, as label_adjacency numbers a
     # one-label graph's, coloured highest vertex first, must give the
-    # mirror image of the bottom-up order and the same bounds.
+    # mirror image of the bottom-up order and the same bounds.  With
+    # k_min, each kernel must write exactly the suffix of its k_min = 0
+    # output whose bounds reach k_min, for every k_min up to colours + 1.
     g = random_graph(n, density, seed)
     cands &= (1 << n) - 1
     top = n - 1
@@ -99,11 +108,17 @@ def test_top_down_kernel_mirrors_the_bottom_up_one(n, density, seed, cands):
     assert rows == [sum(1 << (top - w) for w in iter_bits(g.adjacency[top - v]))
                     for v in range(n)]
     below = [((1 << v) - 1) & ~row for v, row in enumerate(rows)]
-    order, bounds = [0] * n, [0] * n
-    m = colour_order_into(g.adjacency, cands, order, bounds)
-    down_order, down_bounds = [0] * n, [0] * n
+    bit = [1 << v for v in range(n)]
     mirrored = sum(1 << (top - v) for v in iter_bits(cands))
-    assert colour_top_down_into(below, mirrored, down_order, down_bounds) == m
-    assert m == cands.bit_count()
-    assert down_order[:m] == [top - v for v in order[:m]]
-    assert down_bounds[:m] == bounds[:m]
+    order, bounds = kernel_outputs(colour_order_into, g.adjacency, n, cands, 0)
+    assert len(order) == cands.bit_count()
+    assert kernel_outputs(colour_top_down_into, (below, bit), n, mirrored, 0) == (
+        [top - v for v in order], bounds)
+    for kmin in range(max(bounds, default=0) + 2):
+        keep = [i for i, bound in enumerate(bounds) if bound >= kmin]
+        assert keep == list(range(len(bounds) - len(keep), len(bounds)))
+        suffix = [bounds[i] for i in keep]
+        assert kernel_outputs(colour_order_into, g.adjacency, n, cands, kmin) == (
+            [order[i] for i in keep], suffix)
+        assert kernel_outputs(colour_top_down_into, (below, bit), n, mirrored, kmin) == (
+            [top - order[i] for i in keep], suffix)

@@ -152,16 +152,17 @@ def test_many_workers_match_sequential():
 
 def record_nodes(monkeypatch) -> list[int]:
     """Patch both colouring kernels the search calls to record each node's
-    candidate set (top-down numbered in a label-subset sub-search) and lift
-    every colour bound to n, so no node is cut off by its bound and the
-    explored tree no longer depends on when the incumbent improves."""
+    candidate set (top-down numbered in a label-subset sub-search), colour
+    it whole (k_min = 0) and lift every colour bound to n, so no node is cut
+    off by its bound and the explored tree no longer depends on when the
+    incumbent improves."""
     records: list[int] = []
 
     def recording(kernel):
-        def recorded(rows, cands, order, bounds):
+        def recorded(rows, cands, order, bounds, kmin):
             records.append(cands)
-            m = kernel(rows, cands, order, bounds)
-            bounds[:m] = [len(rows)] * m
+            m = kernel(rows, cands, order, bounds, 0)
+            bounds[:m] = [len(order)] * m
             return m
 
         return recorded

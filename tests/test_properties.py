@@ -1,5 +1,6 @@
 """Property-based tests: both solvers against the oracle, the label-subset
-search against the paper's, and the parsers against arbitrary text.
+search against the paper's, k_min colourings against whole ones, and the
+parsers against arbitrary text.
 
 Every budget of every drawn instance must give the oracle's (size, cost),
 and every witness must re-check as a feasible clique of that size and cost.
@@ -12,6 +13,7 @@ import warnings
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from pytest import MonkeyPatch
 
 from labelled_clique import (
     GraphError,
@@ -29,6 +31,7 @@ from labelled_clique import (
     solve_parallel,
     write_labels,
 )
+import labelled_clique.sequential as seq_mod
 from labelled_clique.graph import MAX_LABELS
 from labelled_clique.sequential import WithinLabels, _expand, _search
 
@@ -126,6 +129,43 @@ def test_subset_search_matches_papers_search_on_dense_graphs():
     check()
     assert sum(p1 > 0 for p1, _ in took_subsets) > 0.8 * len(took_subsets)
     assert any(p2 > 0 for _, p2 in took_subsets)
+
+
+def test_k_min_changes_no_solve():
+    # Kernels that leave out the vertices below k_min must give the same
+    # witness, (size, cost), node counts and subset counts as kernels
+    # forced to colour every vertex, over passes that search label subsets
+    # and passes that run the paper's search.
+    def whole(kernel):
+        return lambda rows, cands, order, bounds, kmin: kernel(rows, cands, order, bounds, 0)
+
+    kernels = {name: getattr(seq_mod, name)
+               for name in ("colour_order_into", "colour_top_down_into")}
+    passes = set()
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(st.integers(6, 32), st.sampled_from([0.4, 0.7, 0.9]), st.sampled_from([2, 3, 4, 12]),
+           st.integers(0, 2**32))
+    def check(n, density, num_labels, seed):
+        lg = random_instance(n, density, num_labels, seed)
+        for budget in range(1, min(num_labels, 4) + 1):
+            got = solve(lg, budget)
+            with MonkeyPatch.context() as patch:
+                for name, kernel in kernels.items():
+                    patch.setattr(seq_mod, name, whole(kernel))
+                want = solve(lg, budget)
+            assert (got.clique, got.size, got.labels, got.cost) == (
+                want.clique, want.size, want.labels, want.cost)
+            assert got.stats.subsets_pass1 == want.stats.subsets_pass1
+            assert got.stats.subsets_pass2 == want.stats.subsets_pass2
+            assert (got.stats.nodes_pass1, got.stats.nodes_pass2) == (
+                want.stats.nodes_pass1, want.stats.nodes_pass2)
+            passes.add((1, got.stats.subsets_pass1 > 0))
+            if got.stats.nodes_pass2:
+                passes.add((2, got.stats.subsets_pass2 > 0))
+
+    check()
+    assert passes == {(1, True), (1, False), (2, True), (2, False)}
 
 
 @st.composite

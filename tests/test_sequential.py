@@ -90,6 +90,25 @@ def test_expand_second_pass_admits_equal_sizes():
     assert search2[_NODES][0] > 0
 
 
+def test_expand_reports_a_node_its_bound_cuts_off():
+    # Two disjoint triangles need three colours.  Against a size-3
+    # incumbent, pass 1's k_min at the root is 4, so the root's colouring
+    # writes no vertex: the counted node was cut off by its bound.
+    lg = two_triangles()
+    adjacency, label_bits = lg.graph.adjacency, lg.label_bits
+    inc = Incumbent([3, 4, 5], 0b111)
+    search = _search(True, inc, adjacency, label_bits, WithinLabels(label_bits), 3)
+    assert _expand(search, [], (1 << 6) - 1, 0)
+    assert search[_NODES][0] == 1
+    assert (inc.size, inc.cost, inc.clique) == (3, 3, [3, 4, 5])
+    # A node whose every branch is searched was not cut off.
+    lone = build_labelled(build_graph(1, []), 1, {})
+    search = _search(True, Incumbent(), lone.graph.adjacency, lone.label_bits,
+                     WithinLabels(lone.label_bits), 1)
+    assert not _expand(search, [], 1, 0)
+    assert search[1].size == 1
+
+
 def test_solve_two_triangles_end_to_end():
     solution = solve(two_triangles(), 3)
     assert (solution.size, solution.cost) == (3, 1)
