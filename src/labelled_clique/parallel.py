@@ -8,8 +8,9 @@ early root branches hold most of the work.  Each ``os.fork`` child claims
 the next unit from a shared counter, lifts its bound to the best 64-bit
 ``incumbent_key`` any child has published, runs the unit and publishes its
 improvements; a dead unit ends the pass for every child.  Its witness stays
-its own and comes back through a pipe with its node count; the parent keeps
-the best one and forks pass 2 from it.
+its own and comes back through a pipe with its node count and the outcomes
+of its sub-searches; the parent keeps the best witness, forks pass 2 from
+it, and skips the subsets the outcomes refute.
 
 Node counts vary with scheduling; (size, cost) always equals the
 sequential result, both being optimal.
@@ -77,7 +78,7 @@ def _worker(state) -> None:
     """The loop each child runs until the pass's units run out.
 
     It appends to ``state``'s last item, a list, the child's own best
-    witness (clique, labels), its nodes and the label subsets it searched;
+    witness (clique, labels), its nodes and its sub-searches' outcomes;
     the benchmark's layer trace wraps this function and drops its return
     value.  A dead unit moves the shared index past the end, since every
     later unit is dead too, so no child claims another.
@@ -107,18 +108,23 @@ def _child(write: int, state) -> None:
             _worker(state)
             data = pickle.dumps((True, state[-1][0]))
         except BaseException as exc:  # the parent re-raises it
-            data = pickle.dumps((False, exc))
+            try:
+                data = pickle.dumps((False, exc))
+                pickle.loads(data)
+            except Exception:  # say what it was, if it cannot cross the pipe
+                data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
         with open(write, "wb") as stream:
             stream.write(data)
     finally:
         os._exit(0)
 
 
-def _run_pass(workers: int, units, state, best: Incumbent) -> tuple[int, int, list[int]]:
+def _run_pass(workers: int, units, state, best: Incumbent) -> tuple[int, list, list[int]]:
     """Run a pass's ``units`` in up to ``workers`` forked children (here, if
     there is one), from ``best``'s key, and merge their witnesses into
-    ``best``; returns the nodes and subsets they searched and each child's
-    nodes.  Every child has been reaped when this returns or raises."""
+    ``best``; returns the nodes they searched, their sub-searches' outcomes
+    and each child's nodes.  Every child has been reaped when this returns
+    or raises."""
     import pickle
     import signal
 
@@ -138,7 +144,7 @@ def _run_pass(workers: int, units, state, best: Incumbent) -> tuple[int, int, li
             finally:
                 os.close(write)
             pids.append(pid)
-        subsets, per_child = 0, []
+        outcomes, per_child = [], []
         for read in reads:
             with open(read, "rb", closefd=False) as stream:
                 data = stream.read()
@@ -149,9 +155,9 @@ def _run_pass(workers: int, units, state, best: Incumbent) -> tuple[int, int, li
                 raise result
             clique, labels, count, searched = result
             best.replace(clique, labels, len(clique), labels.bit_count())
-            subsets += searched
+            outcomes += searched
             per_child.append(count)
-        return sum(per_child), subsets, per_child
+        return sum(per_child), outcomes, per_child
     finally:
         # A child that has finished is a zombie until it is waited for, so
         # the kill cannot reach a recycled pid.

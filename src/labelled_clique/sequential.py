@@ -15,7 +15,9 @@ every remaining candidate adds no label.
 A pass may instead search the subgraphs G_T that keep only the edges
 labelled in T, with no label union: every feasible clique lies in some G_T
 with |T| = min(budget, K), and pass 2 asks level by level whether a G_T
-with |T| one below the incumbent's cost holds a clique of its size.
+with |T| one below the incumbent's cost holds a clique of its size.  Each
+G_T gets a plain maximum-clique search, :func:`_max_clique`, and a level
+skips every T inside one whose search ended below the pass-1 size.
 :func:`_few` decides from the graph's size and average degree whether
 the subsets of a pass or a level are worth it.
 
@@ -151,10 +153,11 @@ class WithinLabels(dict):
 
 @dataclass
 class SearchStats:
-    """Recursion-call counters and wall time for one solve, the vertices
-    left to search after the core peel, the label-subset sub-searches each
-    pass ran (0 for the paper's search, pass 2's summed over its levels),
-    and the nodes each forked worker searched over both passes."""
+    """Node counters and wall time for one solve, the vertices left to
+    search after the core peel, the label-subset sub-searches each pass ran
+    (0 for the paper's search; pass 2's summed over its levels, leaving out
+    the subsets skipped as refuted), and the nodes each forked worker
+    searched over both passes."""
 
     nodes_pass1: int = 0
     nodes_pass2: int = 0
@@ -188,28 +191,23 @@ class Subproblem:
     bound: int
 
 
-_NODES = 8
+_NODES = 6
 
 
-def _search(first_pass, inc, adjacency, label_bits, within, budget, top_down=None):
+def _search(first_pass, inc, adjacency, label_bits, within, budget):
     """The search context of one pass, as the tuple :func:`_expand` takes.
 
-    It holds the pass's constants, then the colouring kernel and the rows
-    it reads: ``colour_order_into`` on ``adjacency``, or, given
-    ``top_down``, ``colour_top_down_into`` on it, a G_T's ``(below, bit)``
-    tables numbered top-down, as :func:`_search_subset` builds them.  Both
-    kernels take k_min from :func:`_expand`.  Then come the counters
-    ``[nodes, subsets]`` (at index ``_NODES``): the nodes searched and the
-    label-subset sub-searches run.  Last come the scratch buffers: one
-    ``(order, bounds)`` pair per clique size, grown on demand, so a context
-    serves one search at a time.
+    It holds the pass's constants, then the counters ``[nodes, outcomes]``
+    (at index ``_NODES``): the nodes searched, and the label mask of T and
+    the final incumbent size of each label-subset sub-search run.  Last
+    come the scratch buffers: one ``(order, bounds)`` pair per clique size,
+    grown on demand, so a context serves one search at a time.
     """
-    colour = (colour_top_down_into, top_down) if top_down else (colour_order_into, adjacency)
-    return (first_pass, inc, adjacency, label_bits, within, budget, *colour, [0, 0], [])
+    return (first_pass, inc, adjacency, label_bits, within, budget, [0, []], [])
 
 
 def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None, m=0):
-    """One branch-and-bound node: colour, then branch right to left.
+    """One node of the paper's search: colour, then branch right to left.
 
     ``search`` is the pass's context from :func:`_search`.  ``clique`` is
     used like a stack (append/pop), never a bitset, so the label union only
@@ -222,12 +220,12 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
     candidate there adds a label, so the union is skipped and each branch
     filters by its own vertex alone.  The limit only falls, so the cost
     check still runs: pass 2 may lower it below a closed node's cost.  A
-    closed node's children are closed too, also when the node was entered
-    closed below the limit, as a label-subset sub-search's root is.
+    closed node's children are closed too.
 
-    The node's colouring writes only the vertices coloured k_min or above,
-    k_min being the lowest colour whose branch can beat the incumbent: a
-    vertex below it would be pruned, and the incumbent only improves.
+    The node's colouring, by ``colour_order_into``, writes only the
+    vertices coloured k_min or above, k_min being the lowest colour whose
+    branch can beat the incumbent: a vertex below it would be pruned, and
+    the incumbent only improves.
 
     A caller that has already coloured the node passes ``order``, ``bounds``
     and ``m`` instead; that entry is not counted as a node, since the
@@ -237,7 +235,7 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
     whose colouring wrote no vertex, or a branch whose bound cannot beat
     the incumbent.
     """
-    first_pass, inc, adjacency, label_bits, within, budget, colour, rows, nodes, scratch = search
+    first_pass, inc, adjacency, label_bits, within, budget, nodes, scratch = search
     csize = len(clique)
     if order is None:
         nodes[0] += 1
@@ -245,7 +243,7 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
             n = len(adjacency)
             scratch.append(([0] * n, [0] * n))
         order, bounds = scratch[csize]
-        m = colour(rows, cands, order, bounds, inc.size - csize + first_pass)
+        m = colour_order_into(adjacency, cands, order, bounds, inc.size - csize + first_pass)
         if not m:
             return True
     for i in range(m - 1, -1, -1):
@@ -307,47 +305,83 @@ def _few(count: int, graph: Graph) -> bool:
     return count * graph.n <= degree_sum and graph.n * graph.n <= 64 * degree_sum
 
 
-def _search_subset(inc, lg: LabelledGraph, subgraphs, labels: tuple[int, ...], key: int) -> int:
-    """Search G_T closed for T = ``labels``, pruning against ``key``, and
-    install a clique that beats it in ``inc``; returns the nodes it took.
+def _search_subset(inc, lg: LabelledGraph, subgraphs, labels: int, key: int) -> tuple[int, int]:
+    """Search G_T for the T whose label mask is ``labels``, pruning against
+    ``key``, and install a clique that beats it in ``inc``; returns the
+    nodes searched and the final size of its own incumbent, an upper bound
+    on the clique number of G_T.
 
-    ``subgraphs`` is the pair of the per-label rows of
-    :func:`graph.label_adjacency`, numbered top-down, and the bit table
-    ``bit[v] = 1 << v``, both built once per solve.  G_T's rows are the OR
-    of the per-label rows for T, and ``below[v]`` keeps the non-neighbours
-    under ``v``; :func:`colour_top_down_into` reads both tables.  The
-    search is closed from its root, so it reads no ``label_bits`` row, and
-    its limit is |T| + 1, which no cost in G_T reaches, so no branch filters
-    through ``within``.  It runs against an incumbent of its own lifted to
-    ``key``, whose witness holds top-down ids and T as its labels, which can
-    overstate them: ``inc`` gets it mapped back, with its own label set.
+    ``subgraphs`` holds the per-label rows of :func:`graph.label_adjacency`,
+    numbered top-down, and the bit table ``bit[v] = 1 << v``, both built
+    once per solve.  G_T's rows are the OR of T's per-label rows, and
+    ``below[v]`` keeps the non-neighbours under ``v``, for
+    :func:`colour_top_down_into`.  The witness, in top-down ids, is mapped
+    back for ``inc`` with its own label set.
     """
     by_label, bit = subgraphs
-    rows = by_label[labels[0]]
-    for k in labels[1:]:
-        rows = list(map(or_, rows, by_label[k]))
-    below = [(b - 1) & ~row for b, row in zip(bit, rows)]
+    rows = None
+    for k, row in enumerate(by_label):
+        if labels >> k & 1:
+            rows = row if rows is None else list(map(or_, rows, row))
+    tables = ([(b - 1) & ~row for b, row in zip(bit, rows)], bit)
     found = Incumbent()
     found.lift(key)
-    search = _search(True, found, rows, None, None, len(labels) + 1, (below, bit))
-    _expand(search, [], (1 << lg.graph.n) - 1, sum(1 << k for k in labels), True)
+    n = lg.graph.n
+    every = (1 << n) - 1
+    scratch = [([0] * n, [0] * n)]
+    order, bounds = scratch[0]
+    m = colour_top_down_into(tables, every, order, bounds, found.size + 1)
+    nodes = 1 + _max_clique(found, rows, tables, [], every, order, bounds, m, scratch)
     if found.clique:
-        top = lg.graph.n - 1
-        clique = [top - v for v in found.clique]
-        labels, cost = clique_cost(lg, clique)
-        inc.replace(clique, labels, len(clique), cost)
-    return search[_NODES][0]
+        clique = [n - 1 - v for v in found.clique]
+        clique_labels, cost = clique_cost(lg, clique)
+        inc.replace(clique, clique_labels, len(clique), cost)
+    return nodes, found.size
 
 
-def _pass_subsets(lg: LabelledGraph, first_pass: bool, budget: int,
-                  cost: int) -> list[tuple[int, ...]] | None:
-    """The label subsets a pass searches, in order: every T with |T| =
-    min(budget, K) in pass 1, or with |T| = ``cost`` - 1 in a pass-2 level.
-    None when :func:`_few` leaves them to the paper's search."""
+def _max_clique(found, rows, tables, clique, cands, order, bounds, m, scratch) -> int:
+    """The branches of a coloured G_T node, right to left; returns the nodes
+    below it.  ``found`` rises on size alone.  Each child is coloured here
+    at k_min and entered only if its colouring wrote a vertex, so a child
+    its bound cuts off costs no call.  ``scratch`` holds one ``(order,
+    bounds)`` pair per clique size."""
+    csize = len(clique)
+    if csize + 1 == len(scratch):
+        scratch.append(([0] * len(rows), [0] * len(rows)))
+    child_order, child_bounds = scratch[csize + 1]
+    bit = tables[1]
+    nodes = 0
+    for i in range(m - 1, -1, -1):
+        if csize + bounds[i] <= found.size:
+            break
+        v = order[i]
+        clique.append(v)
+        if csize >= found.size:
+            found.replace(clique, 0, csize + 1, 0)
+        remaining = cands & rows[v]
+        if remaining:
+            nodes += 1
+            k = colour_top_down_into(tables, remaining, child_order, child_bounds,
+                                     found.size - csize)
+            if k:
+                nodes += _max_clique(found, rows, tables, clique, remaining, child_order,
+                                     child_bounds, k, scratch)
+        clique.pop()
+        cands ^= bit[v]
+    return nodes
+
+
+def _pass_subsets(lg: LabelledGraph, first_pass: bool, budget: int, cost: int,
+                  dead: list[int]) -> list[int] | None:
+    """The label masks of the subsets T a pass searches, in order: every T
+    with |T| = min(budget, K) in pass 1, or with |T| = ``cost`` - 1 in a
+    pass-2 level, but none inside a ``dead`` mask.  None when :func:`_few`,
+    counting them all, leaves them to the paper's search."""
     size = min(budget, lg.num_labels) if first_pass else cost - 1
     if not _few(comb(lg.num_labels, size), lg.graph):
         return None
-    return list(combinations(range(lg.num_labels), size))
+    masks = (sum(1 << k for k in labels) for labels in combinations(range(lg.num_labels), size))
+    return [mask for mask in masks if all(mask & ~other for other in dead)]
 
 
 def _root_branches(lg: LabelledGraph) -> Iterator[Subproblem]:
@@ -367,7 +401,8 @@ def _root_branches(lg: LabelledGraph) -> Iterator[Subproblem]:
 
 def _run_unit(search, lg: LabelledGraph, subgraphs, unit) -> bool:
     """Run one work unit of a pass against ``search``'s incumbent, adding
-    its nodes, and its sub-search if it ran one, to ``search``'s counters.
+    its nodes, and its sub-search's label mask and final size if it ran
+    one, to ``search``'s counters.
 
     Returns False when this unit and every later unit of the pass are
     dead.  A root branch enters :func:`_expand` as a one-entry colouring of
@@ -384,19 +419,20 @@ def _run_unit(search, lg: LabelledGraph, subgraphs, unit) -> bool:
     first_pass, inc, counts = search[0], search[1], search[_NODES]
     if first_pass:
         key = inc.key
-    elif len(unit) < inc.cost:
+    elif unit.bit_count() < inc.cost:
         key = incumbent_key(inc.size - 1, 0)
     else:
         return False
-    counts[0] += _search_subset(inc, lg, subgraphs, unit, key)
-    counts[1] += 1
+    nodes, size = _search_subset(inc, lg, subgraphs, unit, key)
+    counts[0] += nodes
+    counts[1].append((unit, size))
     return True
 
 
-def _run_in_order(units, state, inc: Incumbent) -> tuple[int, int, list[int]]:
+def _run_in_order(units, state, inc: Incumbent) -> tuple[int, list, list[int]]:
     """Run a pass's units in this process, in order, against ``inc``, up to
-    the first dead one; returns the nodes and subsets searched, and no
-    per-worker nodes, since no worker was forked."""
+    the first dead one; returns the nodes searched, the sub-searches'
+    outcomes, and no per-worker nodes, since no worker was forked."""
     first_pass, lg, subgraphs, within, budget = state
     search = _search(first_pass, inc, lg.graph.adjacency, lg.label_bits, within, budget)
     for unit in units:
@@ -411,8 +447,12 @@ def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
     A pass's units are its label subsets when :func:`_pass_subsets` lists
     them, else the root branches ``roots(graph)`` lists after colouring the
     root.  ``run_pass(units, state, inc)`` runs them against ``inc`` and
-    returns the nodes and subsets they searched and each forked worker's
-    nodes.
+    returns the nodes they searched, the outcomes of their sub-searches
+    and each forked worker's nodes.
+
+    A sub-search that ends below the pass-1 size s, which pass 2 keeps,
+    refutes an s-clique in its G_T and in every G_T inside it, so no later
+    level lists those T; a level left empty ends pass 2.
     """
     if budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget}")
@@ -420,14 +460,14 @@ def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
     permuted, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
     _fit_recursion_limit(permuted.graph)
     within = WithinLabels(permuted.label_bits)
-    inc, subgraphs = Incumbent(), None
+    inc, subgraphs, dead = Incumbent(), None, []
     nodes, subsets, worker_nodes = [0, 0], [0, 0], []
     first_pass, index, cost = True, 0, 0
     # A level follows only a level that lowered the cost below ``cost``, as
     # every smaller T lies in a T it searched; none follows the paper's
     # search, which is complete.  Singletons cost 0, so stop at cost <= 1.
     while first_pass or 1 < inc.cost < cost:
-        units = _pass_subsets(permuted, first_pass, budget, inc.cost)
+        units = _pass_subsets(permuted, first_pass, budget, inc.cost, dead)
         cost = budget + 1 if first_pass else inc.cost if units else 0
         if units is None:
             units = roots(permuted)
@@ -435,9 +475,10 @@ def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
         elif subgraphs is None:
             subgraphs = (label_adjacency(permuted), [1 << v for v in range(permuted.graph.n)])
         state = (first_pass, permuted, subgraphs, within, budget)
-        searched, subset_count, per_worker = run_pass(units, state, inc)
+        searched, outcomes, per_worker = run_pass(units, state, inc)
         nodes[index] += searched
-        subsets[index] += subset_count
+        subsets[index] += len(outcomes)
+        dead += [mask for mask, size in outcomes if size < inc.size]
         worker_nodes = [a + b for a, b in zip_longest(worker_nodes, per_worker, fillvalue=0)]
         first_pass, index = False, 1
     elapsed = perf_counter() - start

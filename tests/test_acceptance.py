@@ -276,11 +276,13 @@ def test_subset_rule_follows_average_degree(keller4, monkeypatch):
     both = solve(random_labels(keller4, 8, 0), 4)
     assert (both.size, both.cost) == (7, 4)
     assert (both.stats.subsets_pass1, both.stats.subsets_pass2) == (70, 56)
-    # K=8, b=6: C(8, 6) = 28 subsets, then C(8, 5) = 56 in pass 2's level.
+    # K=8, b=6: C(8, 6) = 28 subsets, then pass 2's level of C(8, 5) = 56,
+    # of which the 25 that lie in no pass-1 subset refuted below the size
+    # of 10 are searched.
     levels = solve(random_labels(keller4, 8, 0), 6)
     assert (levels.size, levels.cost) == (10, 6)
-    assert (levels.stats.subsets_pass1, levels.stats.subsets_pass2) == (28, 56)
-    assert levels.stats.nodes_pass2 == 31199
+    assert (levels.stats.subsets_pass1, levels.stats.subsets_pass2) == (28, 25)
+    assert levels.stats.nodes_pass2 == 14334
     # K=16, b=2: C(16, 2) = 120 subsets exceed the average degree, so pass 1
     # runs the paper's search; pass 2's level has the 16 single labels.
     first = solve(random_labels(keller4, 16, 0), 2)

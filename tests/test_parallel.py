@@ -155,7 +155,8 @@ def record_nodes(monkeypatch) -> list[int]:
     candidate set (top-down numbered in a label-subset sub-search), colour
     it whole (k_min = 0) and lift every colour bound to n, so no node is cut
     off by its bound and the explored tree no longer depends on when the
-    incumbent improves."""
+    incumbent improves.  :func:`recorded_solve` checks that a solve
+    recorded every node it counted."""
     records: list[int] = []
 
     def recording(kernel):
@@ -174,16 +175,29 @@ def record_nodes(monkeypatch) -> list[int]:
     return records
 
 
-def first_pass_nodes(records: list[int], run) -> tuple[Counter, object]:
-    """Multiset of the size-pass node records of one solve, and the solve."""
+def recorded_solve(records: list[int], run):
+    """Run one in-process solve with :func:`record_nodes` installed.
+
+    Each node the solve counts is one colouring, so a kernel that a search
+    calls past the patched names would leave nodes unrecorded, and a test
+    built on the records would check nothing."""
     records.clear()
     solution = run()
+    counted = solution.stats.nodes_pass1 + solution.stats.nodes_pass2
+    assert len(records) == counted > 0, "a search coloured nodes past the recording kernels"
+    return solution
+
+
+def first_pass_nodes(records: list[int], run) -> tuple[Counter, object]:
+    """Multiset of the size-pass node records of one solve, and the solve."""
+    solution = recorded_solve(records, run)
     return Counter(records[: solution.stats.nodes_pass1]), solution
 
 
 def drive_worker(units, lg, budget):
     """Run ``_worker`` in this process as the only worker of a size pass
-    over ``units``; returns its result and the unit index it left shared."""
+    over ``units``; returns its result (witness, labels, nodes and
+    sub-search outcomes) and the unit index it left shared."""
     shared = par_mod._Shared(incumbent_key(0, 0))
     try:
         out = []
@@ -206,8 +220,9 @@ def test_replay_accounting_prefixes_match_sequential(monkeypatch):
     assert sum(seq_nodes.values()) > 1
     permuted, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
     records.clear()
-    (clique, labels, nodes, _), _ = drive_worker(par_mod.split_root(permuted), permuted, 2)
+    (clique, labels, nodes, outcomes), _ = drive_worker(par_mod.split_root(permuted), permuted, 2)
     assert Counter(records) == seq_nodes  # no node twice, none lost, none invented
+    assert outcomes == []  # root branches run no sub-search
     assert 1 + nodes == seq.stats.nodes_pass1  # the root colouring is split_root's
     assert len(clique) == seq.size
     # solve walks the same root branches, one unit at a time, when a pass
@@ -246,11 +261,11 @@ def test_each_unit_runs_once_with_more_workers_than_cores(monkeypatch):
     # unit that a lost counter update let two workers claim, or that none
     # ran, would move the node count.  One instance hands out label
     # subsets, the other (16 labels, too many subsets) root branches.
-    record_nodes(monkeypatch)
+    records = record_nodes(monkeypatch)
     workers = 3 * len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 6
     for num_labels, subsets in ((3, True), (16, False)):
         lg = random_instance(24, 0.6, num_labels, seed=2024)
-        seq = solve(lg, 2)
+        seq = recorded_solve(records, lambda: solve(lg, 2))
         assert (seq.stats.subsets_pass1 > 0) == subsets
         for _ in range(3):
             par = solve_parallel(lg, 2, workers=workers)
@@ -328,6 +343,25 @@ def test_worker_exception_is_reraised(fig1, monkeypatch):
     monkeypatch.setattr(par_mod, "_worker", failing)
     with pytest.raises(ValueError, match="worker failed"):
         solve_parallel(fig1, 3, workers=2)
+    assert no_children_left()
+
+
+def test_unpicklable_worker_exception_keeps_its_message(fig1, monkeypatch):
+    # An exception holding a lambda cannot be pickled; the worker sends a
+    # RuntimeError that names it instead of exiting without a result.
+    class Unpicklable(ValueError):
+        def __init__(self, message):
+            super().__init__(message)
+            self.callback = lambda: None
+
+    def failing(state):
+        raise Unpicklable("worker failed")
+
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(par_mod, "_worker", failing)
+    with pytest.raises(RuntimeError, match="^Unpicklable: worker failed$"):
+        solve_parallel(fig1, 3, workers=2)
+    assert len(forks) == 2
     assert no_children_left()
 
 

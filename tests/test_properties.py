@@ -10,6 +10,7 @@ so the suite stays deterministic.
 """
 
 import warnings
+from itertools import combinations
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -166,6 +167,60 @@ def test_k_min_changes_no_solve():
 
     check()
     assert passes == {(1, True), (1, False), (2, True), (2, False)}
+
+
+def holds_clique(lg, labels: int, size: int) -> bool:
+    """True when some ``size`` vertices of ``lg`` are pairwise joined by
+    edges whose labels lie in the mask ``labels``: brute force."""
+    edges = {pair for pair, label in lg.edge_label_map().items() if labels >> label & 1}
+    return any(all(pair in edges for pair in combinations(vertices, 2))
+               for vertices in combinations(range(lg.graph.n), size))
+
+
+def planted_instance(n, density, num_labels, seed, size, labels):
+    """:func:`random_instance` with a ``size``-clique planted on vertices
+    0..size-1, whose edges take the first ``labels`` labels in turn: a
+    cheap clique that pass 2 has to find among dearer ones."""
+    edge_labels = random_instance(n, density, num_labels, seed).edge_label_map()
+    for j, edge in enumerate(combinations(range(size), 2)):
+        edge_labels[edge] = j % labels
+    return build_labelled(build_graph(n, sorted(edge_labels)), num_labels, edge_labels)
+
+
+def test_pass_two_skips_only_refuted_subsets():
+    # A level lists no T inside the mask of a sub-search that ended below
+    # the pass-1 size s.  Both solvers must still match the oracle, and no
+    # T that a level left out may hold a clique of size s.
+    pass_subsets = seq_mod._pass_subsets
+    skipped_levels = []
+
+    def listing(lg, first_pass, budget, cost, dead):
+        units = pass_subsets(lg, first_pass, budget, cost, dead)
+        if units is not None and not first_pass:
+            skipped_levels.append(set(pass_subsets(lg, first_pass, budget, cost, [])) - set(units))
+        return units
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.integers(9, 13), st.sampled_from([0.5, 0.65, 0.8]), st.integers(3, 5),
+           st.integers(0, 2**32), st.integers(4, 7), st.integers(1, 3))
+    def check(n, density, num_labels, seed, size, labels):
+        lg = planted_instance(n, density, num_labels, seed, size, labels)
+        levels = 0
+        for budget in range(2, num_labels + 1):
+            skipped_levels.clear()
+            with MonkeyPatch.context() as patch:
+                patch.setattr(seq_mod, "_pass_subsets", listing)
+                got = solve(lg, budget)
+            assert_solvers_agree(lg, budget)
+            for skipped in skipped_levels:
+                skips.append(len(skipped))
+                assert not any(holds_clique(lg, mask, got.size) for mask in skipped)
+            levels += len(skipped_levels)
+        assume(levels > 0)
+
+    skips = []
+    check()
+    assert sum(skips) > 0
 
 
 @st.composite

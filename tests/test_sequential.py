@@ -286,20 +286,53 @@ def test_pass_two_descends_level_by_level(monkeypatch):
     levels = []
     pass_subsets = seq_mod._pass_subsets
 
-    def recording(lg, first_pass, budget, cost):
-        units = pass_subsets(lg, first_pass, budget, cost)
+    def recording(lg, first_pass, budget, cost, dead):
+        units = pass_subsets(lg, first_pass, budget, cost, dead)
         levels.append((first_pass, cost, len(units)))
         return units
 
     monkeypatch.setattr(seq_mod, "_pass_subsets", recording)
     solution = solve(lg, 4)
     assert (solution.size, solution.cost) == oracle_solve(lg, 4)[:2] == (8, 2)
-    assert levels == [(True, 0, 1), (False, 4, 4), (False, 3, 6), (False, 2, 4)]
-    # 1 subset until the first cost-3 fill, all 6 of the next level, 4 singles.
-    assert solution.stats.subsets_pass2 == 1 + 6 + 4
+    assert levels == [(True, 0, 1), (False, 4, 4), (False, 3, 6), (False, 2, 0)]
+    # 1 subset until the first cost-3 fill, all 6 of the next level; every
+    # single label lies in a pair the level before refuted.
+    assert solution.stats.subsets_pass2 == 1 + 6
     parallel = solve_parallel(lg, 4, workers=2)
     assert (parallel.size, parallel.cost) == (8, 2)
     assert clique_cost(lg, parallel.clique) == (parallel.labels, 2)
+
+
+def test_a_level_lists_only_subsets_inside_no_dead_mask(fig1):
+    # fig1 has 4 labels and admits its C(4, 3) = C(4, 1) = 4 subsets.  A
+    # subset that only overlaps a dead mask may still hold the clique.
+    pass_subsets = seq_mod._pass_subsets
+    assert pass_subsets(fig1, False, 3, 4, []) == [0b0111, 0b1011, 0b1101, 0b1110]
+    assert pass_subsets(fig1, False, 3, 4, [0b0111]) == [0b1011, 0b1101, 0b1110]
+    assert pass_subsets(fig1, False, 3, 2, [0b0011, 0b0110]) == [0b1000]
+    assert pass_subsets(fig1, False, 3, 2, [0b1111]) == []
+    assert pass_subsets(fig1, False, 3, 3, []) is None  # C(4, 2) = 6 > 30/7
+
+
+def test_keller4_pass_two_skips_the_refuted_subsets(keller4, monkeypatch):
+    # K=8, b=6, label seed 0: pass 1's first 7 of 28 six-label subsets end
+    # below the size of 10, which pass 1 reaches in the 8th.  Pass 2's
+    # level of C(8, 5) = 56 five-label subsets lists only the 25 that lie in
+    # none of them; with the dead list ignored it searches all 56 and finds
+    # the same solution.
+    lg = random_labels(keller4, 8, 0)
+    skipping = solve(lg, 6)
+    pass_subsets = seq_mod._pass_subsets
+    monkeypatch.setattr(seq_mod, "_pass_subsets",
+                        lambda lg, first_pass, budget, cost, dead:
+                        pass_subsets(lg, first_pass, budget, cost, []))
+    every = solve(lg, 6)
+    assert (skipping.size, skipping.cost) == (every.size, every.cost) == (10, 6)
+    assert (skipping.clique, skipping.labels) == (every.clique, every.labels)
+    assert skipping.stats.nodes_pass1 == every.stats.nodes_pass1
+    assert (skipping.stats.subsets_pass1, skipping.stats.subsets_pass2) == (28, 25)
+    assert (every.stats.subsets_pass1, every.stats.subsets_pass2) == (28, 56)
+    assert skipping.stats.nodes_pass2 < every.stats.nodes_pass2
 
 
 class CountingRows(list):
