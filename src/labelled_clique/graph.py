@@ -1,11 +1,12 @@
-"""Bitset-encoded graphs and edge labellings.
+"""Graphs as edge lists with bitset rows on demand, and edge labellings.
 
-A graph is one adjacency bitset per vertex: bit ``w`` of row ``v`` is set
-iff ``{v, w}`` is an edge.  Bitsets are plain Python ints, so every set
-operation in the search (intersection, and-with-complement) runs word-at-a-
-time in C.  Label sets are also plain int masks over label indices, with
-cost = ``mask.bit_count()``; at most 64 labels are supported so a label set
-always fits one machine word in a fixed-width port.
+A graph holds its sorted edge list and degrees; its rows, bit ``w`` of row
+``v`` set iff ``{v, w}`` is an edge, are built when first read.  Bitsets
+are plain Python ints, so every set operation in the search (intersection,
+and-with-complement) runs word-at-a-time in C.  Label sets are also plain
+int masks over label indices, with cost = ``mask.bit_count()``; at most 64
+labels are supported so a label set always fits one machine word in a
+fixed-width port.
 
 Vertices are 0-based internally; file formats and reports are 1-based.
 All containers here are immutable after construction; forked workers
@@ -43,35 +44,36 @@ def label_indices(mask: int) -> list[int]:
 
 
 class Graph:
-    """Undirected loop-free graph with one adjacency bitset per vertex.
+    """Undirected loop-free graph: degrees, edges (u, v) with u < v, and one
+    adjacency bitset per vertex.  :func:`build_graph` gives the edges and
+    :func:`permute_by_degree` the rows, both trusted here; either is built
+    from the other on first use."""
 
-    Build instances through :func:`build_graph`; rows are trusted here.
-    """
+    __slots__ = ("n", "degrees", "_rows", "_edges")
 
-    __slots__ = ("n", "adjacency", "degrees")
+    def __init__(self, n: int, adjacency: list[int] | None, degrees: list[int],
+                 edges: list[tuple[int, int]] | None = None):
+        self.n, self._rows, self.degrees, self._edges = n, adjacency, degrees, edges
 
-    def __init__(self, n: int, adjacency: list[int], degrees: list[int]):
-        self.n = n
-        self.adjacency = adjacency
-        self.degrees = degrees
+    @property
+    def adjacency(self) -> list[int]:
+        if self._rows is None:
+            rows = self._rows = [0] * self.n
+            for u, v in self._edges:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        return self._rows
 
     def adjacent(self, v: int, w: int) -> bool:
         return (self.adjacency[v] >> w) & 1 == 1
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as (u, v) with u < v, ascending in (u, v).
-
-        This is the canonical edge order used for deterministic label
-        allocation; it depends only on the adjacency, never on the order
-        edges were supplied in.
-        """
-        for u in range(self.n):
-            row = self.adjacency[u] >> (u + 1)
-            w = u + 1
-            while row:
-                bit = row & -row
-                yield u, w + bit.bit_length() - 1
-                row ^= bit
+    def edges(self) -> list[tuple[int, int]]:
+        """Edges as (u, v) with u < v, ascending: the canonical order of
+        label allocation, whatever order the edges were supplied in."""
+        if self._edges is None:
+            self._edges = [(u, w) for u, row in enumerate(self._rows)
+                           for w in iter_bits((row >> (u + 1)) << (u + 1))]
+        return self._edges
 
     def edge_count(self) -> int:
         return sum(self.degrees) // 2
@@ -81,23 +83,20 @@ class Graph:
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Construct a :class:`Graph` from an edge list.
-
-    Duplicate edges collapse to one; loops and out-of-range endpoints are
-    rejected.
-    """
+    """Construct a :class:`Graph` from an edge list.  Duplicate edges
+    collapse to one; loops and out-of-range endpoints are rejected."""
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
-    adjacency = [0] * n
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) out of range for {n} vertices")
-        if u == v:
-            raise GraphError(f"loop edge at vertex {u}")
-        adjacency[u] |= 1 << v
-        adjacency[v] |= 1 << u
-    degrees = [row.bit_count() for row in adjacency]
-    return Graph(n, adjacency, degrees)
+    # dict.fromkeys keeps the input's order, so sorted input sorts in linear time.
+    canonical = sorted(dict.fromkeys((u, v) if u < v else (v, u) for u, v in edges))
+    degrees = [0] * n
+    for u, v in canonical:
+        if not 0 <= u < v < n:
+            raise GraphError(f"loop edge at vertex {u}" if u == v
+                             else f"edge ({u}, {v}) out of range for {n} vertices")
+        degrees[u] += 1
+        degrees[v] += 1
+    return Graph(n, None, degrees, canonical)
 
 
 class LabelledGraph:
@@ -110,9 +109,7 @@ class LabelledGraph:
     __slots__ = ("graph", "num_labels", "label_bits")
 
     def __init__(self, graph: Graph, num_labels: int, label_bits: list[dict[int, int]]):
-        self.graph = graph
-        self.num_labels = num_labels
-        self.label_bits = label_bits
+        self.graph, self.num_labels, self.label_bits = graph, num_labels, label_bits
 
     def label_of(self, u: int, v: int) -> int:
         """Label index of edge (u, v); raises GraphError for a non-edge."""
@@ -147,34 +144,16 @@ def build_labelled(
         if key in normalised and normalised[key] != label:
             raise GraphError(f"conflicting labels for edge {key}")
         if not 0 <= label < num_labels:
-            raise GraphError(
-                f"label {label} for edge {key} out of range [0, {num_labels})"
-            )
+            raise GraphError(f"label {label} for edge {key} out of range [0, {num_labels})")
         normalised[key] = label
     # Every key is a distinct edge of the graph, so equal counts mean every
     # edge is covered.
     if len(normalised) != graph.edge_count():
         u, v = next(edge for edge in graph.edges() if edge not in normalised)
         raise GraphError(f"edge ({u}, {v}) has no label")
-    return attach_labels(
-        graph, num_labels, ((u, v, label) for (u, v), label in normalised.items())
-    )
-
-
-def attach_labels(
-    graph: Graph, num_labels: int, labelled_edges: Iterable[tuple[int, int, int]]
-) -> LabelledGraph:
-    """Attach ``(u, v, label)`` triples to a graph without checking them.
-
-    The caller guarantees one triple per edge of ``graph`` with a label in
-    ``[0, num_labels)``; :func:`build_labelled` is the checked entry point
-    for labels from outside the program.
-    """
     label_bits: list[dict[int, int]] = [{} for _ in range(graph.n)]
-    for u, v, label in labelled_edges:
-        mask = 1 << label
-        label_bits[u][v] = mask
-        label_bits[v][u] = mask
+    for (u, v), label in normalised.items():
+        label_bits[u][v] = label_bits[v][u] = 1 << label
     return LabelledGraph(graph, num_labels, label_bits)
 
 
@@ -209,40 +188,39 @@ class Permutation:
 
 
 def permute_by_degree(
-    lg: LabelledGraph, kept: int | None = None
+    lg: LabelledGraph, kept: set[int] | None = None
 ) -> tuple[LabelledGraph, Permutation]:
     """Renumber vertices into non-increasing degree order.
 
     Ties break by ascending original index, so the permutation is a stable
     sort and reproducible.  Edge labels are carried through.  With ``kept``
-    (a vertex bitset) the result is the subgraph those vertices induce,
+    (a vertex set) the result is the subgraph those vertices induce,
     ordered by their degrees in it.  The returned :class:`Permutation`
     maps solutions back to the original numbering.
     """
-    g = lg.graph
+    g, neighbours = lg.graph, lg.label_bits
     if kept is None:
         vertices, degree = range(g.n), g.degrees
     else:
-        vertices = list(iter_bits(kept))
-        degree = {v: (g.adjacency[v] & kept).bit_count() for v in vertices}
+        vertices = kept
+        degree = {v: len(kept.intersection(neighbours[v])) for v in kept}
     forward = sorted(vertices, key=lambda v: (-degree[v], v))
     inverse: list[int | None] = [None] * g.n
     for new, old in enumerate(forward):
         inverse[old] = new
     n = len(forward)
     adjacency = [0] * n
-    degrees = [0] * n
     label_bits: list[dict[int, int]] = [{} for _ in range(n)]
     for new, old in enumerate(forward):
         row = 0
         labels = label_bits[new]
-        for w, mask in lg.label_bits[old].items():
+        for w, mask in neighbours[old].items():
             w = inverse[w]
             if w is not None:
                 row |= 1 << w
                 labels[w] = mask
         adjacency[new] = row
-        degrees[new] = degree[old]
+    degrees = [degree[old] for old in forward]
     permuted = LabelledGraph(Graph(n, adjacency, degrees), lg.num_labels, label_bits)
     return permuted, Permutation(tuple(forward), tuple(inverse))
 
@@ -251,60 +229,55 @@ def greedy_clique_size(lg: LabelledGraph, budget: int) -> int:
     """Size of the largest clique within ``budget`` labels grown greedily
     from each of the ``_GREEDY_STARTS`` highest-degree vertices.
 
-    Each start repeatedly adds the highest-degree common neighbour that
-    keeps the clique within budget, so the result is a feasible size: a
-    lower bound on the optimum.
+    Each start repeatedly adds the highest-degree common neighbour, lowest
+    index first among equal degrees, that keeps the clique within budget,
+    so the result is a feasible size: a lower bound on the optimum.
     """
-    g = lg.graph
+    g, neighbours = lg.graph, lg.label_bits
     degree = g.degrees.__getitem__
     best = min(g.n, 1)
     for v in sorted(range(g.n), key=degree, reverse=True)[:_GREEDY_STARTS]:
-        clique, labels, cands = [v], 0, g.adjacency[v]
+        clique, labels, cands = [v], 0, set(neighbours[v])
         while cands:
-            for w in sorted(iter_bits(cands), key=degree, reverse=True):
-                row = lg.label_bits[w]
+            for w in sorted(sorted(cands), key=degree, reverse=True):
+                row = neighbours[w]
                 grown = labels
                 for u in clique:
                     grown |= row[u]
                 if grown.bit_count() <= budget:
                     break
                 # Label sets only grow, so w can never join this clique.
-                cands ^= 1 << w
+                cands.discard(w)
             else:
                 break
             clique.append(w)
             labels = grown
-            cands &= g.adjacency[w]
+            cands = cands.intersection(neighbours[w])
         best = max(best, len(clique))
     return best
 
 
-def core(g: Graph, k: int) -> int:
-    """Bitset of the k-core: the largest vertex set in which every vertex
-    has at least ``k`` neighbours.
+def core(lg: LabelledGraph, k: int) -> set[int]:
+    """The k-core: the largest vertex set in which every vertex has at
+    least ``k`` neighbours.
 
-    Vertices of degree below ``k`` go in one pass over the degrees; each
-    round then drops the vertices left with fewer than ``k`` surviving
-    neighbours and rechecks only the neighbours of those it dropped.  Only
-    this one ``k`` is peeled, not every vertex's core number.
+    Vertices of degree below ``k`` are peeled one at a time, each lowering
+    its neighbours' degrees and peeling those that fall below ``k``: the
+    O(m) peel of Batagelj and Zaversnik (2003), for this one ``k`` rather
+    than every vertex's core number.
     """
-    # The degree prefilter, built as one binary literal: OR-ing thousands
-    # of single bits into a long int would copy it once per vertex.
-    alive = int("".join("1" if d >= k else "0" for d in reversed(g.degrees)) or "0", 2)
-    check = [v for v, d in enumerate(g.degrees) if d >= k]
-    while check:
-        touched = 0
-        for v in check:
-            row = g.adjacency[v]
-            if (row & alive).bit_count() < k:
-                alive ^= 1 << v
-                touched |= row
-        check = list(iter_bits(touched & alive))
-    return alive
+    neighbours, degree = lg.label_bits, list(lg.graph.degrees)
+    peeled = [v for v, d in enumerate(degree) if d < k]
+    for v in peeled:
+        for w in neighbours[v]:
+            degree[w] -= 1
+            if degree[w] == k - 1:  # only once, and never for a peeled vertex
+                peeled.append(w)
+    return {v for v, d in enumerate(degree) if d >= k}
 
 
-def reduce_to_core(lg: LabelledGraph, budget: int) -> int | None:
-    """The vertices a search within ``budget`` needs, as a bitset, or None
+def reduce_to_core(lg: LabelledGraph, budget: int) -> set[int] | None:
+    """The vertices a search within ``budget`` needs, as a set, or None
     when it needs all of them.
 
     A greedy feasible clique of size s0 shows that every optimal clique,
@@ -316,7 +289,7 @@ def reduce_to_core(lg: LabelledGraph, budget: int) -> int | None:
     k = greedy_clique_size(lg, budget) - 1
     if k <= min(lg.graph.degrees, default=0):
         return None
-    return core(lg.graph, k)
+    return core(lg, k)
 
 
 def clique_cost(lg: LabelledGraph, clique: Iterable[int]) -> tuple[int, int]:

@@ -11,10 +11,8 @@ Formats (all 1-based, ``c`` comment lines allowed):
   without it the count is the largest ``k``.  Other ``c`` lines are
   comments.
 
-Random labels use a fixed splitmix64 stream over the canonical edge order
-(ascending vertex pairs in original numbering), so a (graph, label count,
-seed) triple produces the identical labelling in any implementation,
-regardless of the order edges appeared in the input file.
+Random labels use a fixed splitmix64 stream over the ascending edge order,
+so (graph, label count, seed) gives one labelling in any implementation.
 """
 
 from __future__ import annotations
@@ -23,9 +21,10 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
-from .graph import MAX_LABELS, Graph, LabelledGraph, attach_labels, build_graph, build_labelled
+from .graph import MAX_LABELS, Graph, LabelledGraph, build_graph, build_labelled
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4B7C15
@@ -63,8 +62,41 @@ def parse_dimacs(text: str) -> Graph:
     the unique edge count emits a warning rather than an error.  The
     declared count sizes nothing, so any value is safe; memory grows only
     with the vertex count and the edge lines actually read.  A header
-    declaring more than :data:`MAX_VERTICES` vertices is rejected.
+    declaring more than :data:`MAX_VERTICES` vertices is rejected.  Text the
+    bulk read refuses goes through the line parser, which numbers errors.
     """
+    try:
+        declared, graph = _read_in_bulk(text)
+    except ValueError:
+        n, declared, edges = _parse_lines(text)
+        graph = build_graph(n, edges)
+    if graph.edge_count() != declared:
+        warnings.warn(f"problem line declares {declared} edges but {graph.edge_count()} unique"
+                      " edges found", stacklevel=2)
+    return graph
+
+
+def _read_in_bulk(text: str) -> tuple[int, Graph]:
+    """The declared edge count and graph of a text whose lines from the
+    first ``e`` line on are all bare ``e u v``; ValueError for other text.
+    Newline is the body's only line break and each line starts with ``e``,
+    which starts no token ``int`` takes, so ``e u v`` triples are lines."""
+    cut = text.find("\ne") + 1
+    body = text[cut:]
+    lines = body.count("\ne") + 1
+    tokens = body.split()
+    if (not cut or body.count("\n") - body.endswith("\n") != lines - 1
+            or len(tokens) != 3 * lines or tokens[::3].count("e") != lines
+            or any(c in body for c in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")):
+        raise ValueError("not a body of bare 'e u v' lines")
+    n, declared, edges = _parse_lines(text[:cut])
+    us, vs = (list(map((-1).__add__, map(int, tokens[i::3]))) for i in (1, 2))
+    del body, tokens  # free the token strings, the read's peak memory, before building
+    return declared, build_graph(n, chain(edges, zip(us, vs)))
+
+
+def _parse_lines(text: str) -> tuple[int, int, list[tuple[int, int]]]:
+    """The vertex count, declared edge count and 0-based edges, line by line."""
     n: int | None = None
     declared = 0
     edges: list[tuple[int, int]] = []
@@ -108,14 +140,7 @@ def parse_dimacs(text: str) -> Graph:
             raise ParseError(f"line {lineno}: unrecognised line {tokens[0]!r}")
     if n is None:
         raise ParseError("missing problem line")
-    graph = build_graph(n, edges)
-    unique = graph.edge_count()
-    if unique != declared:
-        warnings.warn(
-            f"problem line declares {declared} edges but {unique} unique edges found",
-            stacklevel=2,
-        )
-    return graph
+    return n, declared, edges
 
 
 def write_dimacs(g: Graph, comment: str | None = None) -> str:
@@ -206,18 +231,20 @@ def random_labels(g: Graph, num_labels: int, seed: int) -> LabelledGraph:
     """Allocate one random label per edge, reproducibly from the seed.
 
     Edges consume one splitmix64 value each in canonical order, so the
-    labelling depends only on (graph, num_labels, seed).
+    labelling depends only on (graph, num_labels, seed).  The generator is
+    :func:`splitmix_next`, inlined.
     """
     if not 1 <= num_labels <= MAX_LABELS:
         raise ValueError(f"num_labels must be in [1, {MAX_LABELS}], got {num_labels}")
-
-    def labelled_edges():
-        state = seed & _MASK64
-        for u, v in g.edges():
-            value, state = splitmix_next(state)
-            yield u, v, value % num_labels
-
-    return attach_labels(g, num_labels, labelled_edges())
+    gamma, mul1, mul2, mask = _SPLITMIX_GAMMA, _SPLITMIX_MUL1, _SPLITMIX_MUL2, _MASK64
+    state = seed & mask
+    label_bits: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for u, v in g.edges():
+        state = (state + gamma) & mask
+        z = ((state ^ (state >> 30)) * mul1) & mask
+        z = ((z ^ (z >> 27)) * mul2) & mask
+        label_bits[u][v] = label_bits[v][u] = 1 << (z ^ (z >> 31)) % num_labels
+    return LabelledGraph(g, num_labels, label_bits)
 
 
 def resolve_budget(num_labels: int, budget: int | None = None, budget_pct: int | None = None) -> int:

@@ -17,6 +17,7 @@ from labelled_clique import (
     colour_order,
     incumbent_key,
     is_better,
+    parse_dimacs,
     random_labels,
     resolve_budget,
     solve,
@@ -24,6 +25,7 @@ from labelled_clique import (
     splitmix_next,
     write_dimacs,
 )
+import labelled_clique.graph_io as graph_io
 import labelled_clique.sequential as seq_mod
 from labelled_clique.cli import EXIT_OK, main
 from labelled_clique.oracle import oracle_solve
@@ -265,6 +267,28 @@ def test_criterion_8_large_sparse_graphs():
     # 3-core (2,610 vertices) when the greedy clique has 4 vertices.
     assert searched.count(8) == 6 and max(searched) == 2610
     print(f"ACCEPTANCE 8: PASS (9 runs on 7000-vertex sparse graph, worst {worst:.2f}s < 5s)")
+
+
+def test_criterion_8_ingest_builds_no_unpermuted_rows(monkeypatch):
+    # The benchmark's path: DIMACS text, seeded labels, both solvers and the
+    # witness check.  The header goes through the line parser, the 12,028
+    # edge lines through the bulk read, and the search only through the
+    # rows of the peeled, renumbered graph.
+    heads = []
+    parse_lines = graph_io._parse_lines
+    monkeypatch.setattr(graph_io, "_parse_lines", lambda text: heads.append(text) or parse_lines(text))
+    graph = parse_dimacs(write_dimacs(_collaboration_scale_graph()))
+    assert heads == ["p edge 7000 12028\n"]
+    lg = random_labels(graph, 5, seed=5 * 31 + 2)
+    for solution in (solve(lg, 2), solve_parallel(lg, 2, workers=2)):
+        stats = solution.stats
+        assert solution.clique == [0, 1, 3, 6]
+        assert (solution.size, solution.cost, solution.labels) == (4, 2, 0b11)
+        assert (stats.nodes_pass1, stats.nodes_pass2) == (19, 130)
+        assert (stats.subsets_pass1, stats.subsets_pass2) == (0, 0)
+        assert stats.vertices_searched == 2610
+        assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
+    assert graph._rows is None
 
 
 def test_subset_rule_follows_average_degree(keller4, monkeypatch):

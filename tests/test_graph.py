@@ -8,6 +8,7 @@ from labelled_clique import (
     clique_cost,
     label_indices,
     permute_by_degree,
+    random_labels,
     solve,
 )
 from labelled_clique.graph import core, greedy_clique_size, iter_bits
@@ -132,16 +133,14 @@ def test_permute_properties():
 def test_permute_kept_vertices_builds_induced_subgraph():
     for seed in range(5):
         lg = random_instance(12, 0.4, 3, seed=seed)
-        kept = 0b101101110101 >> seed
+        kept = set(iter_bits(0b101101110101 >> seed))
         permuted, perm = permute_by_degree(lg, kept)
-        assert sorted(perm.forward) == list(iter_bits(kept))
-        assert [perm.inverse[v] is None for v in range(12)] == [
-            not kept >> v & 1 for v in range(12)
-        ]
+        assert sorted(perm.forward) == sorted(kept)
+        assert [perm.inverse[v] is None for v in range(12)] == [v not in kept for v in range(12)]
         degs = permuted.graph.degrees
         assert degs == [row.bit_count() for row in permuted.graph.adjacency]
         assert all(degs[i] >= degs[i + 1] for i in range(len(degs) - 1))
-        induced = [(u, v) for u, v in lg.graph.edges() if kept >> u & kept >> v & 1]
+        induced = [(u, v) for u, v in lg.graph.edges() if u in kept and v in kept]
         assert permuted.graph.edge_count() == len(induced)
         for u, v in induced:
             pu, pv = perm.inverse[u], perm.inverse[v]
@@ -154,13 +153,14 @@ def test_core_matches_networkx_and_is_stable():
         reference = nx.Graph(list(g.edges()))
         reference.add_nodes_from(range(g.n))
         for k in range(8):
-            alive = core(g, k)
-            assert set(iter_bits(alive)) == set(nx.k_core(reference, k))
-            for v in iter_bits(alive):
-                assert (g.adjacency[v] & alive).bit_count() >= k
+            alive = core(random_labels(g, 1, seed), k)
+            assert alive == set(nx.k_core(reference, k))
+            mask = sum(1 << v for v in alive)
+            for v in alive:
+                assert (g.adjacency[v] & mask).bit_count() >= k
             # Peeling the core's own subgraph again removes nothing.
-            again = build_graph(g.n, [(u, v) for u, v in g.edges() if alive >> u & alive >> v & 1])
-            assert core(again, k) == alive
+            again = build_graph(g.n, [(u, v) for u, v in g.edges() if u in alive and v in alive])
+            assert core(random_labels(again, 1, seed), k) == alive
 
 
 def test_greedy_clique_size_is_feasible_lower_bound():
@@ -169,6 +169,40 @@ def test_greedy_clique_size_is_feasible_lower_bound():
         for budget in range(1, 5):
             size = greedy_clique_size(lg, budget)
             assert 2 <= size <= solve(lg, budget).size
+
+
+def greedy_on_rows(lg, budget):
+    """``greedy_clique_size`` as it ran on adjacency rows before it read the
+    label maps: the reference for its choices and tie-breaks."""
+    g = lg.graph
+    degree = g.degrees.__getitem__
+    best = min(g.n, 1)
+    for v in sorted(range(g.n), key=degree, reverse=True)[:32]:
+        clique, labels, cands = [v], 0, g.adjacency[v]
+        while cands:
+            for w in sorted(iter_bits(cands), key=degree, reverse=True):
+                grown = labels
+                for u in clique:
+                    grown |= lg.label_bits[w][u]
+                if grown.bit_count() <= budget:
+                    break
+                cands ^= 1 << w
+            else:
+                break
+            clique.append(w)
+            labels = grown
+            cands &= g.adjacency[w]
+        best = max(best, len(clique))
+    return best
+
+
+def test_greedy_clique_size_keeps_the_row_greedy_tie_breaks():
+    # A set's iteration order is not ascending, so a greedy that took the
+    # candidates of equal degree in set order would pick other vertices.
+    for seed in range(60):
+        lg = random_instance(12 + seed % 25, 0.2 + 0.1 * (seed % 3), 2 + seed % 4, seed)
+        for budget in range(1, lg.num_labels + 1):
+            assert greedy_clique_size(lg, budget) == greedy_on_rows(lg, budget)
 
 
 def test_clique_cost_fig1(fig1):

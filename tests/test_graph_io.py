@@ -11,6 +11,7 @@ from labelled_clique import (
     fixture_path,
     parse_dimacs,
     parse_labels,
+    permute_by_degree,
     random_labels,
     resolve_budget,
     solve,
@@ -73,8 +74,8 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_parse_rejects_vertex_count_above_cap():
-    # One over the cap: without the guard this would allocate only ~8 MB of
-    # rows, so the test stays cheap whether or not the guard holds.
+    # One over the cap: without the guard this would allocate only an 8 MB
+    # degree list, so the test stays cheap whether or not the guard holds.
     with pytest.raises(ParseError, match=f"line 2: {MAX_VERTICES + 1} vertices exceeds"):
         parse_dimacs(f"c header only\np edge {MAX_VERTICES + 1} 0\n")
 
@@ -141,6 +142,51 @@ def test_random_labels_independent_of_input_edge_order():
     g1 = build_graph(4, edges)
     g2 = build_graph(4, list(reversed(edges)))
     assert random_labels(g1, 3, 5).edge_label_map() == random_labels(g2, 3, 5).edge_label_map()
+
+
+def test_random_labels_follow_splitmix_next_in_edge_order():
+    # random_labels inlines the generator; this pins it to splitmix_next,
+    # one value per edge in ascending (u, v) order.
+    for graph_seed in range(3):
+        state, pairs = graph_seed, []
+        while len({(min(u, v), max(u, v)) for u, v in pairs}) < 300:
+            a, state = splitmix_next(state)
+            b, state = splitmix_next(state)
+            if a % 40 != b % 40:
+                pairs.append((a % 40, b % 40))
+        g = build_graph(40, pairs)  # duplicates and both orders included
+        canonical = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+        assert g.edges() == canonical and len(pairs) > 300
+        for num_labels, seed in ((1, 0), (3, 7), (5, 2**64 - 1), (13, 2**64 + 5), (64, 12345)):
+            expected, state = {}, seed
+            for edge in canonical:
+                value, state = splitmix_next(state)
+                expected[edge] = value % num_labels
+            assert random_labels(g, num_labels, seed).edge_label_map() == expected
+
+
+def test_every_graph_lists_its_edges_sorted_and_unique():
+    g = random_graph(30, 0.3, seed=5)
+    lg = random_labels(g, 4, seed=1)
+    reversed_text = f"p edge 30 {g.edge_count()}\n" + "".join(
+        f"e {v + 1} {u + 1}\n" for u, v in g.edges())
+    kept = set(range(0, 30, 2))
+    graphs = [
+        build_graph(30, [(v, u) for u, v in reversed(g.edges())] + g.edges()),
+        parse_dimacs(write_dimacs(g)),
+        parse_dimacs(write_dimacs(g).replace("\n", "\r\n")),  # the line parser
+        parse_dimacs(reversed_text),
+        permute_by_degree(lg)[0].graph,
+        permute_by_degree(lg, kept)[0].graph,
+    ]
+    for graph in graphs:
+        edges = list(graph.edges())
+        assert edges == sorted(set(edges)) and all(u < v for u, v in edges)
+        assert graph.degrees == [row.bit_count() for row in graph.adjacency]
+    assert all(graph.edges() == g.edges() for graph in graphs[:4])
+    permuted, perm = permute_by_degree(lg, kept)
+    assert sorted(tuple(sorted(perm.to_original(e))) for e in permuted.graph.edges()) == [
+        (u, v) for u, v in g.edges() if u in kept and v in kept]
 
 
 def test_random_labels_in_range():

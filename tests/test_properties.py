@@ -4,9 +4,10 @@ parsers against arbitrary text.
 
 Every budget of every drawn instance must give the oracle's (size, cost),
 and every witness must re-check as a feasible clique of that size and cost.
-Text fed to the parsers may raise only their own errors, and a label file
-written for a labelling must parse back to it.  Examples are derandomised
-so the suite stays deterministic.
+Text fed to the parsers may raise only their own errors, a label file
+written for a labelling must parse back to it, and the bulk DIMACS read must
+agree with the line parser.  Examples are derandomised so the suite stays
+deterministic.
 """
 
 import warnings
@@ -32,8 +33,10 @@ from labelled_clique import (
     solve_parallel,
     write_labels,
 )
+import labelled_clique.graph_io as graph_io
 import labelled_clique.sequential as seq_mod
 from labelled_clique.graph import MAX_LABELS
+from labelled_clique.graph_io import MAX_VERTICES
 from labelled_clique.sequential import WithinLabels, _expand, _search
 
 from conftest import paper_solve, random_instance
@@ -321,3 +324,80 @@ def test_parsers_raise_only_their_own_errors(n, declared, pairs, data):
         parse_labels(_spoil(data, own), graph)
     except (ParseError, GraphError):
         pass
+
+
+# Edge lines that the line parser rejects or reads differently from a bare
+# ``e u v`` line, or that only look bare; ``{u}`` and ``{v}`` are in range.
+_BENT_LINES = {
+    "bent": ["e {u} x", "x {u} {v}", "e {u}", "e {u} {v} {v}", "e{u} {v} {u}", "ee {u} {v}",
+             "e 0 {v}", "e {u} {big}", "e -{u} {v}", "e {u} {u}", "p edge 3 3", "c {u} {v}",
+             "", "  e {u} {v}", "e +{u} {v}", "e 0{u} {v}", "e {u}_0 {v}", "e {u} \u0663"],
+    # Line breaks inside a line, and whitespace that breaks none.
+    "broken": ["e {u}\n{v}", "e {u}\r{v}", "e {u}\x0b{v}", "e {u}\x1e{v}", "e {u}\x85{v}",
+               "e {u}\u2028{v}", "e {u}\x1f{v}", "e\u3000{u} {v}"],
+}
+
+
+@st.composite
+def dimacs_texts(draw):
+    """DIMACS text, mostly with a body of bare ``e u v`` lines that the bulk
+    read takes, else with one line bent, broken or moved above the header."""
+    n = draw(st.integers(1, 9))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    seps, ends = st.sampled_from([" ", " ", "\t", "  ", " \t "]), st.sampled_from(["", " ", "\t"])
+    lines = [f"e{draw(seps)}{u}{draw(seps)}{v}{draw(ends)}"
+             for u, v in draw(st.lists(pairs, max_size=12))]
+    head = draw(st.lists(st.sampled_from(["c header", "", "c e 1 2"]), max_size=2))
+    header = draw(st.sampled_from(
+        [f"p edge {n} {len(lines)}", f"p edge {n} {len(lines)}", f"p edge {n} {len(lines) + 1}",
+         "p edge 0 0", f"p edge {MAX_VERTICES + 1} 0"]))
+    kind = draw(st.sampled_from(["bare", "bare", "bent", "broken", "before"]))
+    if kind in _BENT_LINES:
+        u, v = draw(pairs)
+        bent = draw(st.sampled_from(_BENT_LINES[kind])).format(u=u, v=v, big=n + 1)
+        lines.insert(draw(st.integers(0, len(lines))), bent)
+    elif kind == "before" and lines:
+        head.append(lines.pop())
+    text = draw(st.sampled_from(["\n", "\n", "\r\n"])).join([*head, header, *lines])
+    return text + draw(st.sampled_from(["\n", ""]))
+
+
+def _parse_outcome(text):
+    """``parse_dimacs``'s graph as (n, edges, degrees), or its ParseError's
+    message, with the messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            graph = parse_dimacs(text)
+            outcome = (graph.n, list(graph.edges()), graph.degrees)
+        except ParseError as exc:
+            outcome = str(exc)
+    return outcome, [str(w.message) for w in caught]
+
+
+def _line_parser_only(text):
+    raise ValueError("bulk read off")
+
+
+def test_bulk_read_matches_the_line_parser():
+    taken = []
+    bulk = graph_io._read_in_bulk
+
+    def spy(text):
+        result = bulk(text)
+        taken.append(text)
+        return result
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(dimacs_texts())
+    def check(text):
+        with MonkeyPatch.context() as mp:
+            mp.setattr(graph_io, "_read_in_bulk", spy)
+            fast = _parse_outcome(text)
+            mp.setattr(graph_io, "_read_in_bulk", _line_parser_only)
+            assert fast == _parse_outcome(text)
+
+    check()
+    # The bulk read took a good share of the texts, tabs and comments included.
+    assert len(taken) >= 50 and any("\t" in text for text in taken)
+    assert any(text.startswith("c") for text in taken)
