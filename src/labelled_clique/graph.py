@@ -1,4 +1,4 @@
-"""Graphs as edge lists with bitset rows on demand, and edge labellings.
+"""Graphs as edge lists with bitset rows on demand, and edge labels on demand.
 
 A graph holds its sorted edge list and degrees; its rows, bit ``w`` of row
 ``v`` set iff ``{v, w}`` is an edge, are built when first read.  Bitsets
@@ -15,8 +15,10 @@ read their own copies.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 MAX_LABELS = 64
 
@@ -102,25 +104,61 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 class LabelledGraph:
     """A graph plus one label index per edge.
 
-    ``label_bits[v]`` maps each neighbour ``w`` of ``v`` to the single-bit
-    mask ``1 << label(v, w)``; the search unions these masks directly.
+    ``labels_at(indices)`` labels the edges at those positions of
+    ``graph.edges()``, so a solve labels only the edges it reads.
+    ``label_bits[v]``, built on first read unless given, maps each neighbour
+    ``w`` of ``v`` to the mask ``1 << label(v, w)`` that the search unions.
     """
 
-    __slots__ = ("graph", "num_labels", "label_bits")
+    __slots__ = ("graph", "num_labels", "labels_at", "_bits")
 
-    def __init__(self, graph: Graph, num_labels: int, label_bits: list[dict[int, int]]):
-        self.graph, self.num_labels, self.label_bits = graph, num_labels, label_bits
+    def __init__(self, graph: Graph, num_labels: int, bits: list[dict[int, int]] | None = None,
+                 labels_at: Callable[[Sequence[int]], list[int]] | None = None):
+        self.graph, self.num_labels, self.labels_at, self._bits = graph, num_labels, labels_at, bits
+
+    @property
+    def label_bits(self) -> list[dict[int, int]]:
+        if self._bits is None:
+            edges = self.graph.edges()
+            self._bits = self._add([{} for _ in self.graph.degrees], range(len(edges)), edges)
+        return self._bits
+
+    def _add(self, rows, at: Sequence[int], edges: Iterable[tuple[int, int]]):
+        for (u, v), label in zip(edges, self.labels_at(at)):  # edges[i] is edge at[i]
+            rows[u][v] = rows[v][u] = 1 << label
+        return rows
+
+    def rows_among(self, vertices: set[int]) -> list[dict[int, int]] | dict[int, dict[int, int]]:
+        """Rows like ``label_bits`` of the edges among ``vertices``, labelling only
+        those, unless ``label_bits`` is built or ``vertices`` has every edge."""
+        g = self.graph
+        edged = g.n - g.degrees.count(0)
+        if self._bits is None and sum(g.degrees[v] > 0 for v in vertices) < edged:
+            edges = g.edges()
+            at = [i for i, (u, v) in enumerate(edges) if u in vertices and v in vertices]
+            return self._add(defaultdict(dict), at, map(edges.__getitem__, at))
+        return self.label_bits
+
+    def masks(self, pairs: list[tuple[int, int]]) -> list[int | None]:
+        """Label masks of the pairs (u, v) with u < v, None for a non-edge."""
+        rows = self._bits
+        if rows is None:
+            edges = self.graph.edges()
+            at = [i for pair in pairs if edges[(i := bisect_left(edges, pair)):i + 1] == [pair]]
+            rows = self._add(defaultdict(dict), at, map(edges.__getitem__, at))
+        return [rows[u].get(v) for u, v in pairs]
 
     def label_of(self, u: int, v: int) -> int:
         """Label index of edge (u, v); raises GraphError for a non-edge."""
-        mask = self.label_bits[u].get(v)
+        [mask] = self.masks([(u, v) if u < v else (v, u)])
         if mask is None:
             raise GraphError(f"no edge ({u}, {v})")
         return mask.bit_length() - 1
 
     def edge_label_map(self) -> dict[tuple[int, int], int]:
         """Mapping (u, v) with u < v -> label index, for IO and reports."""
-        return {(u, v): self.label_of(u, v) for u, v in self.graph.edges()}
+        edges = self.graph.edges()
+        return {edge: mask.bit_length() - 1 for edge, mask in zip(edges, self.masks(edges))}
 
     def __repr__(self) -> str:
         return f"LabelledGraph({self.graph!r}, num_labels={self.num_labels})"
@@ -136,25 +174,22 @@ def build_labelled(
     """
     if not 1 <= num_labels <= MAX_LABELS:
         raise GraphError(f"num_labels must be in [1, {MAX_LABELS}], got {num_labels}")
-    normalised: dict[tuple[int, int], int] = {}
+    index = {edge: i for i, edge in enumerate(graph.edges())}
+    labels: list[int | None] = [None] * len(index)
     for (u, v), label in assignments.items():
-        if not graph.adjacent(u, v):
-            raise GraphError(f"label assigned to non-edge ({u}, {v})")
         key = (u, v) if u < v else (v, u)
-        if key in normalised and normalised[key] != label:
+        i = index.get(key)
+        if i is None:
+            raise GraphError(f"label assigned to non-edge ({u}, {v})")
+        if labels[i] not in (None, label):
             raise GraphError(f"conflicting labels for edge {key}")
         if not 0 <= label < num_labels:
             raise GraphError(f"label {label} for edge {key} out of range [0, {num_labels})")
-        normalised[key] = label
-    # Every key is a distinct edge of the graph, so equal counts mean every
-    # edge is covered.
-    if len(normalised) != graph.edge_count():
-        u, v = next(edge for edge in graph.edges() if edge not in normalised)
+        labels[i] = label
+    if None in labels:
+        u, v = graph.edges()[labels.index(None)]
         raise GraphError(f"edge ({u}, {v}) has no label")
-    label_bits: list[dict[int, int]] = [{} for _ in range(graph.n)]
-    for (u, v), label in normalised.items():
-        label_bits[u][v] = label_bits[v][u] = 1 << label
-    return LabelledGraph(graph, num_labels, label_bits)
+    return LabelledGraph(graph, num_labels, labels_at=lambda indices: [labels[i] for i in indices])
 
 
 def label_adjacency(lg: LabelledGraph) -> list[list[int]]:
@@ -195,14 +230,14 @@ def permute_by_degree(
     Ties break by ascending original index, so the permutation is a stable
     sort and reproducible.  Edge labels are carried through.  With ``kept``
     (a vertex set) the result is the subgraph those vertices induce,
-    ordered by their degrees in it.  The returned :class:`Permutation`
-    maps solutions back to the original numbering.
+    ordered by their degrees in it; only its edges are labelled.  The
+    returned :class:`Permutation` maps solutions back to the original numbering.
     """
-    g, neighbours = lg.graph, lg.label_bits
+    g = lg.graph
     if kept is None:
-        vertices, degree = range(g.n), g.degrees
+        vertices, degree, neighbours = range(g.n), g.degrees, lg.label_bits
     else:
-        vertices = kept
+        vertices, neighbours = kept, lg.rows_among(kept)
         degree = {v: len(kept.intersection(neighbours[v])) for v in kept}
     forward = sorted(vertices, key=lambda v: (-degree[v], v))
     inverse: list[int | None] = [None] * g.n
@@ -231,12 +266,17 @@ def greedy_clique_size(lg: LabelledGraph, budget: int) -> int:
 
     Each start repeatedly adds the highest-degree common neighbour, lowest
     index first among equal degrees, that keeps the clique within budget,
-    so the result is a feasible size: a lower bound on the optimum.
+    so the result is a feasible size: a lower bound on the optimum.  Only
+    the edges among the starts and their neighbours are labelled.
     """
-    g, neighbours = lg.graph, lg.label_bits
+    g = lg.graph
     degree = g.degrees.__getitem__
     best = min(g.n, 1)
-    for v in sorted(range(g.n), key=degree, reverse=True)[:_GREEDY_STARTS]:
+    starts = sorted(range(g.n), key=degree, reverse=True)[:_GREEDY_STARTS]
+    first = set(starts)
+    neighbours = lg.rows_among(
+        first.union([v if u in first else u for u, v in g.edges() if u in first or v in first]))
+    for v in starts:
         clique, labels, cands = [v], 0, set(neighbours[v])
         while cands:
             for w in sorted(sorted(cands), key=degree, reverse=True):
@@ -261,19 +301,24 @@ def core(lg: LabelledGraph, k: int) -> set[int]:
     """The k-core: the largest vertex set in which every vertex has at
     least ``k`` neighbours.
 
-    Vertices of degree below ``k`` are peeled one at a time, each lowering
-    its neighbours' degrees and peeling those that fall below ``k``: the
-    O(m) peel of Batagelj and Zaversnik (2003), for this one ``k`` rather
-    than every vertex's core number.
+    On the edges among the vertices of degree ``k`` or more, vertices of
+    degree below ``k`` are peeled one at a time, each lowering its
+    neighbours' degrees and peeling those that fall below ``k``: the O(m)
+    peel of Batagelj and Zaversnik (2003), for this one ``k`` only.
     """
-    neighbours, degree = lg.label_bits, list(lg.graph.degrees)
-    peeled = [v for v, d in enumerate(degree) if d < k]
+    neighbours: dict[int, list[int]] = {v: [] for v, d in enumerate(lg.graph.degrees) if d >= k}
+    for u, v in lg.graph.edges():
+        if u in neighbours and v in neighbours:
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+    degree = {v: len(ws) for v, ws in neighbours.items()}
+    peeled = [v for v, d in degree.items() if d < k]
     for v in peeled:
         for w in neighbours[v]:
             degree[w] -= 1
             if degree[w] == k - 1:  # only once, and never for a peeled vertex
                 peeled.append(w)
-    return {v for v, d in enumerate(degree) if d >= k}
+    return {v for v, d in degree.items() if d >= k}
 
 
 def reduce_to_core(lg: LabelledGraph, budget: int) -> set[int] | None:
@@ -296,15 +341,13 @@ def clique_cost(lg: LabelledGraph, clique: Iterable[int]) -> tuple[int, int]:
     """Label-set mask and cost (distinct label count) of a clique.
 
     Validates that the vertices are pairwise adjacent; the empty set and
-    singletons cost 0.
+    singletons cost 0.  Only the clique's own edges are labelled.
     """
     vertices = sorted(set(clique))
+    pairs = [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :]]
     labels = 0
-    for i, u in enumerate(vertices):
-        row = lg.label_bits[u]
-        for v in vertices[i + 1 :]:
-            mask = row.get(v)
-            if mask is None:
-                raise GraphError(f"vertices {u} and {v} are not adjacent")
-            labels |= mask
+    for (u, v), mask in zip(pairs, lg.masks(pairs)):
+        if mask is None:
+            raise GraphError(f"vertices {u} and {v} are not adjacent")
+        labels |= mask
     return labels, labels.bit_count()

@@ -18,7 +18,7 @@ so (graph, label count, seed) gives one labelling in any implementation.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
@@ -172,6 +172,7 @@ def parse_labels(text: str, g: Graph) -> LabelledGraph:
     least the largest ``k`` seen; without that line it is the largest ``k``,
     or 1 for an edgeless graph, since a labelling needs at least one label.
     """
+    edges = set(g.edges())
     assignments: dict[tuple[int, int], int] = {}
     max_label = 0
     count: tuple[int, int] | None = None  # (line number, declared label count)
@@ -196,9 +197,9 @@ def parse_labels(text: str, g: Graph) -> LabelledGraph:
             raise ParseError(f"line {lineno}: vertex out of range 1..{g.n}")
         if k < 1:
             raise ParseError(f"line {lineno}: label must be >= 1, got {k}")
-        if not g.adjacent(u - 1, v - 1):
-            raise ParseError(f"line {lineno}: no edge {u} {v} in the graph")
         key = (min(u, v) - 1, max(u, v) - 1)
+        if key not in edges:
+            raise ParseError(f"line {lineno}: no edge {u} {v} in the graph")
         if key in assignments:
             raise ParseError(f"line {lineno}: edge {u} {v} labelled twice")
         assignments[key] = k - 1
@@ -231,20 +232,22 @@ def random_labels(g: Graph, num_labels: int, seed: int) -> LabelledGraph:
     """Allocate one random label per edge, reproducibly from the seed.
 
     Edges consume one splitmix64 value each in canonical order, so the
-    labelling depends only on (graph, num_labels, seed).  The generator is
-    :func:`splitmix_next`, inlined.
+    labelling depends only on (graph, num_labels, seed).  The state of
+    :func:`splitmix_next` after ``i + 1`` steps is ``seed + (i + 1) * gamma``
+    (Steele, Lea and Flood, 2014), so edge ``i`` is labelled when first read.
     """
     if not 1 <= num_labels <= MAX_LABELS:
         raise ValueError(f"num_labels must be in [1, {MAX_LABELS}], got {num_labels}")
     gamma, mul1, mul2, mask = _SPLITMIX_GAMMA, _SPLITMIX_MUL1, _SPLITMIX_MUL2, _MASK64
-    state = seed & mask
-    label_bits: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for u, v in g.edges():
-        state = (state + gamma) & mask
-        z = ((state ^ (state >> 30)) * mul1) & mask
-        z = ((z ^ (z >> 27)) * mul2) & mask
-        label_bits[u][v] = label_bits[v][u] = 1 << (z ^ (z >> 31)) % num_labels
-    return LabelledGraph(g, num_labels, label_bits)
+    start = (seed & mask) + gamma
+
+    def labels_at(at: Sequence[int]) -> list[int]:
+        return [(z ^ (z >> 31)) % num_labels for i in at
+                for z in [(start + i * gamma) & mask]
+                for z in [((z ^ (z >> 30)) * mul1) & mask]
+                for z in [((z ^ (z >> 27)) * mul2) & mask]]
+
+    return LabelledGraph(g, num_labels, labels_at=labels_at)
 
 
 def resolve_budget(num_labels: int, budget: int | None = None, budget_pct: int | None = None) -> int:

@@ -18,12 +18,14 @@ from labelled_clique import (
     incumbent_key,
     is_better,
     parse_dimacs,
+    parse_labels,
     random_labels,
     resolve_budget,
     solve,
     solve_parallel,
     splitmix_next,
     write_dimacs,
+    write_labels,
 )
 import labelled_clique.graph_io as graph_io
 import labelled_clique.sequential as seq_mod
@@ -289,6 +291,46 @@ def test_criterion_8_ingest_builds_no_unpermuted_rows(monkeypatch):
         assert stats.vertices_searched == 2610
         assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
     assert graph._rows is None
+
+
+def test_criterion_8_peeled_cell_labels_only_what_it_reads():
+    # K=4, b=4: the greedy clique is the planted 8-clique, so the peel keeps
+    # its 8 vertices.  The greedy labels the edges among its starts and
+    # their neighbours, the permutation and the witness check the 28 edges
+    # of the clique; the unpermuted label rows are never built.
+    graph = parse_dimacs(write_dimacs(_collaboration_scale_graph()))
+    lg = random_labels(graph, 4, seed=4 * 31 + 4)
+    labels_at, counts = lg.labels_at, []
+    lg.labels_at = lambda at: counts.append(len(at)) or labels_at(at)
+    solution = solve(lg, 4)
+    assert solution.stats.vertices_searched == 8
+    assert (solution.clique, solution.size) == (list(range(8)), 8)
+    assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
+    assert lg._bits is None and graph._rows is None
+    assert sum(counts) < 1000
+
+
+def test_keller4_solve_labels_each_edge_once(keller4):
+    # The greedy's starts and their neighbours take in every vertex of
+    # keller4, so the label rows are built once, in edge order, and serve
+    # the greedy, the permutation and the witness check.
+    lg = random_labels(keller4, 4, seed=0)
+    labels_at, seen = lg.labels_at, []
+    lg.labels_at = lambda at: seen.extend(at) or labels_at(at)
+    solution = solve(lg, 3)
+    assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
+    assert seen == list(range(keller4.edge_count()))
+
+
+def test_criterion_8_label_file_checks_use_the_edge_list():
+    # parse_labels and build_labelled find each labelled edge in the sorted
+    # edge list, so reading a label file builds no rows of the graph.
+    graph = _collaboration_scale_graph()
+    lg = random_labels(graph, 5, seed=5 * 31 + 2)
+    back = parse_labels(write_labels(lg), graph)
+    assert graph._rows is None
+    assert back.edge_label_map() == lg.edge_label_map()
+    assert back.num_labels == 5
 
 
 def test_subset_rule_follows_average_degree(keller4, monkeypatch):

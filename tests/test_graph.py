@@ -205,6 +205,20 @@ def test_greedy_clique_size_keeps_the_row_greedy_tie_breaks():
             assert greedy_clique_size(lg, budget) == greedy_on_rows(lg, budget)
 
 
+def test_greedy_clique_size_labels_only_its_starts_and_their_neighbours():
+    # On graphs whose 32 starts and their neighbours leave vertices out, the
+    # greedy labels only the edges among those, yet reads every common
+    # neighbour a start's clique can grow by.
+    for seed in range(12):
+        g = random_graph(300, 0.02, seed)
+        for num_labels in (2, 5):
+            for budget in range(1, num_labels + 1):
+                lg = random_labels(g, num_labels, seed)
+                size = greedy_clique_size(lg, budget)
+                assert lg._bits is None
+                assert size == greedy_on_rows(lg, budget)
+
+
 def test_clique_cost_fig1(fig1):
     labels, cost = clique_cost(fig1, [3, 4, 5, 6])  # {4,5,6,7}
     assert cost == 2

@@ -165,6 +165,22 @@ def test_random_labels_follow_splitmix_next_in_edge_order():
             assert random_labels(g, num_labels, seed).edge_label_map() == expected
 
 
+def test_random_labels_label_any_edges_from_their_indices():
+    # Edge i takes value i of the stream whichever edges are asked for, in
+    # any order and with repeats, and asking builds no label rows.
+    g = random_graph(40, 0.3, seed=9)
+    m = g.edge_count()
+    for num_labels, seed in ((1, 0), (7, 2**64 - 1), (64, 2**64 + 3)):
+        stream, state = [], seed
+        for _ in range(m):
+            value, state = splitmix_next(state)
+            stream.append(value % num_labels)
+        lg = random_labels(g, num_labels, seed)
+        for at in ([], [m - 1, 0, 5, 5], list(range(m))[::-3], range(m)):
+            assert lg.labels_at(at) == [stream[i] for i in at]
+        assert lg._bits is None
+
+
 def test_every_graph_lists_its_edges_sorted_and_unique():
     g = random_graph(30, 0.3, seed=5)
     lg = random_labels(g, 4, seed=1)

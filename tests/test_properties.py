@@ -15,7 +15,7 @@ from itertools import combinations
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from pytest import MonkeyPatch
+from pytest import MonkeyPatch, raises
 
 from labelled_clique import (
     GraphError,
@@ -104,6 +104,61 @@ def test_solvers_match_oracle_on_peeled_graphs(lg):
         searched = assert_solvers_agree(lg, budget)
         assert searched[0] == searched[1]
         peeled |= searched[0] < lg.graph.n
+    # Count only graphs that the peel reduced at some budget.
+    assume(peeled)
+
+
+@st.composite
+def sparse_seeded_instances(draw):
+    """(graph, label count, label seed) on 40-120 vertices: a planted clique
+    on vertices 0..c-1, paths hanging off earlier vertices and sparse noise
+    edges.  More vertices than the greedy has starts, so its starts and
+    their neighbours, and the core, can leave edges unlabelled."""
+    c = draw(st.integers(3, 7))
+    n = draw(st.integers(40, 120))
+    edges = {(u, v) for u in range(c) for v in range(u + 1, c)}
+    for v in range(c, n):
+        edges.add((draw(st.integers(0, v - 1)) if draw(st.booleans()) else v - 1, v))
+    noise = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n // 4))
+    edges.update((min(u, v), max(u, v)) for u, v in noise if u != v)
+    return build_graph(n, edges), draw(st.integers(1, 6)), draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(sparse_seeded_instances())
+def test_labels_on_demand_solve_like_a_checked_labelling(instance):
+    # The same labels given as a checked list, with every label row built
+    # up front, must give the same solves as labels computed on demand, and
+    # a non-edge must raise with or without label_bits built.
+    g, num_labels, seed = instance
+    full = build_labelled(g, num_labels, random_labels(g, num_labels, seed).edge_label_map())
+    full.label_bits
+    non_edges = [(u, v) for u in range(3) for v in range(u + 1, g.n) if not g.adjacent(u, v)][:5]
+    built = random_labels(g, num_labels, seed)
+    built.label_bits
+    for lg in (random_labels(g, num_labels, seed), built, full,
+               build_labelled(g, num_labels, full.edge_label_map())):
+        for u, v in non_edges:
+            for call in (lambda: lg.label_of(v, u), lambda: clique_cost(lg, [u, v])):
+                with raises(GraphError):
+                    call()
+    peeled = False
+    for budget in range(1, num_labels + 1):
+        want = solve(full, budget)
+        stats = want.stats
+        counts = (stats.nodes_pass1, stats.nodes_pass2, stats.subsets_pass1, stats.subsets_pass2)
+        for run in (solve, lambda lg, b: solve_parallel(lg, b, workers=2)):
+            lg = random_labels(g, num_labels, seed)
+            got = run(lg, budget)
+            assert (got.size, got.cost) == (want.size, want.cost)
+            assert got.stats.vertices_searched == stats.vertices_searched
+            assert got.stats.subsets_pass1 == stats.subsets_pass1
+            assert clique_cost(lg, got.clique) == (got.labels, got.cost)
+            if run is solve:  # forked workers' node counts and witness follow scheduling
+                assert (got.clique, got.labels) == (want.clique, want.labels)
+                assert (got.stats.nodes_pass1, got.stats.nodes_pass2,
+                        got.stats.subsets_pass1, got.stats.subsets_pass2) == counts
+        peeled |= stats.vertices_searched < g.n
     # Count only graphs that the peel reduced at some budget.
     assume(peeled)
 
