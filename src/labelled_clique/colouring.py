@@ -24,8 +24,10 @@ whose bounds reach ``kmin``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .graph import Graph
+if TYPE_CHECKING:
+    from .graph import Graph
 
 
 @dataclass

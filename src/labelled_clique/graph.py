@@ -8,6 +8,10 @@ int masks over label indices, with cost = ``mask.bit_count()``; at most 64
 labels are supported so a label set always fits one machine word in a
 fixed-width port.
 
+A graph renumbered whole by :func:`permute_by_degree` keeps its labels as
+one adjacency per label, filled in one pass over the edge list; its
+per-vertex label dicts wait until the paper's search reads them.
+
 Vertices are 0-based internally; file formats and reports are 1-based.
 All containers here are immutable after construction; forked workers
 read their own copies.
@@ -19,6 +23,8 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+from .colouring import colour_order_into
 
 MAX_LABELS = 64
 
@@ -84,6 +90,13 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
+def cheap_rows(graph: Graph) -> bool:
+    """True when a row's n/64 machine words are no more than the average
+    degree 2m/n, i.e. n * n <= 64 * degree sum: then bitset rows cost
+    about what the edge list does."""
+    return graph.n * graph.n <= 64 * sum(graph.degrees)
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Construct a :class:`Graph` from an edge list.  Duplicate edges
     collapse to one; loops and out-of-range endpoints are rejected."""
@@ -105,26 +118,41 @@ class LabelledGraph:
     """A graph plus one label index per edge.
 
     ``labels_at(indices)`` labels the edges at those positions of
-    ``graph.edges()``, so a solve labels only the edges it reads.
-    ``label_bits[v]``, built on first read unless given, maps each neighbour
-    ``w`` of ``v`` to the mask ``1 << label(v, w)`` that the search unions.
+    ``graph.edges()``, so a solve labels only the edges it reads, and
+    ``labels()`` labels every edge, once.  ``label_bits[v]`` maps each
+    neighbour ``w`` of ``v`` to the mask ``1 << label(v, w)`` that the
+    search unions; unless given, it is built on first read, by the
+    function given in its place if there is one.  A graph may also hold
+    the rows of :func:`label_adjacency`.
     """
 
-    __slots__ = ("graph", "num_labels", "labels_at", "_bits")
+    __slots__ = ("graph", "num_labels", "labels_at", "_labels", "_bits", "_by_label")
 
-    def __init__(self, graph: Graph, num_labels: int, bits: list[dict[int, int]] | None = None,
-                 labels_at: Callable[[Sequence[int]], list[int]] | None = None):
-        self.graph, self.num_labels, self.labels_at, self._bits = graph, num_labels, labels_at, bits
+    def __init__(self, graph: Graph, num_labels: int,
+                 bits: list[dict[int, int]] | Callable[[], list[dict[int, int]]] | None = None,
+                 labels_at: Callable[[Sequence[int]], list[int]] | None = None,
+                 by_label: list[list[int]] | None = None):
+        self.graph, self.num_labels, self.labels_at = graph, num_labels, labels_at
+        self._labels, self._bits, self._by_label = None, bits, by_label
+
+    def labels(self) -> list[int]:
+        """The label of every edge, aligned with ``graph.edges()``."""
+        if self._labels is None:
+            self._labels = self.labels_at(range(self.graph.edge_count()))
+        return self._labels
 
     @property
     def label_bits(self) -> list[dict[int, int]]:
         if self._bits is None:
-            edges = self.graph.edges()
-            self._bits = self._add([{} for _ in self.graph.degrees], range(len(edges)), edges)
+            self._bits = self._add([{} for _ in self.graph.degrees], range(len(self.labels())))
+        elif callable(self._bits):
+            self._bits = self._bits()
         return self._bits
 
-    def _add(self, rows, at: Sequence[int], edges: Iterable[tuple[int, int]]):
-        for (u, v), label in zip(edges, self.labels_at(at)):  # edges[i] is edge at[i]
+    def _add(self, rows, at: Sequence[int]):
+        """Add the edges at positions ``at`` of ``graph.edges()`` to ``rows``."""
+        labels = self.labels_at(at) if self._labels is None else map(self._labels.__getitem__, at)
+        for (u, v), label in zip(map(self.graph.edges().__getitem__, at), labels):
             rows[u][v] = rows[v][u] = 1 << label
         return rows
 
@@ -136,16 +164,16 @@ class LabelledGraph:
         if self._bits is None and sum(g.degrees[v] > 0 for v in vertices) < edged:
             edges = g.edges()
             at = [i for i, (u, v) in enumerate(edges) if u in vertices and v in vertices]
-            return self._add(defaultdict(dict), at, map(edges.__getitem__, at))
+            return self._add(defaultdict(dict), at)
         return self.label_bits
 
     def masks(self, pairs: list[tuple[int, int]]) -> list[int | None]:
         """Label masks of the pairs (u, v) with u < v, None for a non-edge."""
-        rows = self._bits
+        rows = self._bits if self._by_label is None else self.label_bits
         if rows is None:
             edges = self.graph.edges()
             at = [i for pair in pairs if edges[(i := bisect_left(edges, pair)):i + 1] == [pair]]
-            rows = self._add(defaultdict(dict), at, map(edges.__getitem__, at))
+            rows = self._add(defaultdict(dict), at)
         return [rows[u].get(v) for u, v in pairs]
 
     def label_of(self, u: int, v: int) -> int:
@@ -199,7 +227,10 @@ def label_adjacency(lg: LabelledGraph) -> list[list[int]]:
     to it by an edge labelled ``k``.
 
     The label-subset sub-searches colour these rows highest vertex first
-    (``colouring.colour_top_down_into``) and map their witnesses back."""
+    (``colouring.colour_top_down_into``) and map their witnesses back.  A
+    graph :func:`permute_by_degree` renumbered whole holds them already."""
+    if lg._by_label is not None:
+        return lg._by_label
     top = lg.graph.n - 1
     rows = [[0] * lg.graph.n for _ in range(lg.num_labels)]
     for v, labels in enumerate(lg.label_bits):
@@ -232,10 +263,16 @@ def permute_by_degree(
     (a vertex set) the result is the subgraph those vertices induce,
     ordered by their degrees in it; only its edges are labelled.  The
     returned :class:`Permutation` maps solutions back to the original numbering.
+
+    A whole graph whose rows :func:`cheap_rows` allows has every edge
+    labelled once and filled straight into the per-label rows of
+    :func:`label_adjacency`, in one pass over the edge list; their union is
+    its adjacency, and its ``label_bits`` are built from the edge list and
+    its labels when first read.
     """
     g = lg.graph
     if kept is None:
-        vertices, degree, neighbours = range(g.n), g.degrees, lg.label_bits
+        vertices, degree = range(g.n), g.degrees
     else:
         vertices, neighbours = kept, lg.rows_among(kept)
         degree = {v: len(kept.intersection(neighbours[v])) for v in kept}
@@ -244,6 +281,31 @@ def permute_by_degree(
     for new, old in enumerate(forward):
         inverse[old] = new
     n = len(forward)
+    degrees = [degree[old] for old in forward]
+    perm = Permutation(tuple(forward), tuple(inverse))
+    if kept is None and cheap_rows(g):
+        top, edge_labels = n - 1, lg.labels()
+        row_of = [top - new for new in inverse]
+        bit = [1 << t for t in row_of]
+        by_label = [[0] * n for _ in range(lg.num_labels)]
+        for (u, v), label in zip(g.edges(), edge_labels):
+            rows = by_label[label]
+            rows[row_of[u]] |= bit[v]
+            rows[row_of[v]] |= bit[u]
+
+        def build_bits() -> list[dict[int, int]]:
+            bits: list[dict[int, int]] = [{} for _ in range(n)]
+            for (u, v), label in zip(g.edges(), edge_labels):
+                a, b = inverse[u], inverse[v]
+                bits[a][b] = bits[b][a] = 1 << label
+            return bits
+
+        # Each edge has one label, so the rows' sum is their union.
+        union = [int(f"{row:0{n}b}"[::-1], 2) for row in map(sum, zip(*by_label))]
+        graph = Graph(n, union[::-1], degrees)
+        return LabelledGraph(graph, lg.num_labels, build_bits, by_label=by_label), perm
+    if kept is None:
+        neighbours = lg.label_bits
     adjacency = [0] * n
     label_bits: list[dict[int, int]] = [{} for _ in range(n)]
     for new, old in enumerate(forward):
@@ -255,9 +317,7 @@ def permute_by_degree(
                 row |= 1 << w
                 labels[w] = mask
         adjacency[new] = row
-    degrees = [degree[old] for old in forward]
-    permuted = LabelledGraph(Graph(n, adjacency, degrees), lg.num_labels, label_bits)
-    return permuted, Permutation(tuple(forward), tuple(inverse))
+    return LabelledGraph(Graph(n, adjacency, degrees), lg.num_labels, label_bits), perm
 
 
 def greedy_clique_size(lg: LabelledGraph, budget: int) -> int:
@@ -321,6 +381,18 @@ def core(lg: LabelledGraph, k: int) -> set[int]:
     return {v for v, d in degree.items() if d >= k}
 
 
+def _colours(g: Graph) -> int:
+    """Colours of :func:`colouring.colour_order_into`'s colouring of ``g``,
+    on rows of each vertex's higher neighbours alone: it takes the lowest
+    vertex first, so the lower ones are coloured already."""
+    later = [0] * g.n
+    for u, v in g.edges():
+        later[u] |= 1 << v
+    bounds = [0] * g.n
+    colour_order_into(later, (1 << g.n) - 1, [0] * g.n, bounds, 0)
+    return bounds[-1]
+
+
 def reduce_to_core(lg: LabelledGraph, budget: int) -> set[int] | None:
     """The vertices a search within ``budget`` needs, as a set, or None
     when it needs all of them.
@@ -330,9 +402,17 @@ def reduce_to_core(lg: LabelledGraph, budget: int) -> set[int] | None:
     vertices.  Each vertex of such a clique has s0 - 1 neighbours inside
     it, so all of them lie in the (s0 - 1)-core.  The peel runs only when
     some vertex has fewer neighbours than that.
+
+    A clique takes one colour per vertex, so when a colouring of the whole
+    graph needs at most its minimum degree + 1 colours, s0 - 1 is at most
+    that degree and no greedy is needed.  The colouring is tried first on
+    a graph whose rows :func:`cheap_rows` allows and has no isolated vertex.
     """
+    low = min(lg.graph.degrees, default=0)
+    if low and cheap_rows(lg.graph) and _colours(lg.graph) <= low + 1:
+        return None
     k = greedy_clique_size(lg, budget) - 1
-    if k <= min(lg.graph.degrees, default=0):
+    if k <= low:
         return None
     return core(lg, k)
 

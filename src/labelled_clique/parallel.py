@@ -85,7 +85,7 @@ def _worker(state) -> None:
     """
     shared, units, first_pass, lg, subgraphs, within, budget, out = state
     inc = Incumbent()
-    search = _search(first_pass, inc, lg.graph.adjacency, lg.label_bits, within, budget)
+    search = _search(first_pass, inc, lg.graph.adjacency, within.label_bits, within, budget)
     while True:
         index, key = shared.update(1)
         if index >= len(units):
@@ -98,12 +98,22 @@ def _worker(state) -> None:
             shared.update(0, inc.key)
 
 
-def _child(write: int, state) -> None:
+def _child(write: int, state, index: int) -> None:
     """Run ``_worker`` in a forked child and send its result, or the
-    exception it raised, through ``write``.  Never returns."""
+    exception it raised, through ``write``.  Never returns.
+
+    The ``index``-th child of a pass first moves onto the ``index``-th CPU
+    of its mask, modulo their count: left to the scheduler, the children of
+    a pass forked from one process can share its CPU."""
     try:
         import pickle
 
+        if hasattr(os, "sched_setaffinity"):
+            try:
+                cpus = sorted(os.sched_getaffinity(0))
+                os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+            except OSError:
+                pass
         try:
             _worker(state)
             data = pickle.dumps((True, state[-1][0]))
@@ -134,13 +144,13 @@ def _run_pass(workers: int, units, state, best: Incumbent) -> tuple[int, list, l
     pids: list[int] = []
     reads: list[int] = []
     try:
-        for _ in range(min(workers, len(units))):
+        for index in range(min(workers, len(units))):
             read, write = os.pipe()
             reads.append(read)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(write, (shared, units, *state, []))
+                    _child(write, (shared, units, *state, []), index)
             finally:
                 os.close(write)
             pids.append(pid)

@@ -23,6 +23,8 @@ the subsets of a pass or a level are worth it.
 
 A pass runs its work units in sequential order: the label subsets, or the
 root's branches (:class:`Subproblem`) when it runs the paper's search.
+Only the paper's search reads the permuted graph's per-vertex label dicts;
+a sub-search reads the per-label rows, its witness's labels included.
 :func:`_solve` is the pass loop of both solvers: :func:`solve` runs each
 pass's units in this process and stops at the first dead one, and
 ``parallel.solve_parallel`` hands the same units to forked workers.
@@ -39,7 +41,7 @@ from operator import or_
 from time import perf_counter
 
 from .colouring import colour_order, colour_order_into, colour_top_down_into
-from .graph import (Graph, LabelledGraph, clique_cost, label_adjacency, permute_by_degree,
+from .graph import (Graph, LabelledGraph, cheap_rows, label_adjacency, permute_by_degree,
                     reduce_to_core)
 
 _STACK_HEADROOM = 200
@@ -123,12 +125,13 @@ class WithinLabels(dict):
     A miss ORs together ``v``'s per-label neighbour masks, which are built
     from ``label_bits`` the first time ``v`` is looked up, so a sparse
     graph whose search never reaches its label limit builds none.  The
-    cache is emptied when it reaches ``_WITHIN_CACHE_ENTRIES``.
+    cache is emptied when it reaches ``_WITHIN_CACHE_ENTRIES``.  A solve
+    gives it ``label_bits`` when a pass first runs the paper's search.
     """
 
     __slots__ = ("label_bits", "rows")
 
-    def __init__(self, label_bits: list[dict[int, int]]):
+    def __init__(self, label_bits: list[dict[int, int]] | None):
         super().__init__()
         self.label_bits = label_bits
         self.rows: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -297,12 +300,11 @@ def _few(count: int, graph: Graph) -> bool:
     """True when ``count`` label-subset sub-searches are worth their setup.
 
     Each builds and colours n rows of n bits.  That pays when the subsets
-    are no more than the average degree d = 2m/n, and when a row's n/64
-    machine words are no more than d as well: on a sparse graph of
-    thousands of vertices, building the rows outweighs the whole search.
+    are no more than the average degree d = 2m/n, and when
+    :func:`graph.cheap_rows` allows the rows: on a sparse graph of
+    thousands of vertices, building them outweighs the whole search.
     """
-    degree_sum = sum(graph.degrees)
-    return count * graph.n <= degree_sum and graph.n * graph.n <= 64 * degree_sum
+    return count * graph.n <= sum(graph.degrees) and cheap_rows(graph)
 
 
 def _search_subset(inc, lg: LabelledGraph, subgraphs, labels: int, key: int) -> tuple[int, int]:
@@ -316,7 +318,8 @@ def _search_subset(inc, lg: LabelledGraph, subgraphs, labels: int, key: int) -> 
     once per solve.  G_T's rows are the OR of T's per-label rows, and
     ``below[v]`` keeps the non-neighbours under ``v``, for
     :func:`colour_top_down_into`.  The witness, in top-down ids, is mapped
-    back for ``inc`` with its own label set.
+    back for ``inc`` with its own label set: the labels of T whose rows
+    join one of its vertices to another.
     """
     by_label, bit = subgraphs
     rows = None
@@ -333,9 +336,11 @@ def _search_subset(inc, lg: LabelledGraph, subgraphs, labels: int, key: int) -> 
     m = colour_top_down_into(tables, every, order, bounds, found.size + 1)
     nodes = 1 + _max_clique(found, rows, tables, [], every, order, bounds, m, scratch)
     if found.clique:
+        members = sum(map(bit.__getitem__, found.clique))
+        clique_labels = sum(1 << k for k, row in enumerate(by_label)
+                            if labels >> k & 1 and any(row[v] & members for v in found.clique))
         clique = [n - 1 - v for v in found.clique]
-        clique_labels, cost = clique_cost(lg, clique)
-        inc.replace(clique, clique_labels, len(clique), cost)
+        inc.replace(clique, clique_labels, len(clique), clique_labels.bit_count())
     return nodes, found.size
 
 
@@ -434,7 +439,7 @@ def _run_in_order(units, state, inc: Incumbent) -> tuple[int, list, list[int]]:
     the first dead one; returns the nodes searched, the sub-searches'
     outcomes, and no per-worker nodes, since no worker was forked."""
     first_pass, lg, subgraphs, within, budget = state
-    search = _search(first_pass, inc, lg.graph.adjacency, lg.label_bits, within, budget)
+    search = _search(first_pass, inc, lg.graph.adjacency, within.label_bits, within, budget)
     for unit in units:
         if not _run_unit(search, lg, subgraphs, unit):
             break
@@ -459,7 +464,7 @@ def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
     start = perf_counter()
     permuted, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
     _fit_recursion_limit(permuted.graph)
-    within = WithinLabels(permuted.label_bits)
+    within = WithinLabels(None)
     inc, subgraphs, dead = Incumbent(), None, []
     nodes, subsets, worker_nodes = [0, 0], [0, 0], []
     first_pass, index, cost = True, 0, 0
@@ -472,6 +477,7 @@ def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
         if units is None:
             units = roots(permuted)
             nodes[index] += 1  # the root colouring
+            within.label_bits = permuted.label_bits
         elif subgraphs is None:
             subgraphs = (label_adjacency(permuted), [1 << v for v in range(permuted.graph.n)])
         state = (first_pass, permuted, subgraphs, within, budget)
@@ -493,10 +499,12 @@ def solve(lg: LabelledGraph, budget: int) -> Solution:
     """Find a maximum feasible clique, cheapest among the maximum ones.
 
     The graph is peeled to the core that holds every clique as large as a
-    greedy one, permuted into non-increasing degree order, searched twice
-    (size pass, then cost pass, keeping the incumbent in between), and the
-    witness is mapped back to original numbering.  Each pass searches the
-    label subsets' subgraphs when they are few, and the whole graph
-    otherwise, one root branch at a time, all in this process.
+    greedy one, unless a colouring shows that the peel keeps every vertex
+    (:func:`graph.reduce_to_core`), permuted into non-increasing degree
+    order, searched twice (size pass, then cost pass, keeping the
+    incumbent in between), and the witness is mapped back to original
+    numbering.  Each pass searches the label subsets' subgraphs when they
+    are few, and the whole graph otherwise, one root branch at a time, all
+    in this process.
     """
     return _solve(lg, budget, _root_branches, _run_in_order)

@@ -27,6 +27,7 @@ from labelled_clique import (
     write_dimacs,
     write_labels,
 )
+import labelled_clique.graph as graph_mod
 import labelled_clique.graph_io as graph_io
 import labelled_clique.sequential as seq_mod
 from labelled_clique.cli import EXIT_OK, main
@@ -320,6 +321,34 @@ def test_keller4_solve_labels_each_edge_once(keller4):
     solution = solve(lg, 3)
     assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
     assert seen == list(range(keller4.edge_count()))
+
+
+def test_keller4_cells_skip_the_greedy_and_build_no_label_dicts(keller4, monkeypatch):
+    # keller4 colours greedily with 37 colours and its minimum degree is
+    # 102, so no clique has more than 103 vertices and the peel would keep
+    # every vertex: neither the greedy nor the core runs.  Every pass of
+    # these cells searches label subsets, which read the per-label rows
+    # that the permutation fills, so no per-vertex label dict is built.
+    # The node counts are those of the solver that ran the greedy first.
+    def refuse(*_):
+        raise AssertionError("the colouring should have ruled out a peel")
+
+    monkeypatch.setattr(graph_mod, "greedy_clique_size", refuse)
+    monkeypatch.setattr(graph_mod, "core", refuse)
+    permute, permuted = seq_mod.permute_by_degree, []
+    monkeypatch.setattr(seq_mod, "permute_by_degree",
+                        lambda lg, kept=None: permuted.append(permute(lg, kept)) or permuted[-1])
+    cells = {(4, 1): (398, 0), (4, 2): (3081, 255), (8, 2): (2842, 460), (8, 4): (35967, 12202)}
+    for (num_labels, budget), nodes in cells.items():
+        lg = random_labels(keller4, num_labels, seed=0)
+        solution = solve(lg, budget)
+        assert (solution.stats.nodes_pass1, solution.stats.nodes_pass2) == nodes
+        assert solution.stats.vertices_searched == keller4.n
+        assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
+        assert callable(permuted[-1][0]._bits) and lg._bits is None
+    parallel = solve_parallel(random_labels(keller4, 8, seed=0), 2, workers=2)
+    assert (parallel.size, parallel.cost, parallel.stats.subsets_pass1) == (5, 2, 28)
+    assert len(permuted) == 5 and callable(permuted[-1][0]._bits)
 
 
 def test_criterion_8_label_file_checks_use_the_edge_list():

@@ -11,7 +11,7 @@ from labelled_clique import (
     random_labels,
     solve,
 )
-from labelled_clique.graph import core, greedy_clique_size, iter_bits
+from labelled_clique.graph import core, greedy_clique_size, iter_bits, label_adjacency
 
 from conftest import random_graph, random_instance
 
@@ -145,6 +145,23 @@ def test_permute_kept_vertices_builds_induced_subgraph():
         for u, v in induced:
             pu, pv = perm.inverse[u], perm.inverse[v]
             assert permuted.label_of(pu, pv) == lg.label_of(u, v)
+
+
+def test_whole_permutation_fills_the_rows_the_kept_one_builds():
+    # A whole graph with cheap rows is renumbered from its edge list
+    # straight into per-label rows; keeping every vertex goes through the
+    # label dicts instead.  Both must give the same graph and labels, and
+    # the whole one must build no label dict until asked.
+    for n, density, num_labels in ((3, 1.0, 1), (12, 0.4, 3), (30, 0.7, 5), (65, 0.6, 64)):
+        lg = random_instance(n, density, num_labels, seed=n)
+        whole, perm = permute_by_degree(lg)
+        kept, kept_perm = permute_by_degree(lg, set(range(n)))
+        assert perm == kept_perm and callable(whole._bits)
+        assert whole.graph.adjacency == kept.graph.adjacency
+        assert whole.graph.degrees == kept.graph.degrees
+        assert label_adjacency(whole) == label_adjacency(kept)
+        assert callable(whole._bits)
+        assert whole.label_bits == kept.label_bits
 
 
 def test_core_matches_networkx_and_is_stable():

@@ -439,6 +439,30 @@ def test_one_unit_pass_forks_nothing(fig1, monkeypatch):
     assert per_pass == [(True, 1, 0), (False, 4, 2)]
 
 
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="placement needs at least two CPUs")
+def test_children_of_a_pass_take_distinct_cpus(monkeypatch):
+    # Each child of a forked pass moves itself onto its own CPU of the
+    # parent's mask; the children report their calls through a pipe.
+    cpus = os.sched_getaffinity(0)
+    read, write = os.pipe()
+    monkeypatch.setattr(os, "sched_setaffinity",
+                        lambda pid, mask: os.write(write, f"{pid}:{sorted(mask)}\n".encode()))
+    lg = random_instance(24, 0.6, 16, seed=2024)
+    permuted, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
+    units = split_root(permuted)
+    within = WithinLabels(permuted.label_bits)
+    try:
+        par_mod._run_pass(2, units, (True, permuted, None, within, 2), Incumbent())
+    finally:
+        os.close(write)
+        with open(read) as stream:
+            calls = stream.read().splitlines()
+    assert os.sched_getaffinity(0) == cpus
+    placed = {f"0:{[cpu]}" for cpu in cpus}
+    assert len(calls) == len(set(calls)) == 2 and set(calls) <= placed
+
+
 def test_default_workers_follow_affinity(fig1, monkeypatch):
     forks = count_forks(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

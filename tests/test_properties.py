@@ -33,10 +33,12 @@ from labelled_clique import (
     solve_parallel,
     write_labels,
 )
+import labelled_clique.graph as graph_mod
 import labelled_clique.graph_io as graph_io
 import labelled_clique.sequential as seq_mod
 from labelled_clique.graph import MAX_LABELS
 from labelled_clique.graph_io import MAX_VERTICES
+from labelled_clique.oracle import MAX_ORACLE_VERTICES
 from labelled_clique.sequential import WithinLabels, _expand, _search
 
 from conftest import paper_solve, random_instance
@@ -188,6 +190,42 @@ def test_subset_search_matches_papers_search_on_dense_graphs():
     check()
     assert sum(p1 > 0 for p1, _ in took_subsets) > 0.8 * len(took_subsets)
     assert any(p2 > 0 for _, p2 in took_subsets)
+
+
+def test_dense_graphs_solve_alike_with_and_without_the_greedy():
+    # On a dense graph with no isolated vertex a whole-graph colouring may
+    # rule out the peel before the greedy runs.  Either way solve must give
+    # the oracle's (size, cost), or the paper's search beyond the oracle's
+    # 25 vertices, with a witness that re-checks, and solve_parallel must
+    # agree on (size, cost).
+    greedy = graph_mod.greedy_clique_size
+    ran = []
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.integers(12, 40), st.sampled_from([0.6, 0.7, 0.8]), st.integers(2, 5),
+           st.integers(0, 2**32), st.data())
+    def check(n, density, num_labels, seed, data):
+        lg = random_instance(n, density, num_labels, seed)
+        assume(min(lg.graph.degrees) >= 1)
+        budget = data.draw(st.integers(1, num_labels))
+        calls = []
+        with MonkeyPatch.context() as patch:
+            patch.setattr(graph_mod, "greedy_clique_size", lambda *a: calls.append(a) or greedy(*a))
+            got = solve(lg, budget)
+        if n <= MAX_ORACLE_VERTICES:
+            want = oracle_solve(lg, budget)[:2]
+        else:
+            want = (paper := paper_solve(lg, budget)).size, paper.cost
+        assert (got.size, got.cost) == want
+        assert len(set(got.clique)) == got.size
+        assert clique_cost(lg, got.clique) == (got.labels, got.cost)
+        parallel = solve_parallel(lg, budget, workers=2)
+        assert (parallel.size, parallel.cost) == want
+        assert clique_cost(lg, parallel.clique) == (parallel.labels, parallel.cost)
+        ran.append(bool(calls))
+
+    check()
+    assert ran.count(False) > 10 and ran.count(True) > 10
 
 
 def test_k_min_changes_no_solve():

@@ -16,6 +16,7 @@ from labelled_clique import (
     solve,
     solve_parallel,
 )
+import labelled_clique.graph as graph_mod
 import labelled_clique.sequential as seq_mod
 from labelled_clique.graph import LabelledGraph
 from labelled_clique.sequential import _NODES, WithinLabels, _expand, _search
@@ -335,6 +336,30 @@ def test_keller4_pass_two_skips_the_refuted_subsets(keller4, monkeypatch):
     assert skipping.stats.nodes_pass2 < every.stats.nodes_pass2
 
 
+def test_dense_graph_the_colouring_cannot_clear_still_peels(monkeypatch):
+    # K12 plus a vertex joined to two, or to ten, of its vertices: rows are
+    # cheap and no vertex is isolated, but the colouring needs 12 colours,
+    # more than the minimum degree + 1 (3, or 11 at the boundary), so the
+    # greedy runs and, with every label in budget, its 12-clique peels the
+    # thirteenth vertex.
+    edges = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+    greedy, calls = graph_mod.greedy_clique_size, []
+    monkeypatch.setattr(graph_mod, "greedy_clique_size",
+                        lambda lg, budget: calls.append(budget) or greedy(lg, budget))
+    for joined in (2, 10):
+        graph = build_graph(13, edges + [(v, 12) for v in range(joined)])
+        for num_labels in (1, 3):
+            lg = random_labels(graph, num_labels, seed=5)
+            solution = solve(lg, num_labels)
+            assert solution.stats.vertices_searched == 12
+            assert (solution.size, solution.cost) == (12, oracle_solve(lg, num_labels)[1])
+            assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
+    assert calls == [1, 3, 1, 3]
+    # K12 alone needs 12 colours, exactly its minimum degree + 1: no greedy.
+    assert solve(random_labels(build_graph(12, edges), 3, seed=5), 3).size == 12
+    assert calls == [1, 3, 1, 3]
+
+
 class CountingRows(list):
     """``label_bits`` that counts the rows read by index."""
 
@@ -347,8 +372,8 @@ class CountingRows(list):
 
 def test_label_subset_search_reads_no_label_bits(monkeypatch):
     # A sub-search runs closed from its root down: G_T's edges carry only
-    # T's labels, so no branch needs the label union.  Only the witness
-    # check reads the labels, here from an uncounted copy.
+    # T's labels, so no branch needs the label union, and the witness takes
+    # its labels from T's per-label rows.
     lg = random_instance(30, 0.7, 4, seed=2026)
     paper = paper_solve(lg, 3)
     permute = seq_mod.permute_by_degree
@@ -361,10 +386,9 @@ def test_label_subset_search_reads_no_label_bits(monkeypatch):
         return LabelledGraph(permuted.graph, permuted.num_labels, rows), perm
 
     monkeypatch.setattr(seq_mod, "permute_by_degree", counting)
-    monkeypatch.setattr(seq_mod, "clique_cost",
-                        lambda _, clique: clique_cost(counted[-1][1], clique))
     solution = solve(lg, 3)
     assert (solution.size, solution.cost) == (paper.size, paper.cost)
+    assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
     stats = solution.stats
     assert (stats.subsets_pass1, stats.subsets_pass2) == (4, 6)
     assert stats.nodes_pass1 > stats.subsets_pass1 and stats.nodes_pass2 > stats.subsets_pass2
