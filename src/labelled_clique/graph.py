@@ -12,6 +12,10 @@ A graph renumbered whole by :func:`permute_by_degree` keeps its labels as
 one adjacency per label, filled in one pass over the edge list; its
 per-vertex label dicts wait until the paper's search reads them.
 
+:func:`reduce_to_core` keeps the vertices a solve needs: the core of a
+greedy clique's size and, on a graph too sparse for cheap rows, only the
+vertices of that core's edges that lie in enough triangles.
+
 Vertices are 0-based internally; file formats and reports are 1-based.
 All containers here are immutable after construction; forked workers
 read their own copies.
@@ -357,28 +361,65 @@ def greedy_clique_size(lg: LabelledGraph, budget: int) -> int:
     return best
 
 
-def core(lg: LabelledGraph, k: int) -> set[int]:
-    """The k-core: the largest vertex set in which every vertex has at
-    least ``k`` neighbours.
+def _core_rows(lg: LabelledGraph, k: int) -> dict[int, set[int]]:
+    """Each vertex of the k-core, mapped to its neighbours in the k-core.
 
     On the edges among the vertices of degree ``k`` or more, vertices of
-    degree below ``k`` are peeled one at a time, each lowering its
-    neighbours' degrees and peeling those that fall below ``k``: the O(m)
+    degree below ``k`` are peeled one at a time, each leaving its
+    neighbours' rows and peeling those that fall below ``k``: the O(m)
     peel of Batagelj and Zaversnik (2003), for this one ``k`` only.
     """
-    neighbours: dict[int, list[int]] = {v: [] for v, d in enumerate(lg.graph.degrees) if d >= k}
+    rows: list[set[int] | None] = [set() if d >= k else None for d in lg.graph.degrees]
     for u, v in lg.graph.edges():
-        if u in neighbours and v in neighbours:
-            neighbours[u].append(v)
-            neighbours[v].append(u)
-    degree = {v: len(ws) for v, ws in neighbours.items()}
-    peeled = [v for v, d in degree.items() if d < k]
+        if rows[u] is not None and rows[v] is not None:
+            rows[u].add(v)
+            rows[v].add(u)
+    peeled = [v for v, row in enumerate(rows) if row is not None and len(row) < k]
     for v in peeled:
-        for w in neighbours[v]:
-            degree[w] -= 1
-            if degree[w] == k - 1:  # only once, and never for a peeled vertex
+        for w in rows[v]:
+            row = rows[w]
+            row.discard(v)
+            if len(row) == k - 1:  # only once, and never for a peeled vertex
                 peeled.append(w)
-    return {v for v, d in degree.items() if d >= k}
+    return {v: row for v, row in enumerate(rows) if row is not None and len(row) >= k}
+
+
+def core(lg: LabelledGraph, k: int) -> set[int]:
+    """The k-core: the largest vertex set in which every vertex has at
+    least ``k`` neighbours."""
+    return set(_core_rows(lg, k))
+
+
+def truss(lg: LabelledGraph, k: int) -> set[int]:
+    """The vertices with an edge in the (k + 1)-truss of the k-core
+    (Cohen 2008): the largest set of edges among the k-core's vertices
+    in which every edge lies in at least ``k - 1`` triangles of the set.
+
+    Every edge of a (k + 1)-clique lies in k - 1 of the clique's own
+    triangles, so such a clique keeps all its vertices here.  One sweep
+    first drops every edge in no triangle, which takes no triangle with
+    it; a sparse graph has few triangles, so few edges are left.  Then
+    every edge in too few triangles goes at once, and after that only the
+    edges at a vertex that lost one can have lost a triangle.
+    """
+    rows = _core_rows(lg, k)
+    if k < 2:
+        return set(rows)
+    get = rows.__getitem__
+    strong: dict[int, set[int]] = defaultdict(set)
+    for v, w in [(v, w) for v, row in rows.items() for w in row
+                 if v < w and not row.isdisjoint(get(w))]:
+        strong[v].add(w)
+        strong[w].add(v)
+    touched = set(strong)
+    while touched:
+        weak = [(v, w) for v in touched for w in strong[v] if len(strong[v] & strong[w]) < k - 1]
+        touched = set()
+        for v, w in weak:
+            strong[v].discard(w)
+            strong[w].discard(v)
+            touched.update((v, w))
+    return {v for v, row in strong.items() if row}
 
 
 def _colours(g: Graph) -> int:
@@ -400,21 +441,24 @@ def reduce_to_core(lg: LabelledGraph, budget: int) -> set[int] | None:
     A greedy feasible clique of size s0 shows that every optimal clique,
     and every clique the cost pass compares with one, has at least s0
     vertices.  Each vertex of such a clique has s0 - 1 neighbours inside
-    it, so all of them lie in the (s0 - 1)-core.  The peel runs only when
-    some vertex has fewer neighbours than that.
+    it, so all of them lie in the (s0 - 1)-core, and each of its edges
+    lies in s0 - 2 triangles inside it, so all of them also lie in the
+    vertices :func:`truss` keeps.  The peel runs only when some vertex has
+    fewer than s0 - 1 neighbours.  On a graph whose rows :func:`cheap_rows`
+    allows it keeps the core: counting triangles there costs O(m d).
 
     A clique takes one colour per vertex, so when a colouring of the whole
     graph needs at most its minimum degree + 1 colours, s0 - 1 is at most
     that degree and no greedy is needed.  The colouring is tried first on
     a graph whose rows :func:`cheap_rows` allows and has no isolated vertex.
     """
-    low = min(lg.graph.degrees, default=0)
-    if low and cheap_rows(lg.graph) and _colours(lg.graph) <= low + 1:
+    low, cheap = min(lg.graph.degrees, default=0), cheap_rows(lg.graph)
+    if low and cheap and _colours(lg.graph) <= low + 1:
         return None
     k = greedy_clique_size(lg, budget) - 1
     if k <= low:
         return None
-    return core(lg, k)
+    return core(lg, k) if cheap else truss(lg, k)
 
 
 def clique_cost(lg: LabelledGraph, clique: Iterable[int]) -> tuple[int, int]:

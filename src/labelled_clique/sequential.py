@@ -157,7 +157,7 @@ class WithinLabels(dict):
 @dataclass
 class SearchStats:
     """Node counters and wall time for one solve, the vertices left to
-    search after the core peel, the label-subset sub-searches each pass ran
+    search after the peel, the label-subset sub-searches each pass ran
     (0 for the paper's search; pass 2's summed over its levels, leaving out
     the subsets skipped as refuted), and the nodes each forked worker
     searched over both passes."""
@@ -498,8 +498,8 @@ def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
 def solve(lg: LabelledGraph, budget: int) -> Solution:
     """Find a maximum feasible clique, cheapest among the maximum ones.
 
-    The graph is peeled to the core that holds every clique as large as a
-    greedy one, unless a colouring shows that the peel keeps every vertex
+    The graph is peeled to the vertices that can hold a clique as large as
+    a greedy one, unless a colouring shows that the peel keeps every vertex
     (:func:`graph.reduce_to_core`), permuted into non-increasing degree
     order, searched twice (size pass, then cost pass, keeping the
     incumbent in between), and the witness is mapped back to original

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import networkx as nx
 import pytest
 
@@ -11,7 +14,9 @@ from labelled_clique import (
     random_labels,
     solve,
 )
-from labelled_clique.graph import core, greedy_clique_size, iter_bits, label_adjacency
+import labelled_clique.graph as graph_mod
+from labelled_clique.graph import (cheap_rows, core, greedy_clique_size, iter_bits,
+                                   label_adjacency, reduce_to_core, truss)
 
 from conftest import random_graph, random_instance
 
@@ -178,6 +183,47 @@ def test_core_matches_networkx_and_is_stable():
             # Peeling the core's own subgraph again removes nothing.
             again = build_graph(g.n, [(u, v) for u, v in g.edges() if u in alive and v in alive])
             assert core(random_labels(again, 1, seed), k) == alive
+
+
+def planted_sparse_graph(seed):
+    """150-300 vertices, fewer random edges than vertices and 1-3 planted
+    cliques of 3-7 vertices: too sparse for cheap rows."""
+    rng = random.Random(seed)
+    n = rng.randint(150, 300)
+    edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(n // 2, n * 3 // 4))}
+    for _ in range(rng.randint(1, 3)):
+        edges.update(combinations(sorted(rng.sample(range(n), rng.randint(3, 7))), 2))
+    return build_graph(n, sorted(edges))
+
+
+def test_truss_matches_networkx():
+    # The vertices with an edge in the (k + 1)-truss of the k-core, whose
+    # every edge lies in k - 1 triangles or more.
+    shrank = 0
+    for seed in range(200):
+        g = planted_sparse_graph(seed)
+        assert not cheap_rows(g)
+        reference = nx.Graph(list(g.edges()))
+        reference.add_nodes_from(range(g.n))
+        for k in range(2, 6):
+            kept = truss(random_labels(g, 1, seed), k)
+            edged = nx.k_truss(nx.k_core(reference, k), k + 1)
+            assert kept == {v for v, d in edged.degree if d}
+            shrank += kept < core(random_labels(g, 1, seed), k)
+    assert shrank > 100
+
+
+def test_peel_with_cheap_rows_runs_no_triangle_step(monkeypatch):
+    # K12 plus a vertex joined to two of its vertices: the greedy finds the
+    # 12-clique and the 11-core drops the extra vertex, with no triangle
+    # counted.
+    def refuse(*_):
+        raise AssertionError("a graph with cheap rows should keep its plain core")
+
+    g = build_graph(13, [*combinations(range(12), 2), (0, 12), (1, 12)])
+    assert cheap_rows(g)
+    monkeypatch.setattr(graph_mod, "truss", refuse)
+    assert reduce_to_core(random_labels(g, 1, 0), 1) == set(range(12))
 
 
 def test_greedy_clique_size_is_feasible_lower_bound():

@@ -1,6 +1,7 @@
 """Property-based tests: both solvers against the oracle, the label-subset
-search against the paper's, k_min colourings against whole ones, and the
-parsers against arbitrary text.
+search against the paper's, k_min colourings against whole ones, solves
+after the triangle peel against solves of the whole graph, and the parsers
+against arbitrary text.
 
 Every budget of every drawn instance must give the oracle's (size, cost),
 and every witness must re-check as a feasible clique of that size and cost.
@@ -10,6 +11,7 @@ agree with the line parser.  Examples are derandomised so the suite stays
 deterministic.
 """
 
+import random
 import warnings
 from itertools import combinations
 
@@ -163,6 +165,58 @@ def test_labels_on_demand_solve_like_a_checked_labelling(instance):
         peeled |= stats.vertices_searched < g.n
     # Count only graphs that the peel reduced at some budget.
     assume(peeled)
+
+
+@st.composite
+def sparse_planted_instances(draw):
+    """(labelled graph, budget) on 150-400 vertices: about n to 2.5 n random
+    edges, 1-3 planted cliques of 3-7 vertices and an isolated clique as
+    large as the largest planted one.  When the greedy finds a clique of
+    that size, the isolated clique's edges lie in exactly k - 1 triangles;
+    half the time all of them are labelled 0, which makes it the optimum."""
+    n, num_labels, seed = draw(st.integers(150, 400)), draw(st.integers(2, 6)), draw(st.integers())
+    rng = random.Random(seed)
+    sizes = [rng.randint(3, 7) for _ in range(rng.randint(1, 3))]
+    rest = n - max(sizes)
+    edges = {tuple(sorted(rng.sample(range(rest), 2))) for _ in range(rng.randint(n, 5 * n // 2))}
+    for size in sizes:
+        edges.update(combinations(sorted(rng.sample(range(rest), size)), 2))
+    isolated = list(combinations(range(rest, n), 2))
+    labels = random_labels(build_graph(n, [*edges, *isolated]), num_labels, seed).edge_label_map()
+    if draw(st.booleans()):
+        labels.update(dict.fromkeys(isolated, 0))
+    lg = build_labelled(build_graph(n, sorted(labels)), num_labels, labels)
+    return lg, draw(st.integers(1, num_labels))
+
+
+def test_triangle_peel_changes_no_solve():
+    # Both solvers on the peeled graph against solve on the whole graph:
+    # the same (size, cost), and witnesses that re-check.
+    truss = graph_mod.truss
+    shrank = []
+
+    def counting(lg, k):
+        kept = truss(lg, k)
+        shrank[-1] |= kept < graph_mod.core(lg, k)
+        return kept
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(sparse_planted_instances())
+    def check(instance):
+        lg, budget = instance
+        with MonkeyPatch.context() as patch:
+            patch.setattr(seq_mod, "reduce_to_core", lambda *_: None)
+            want = solve(lg, budget)
+        shrank.append(False)
+        with MonkeyPatch.context() as patch:
+            patch.setattr(graph_mod, "truss", counting)
+            for got in (solve(lg, budget), solve_parallel(lg, budget, workers=2)):
+                assert (got.size, got.cost) == (want.size, want.cost)
+                assert clique_cost(lg, got.clique) == (got.labels, got.cost)
+        assert clique_cost(lg, want.clique) == (want.labels, want.cost)
+
+    check()
+    assert sum(shrank) >= 10
 
 
 def test_subset_search_matches_papers_search_on_dense_graphs():
