@@ -1,6 +1,8 @@
 """Shared fixtures: bundled example graphs and seeded random instances."""
 
+import random
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,22 @@ def random_graph(n: int, density: float, seed: int) -> Graph:
             if value < threshold:
                 edges.append((u, v))
     return build_graph(n, edges)
+
+
+def planted_sparse_graph(n: int, ratio: float, seed: int,
+                         isolated: bool = False) -> tuple[Graph, list[tuple[int, int]]]:
+    """Seeded sparse graph on ``n`` vertices: ``ratio * n`` random pairs
+    and 1-3 planted cliques of 3-7 vertices.  With ``isolated``, the last
+    vertices form one more clique, as large as the largest planted one and
+    joined to nothing else.  Returns the graph and that clique's edges."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(3, 7) for _ in range(rng.randint(1, 3))]
+    rest = n - max(sizes) if isolated else n
+    edges = {tuple(sorted(rng.sample(range(rest), 2))) for _ in range(round(ratio * n))}
+    for size in sizes:
+        edges.update(combinations(sorted(rng.sample(range(rest), size)), 2))
+    alone = list(combinations(range(rest, n), 2))
+    return build_graph(n, [*edges, *alone]), alone
 
 
 def random_instance(n: int, density: float, num_labels: int, seed: int) -> LabelledGraph:

@@ -289,14 +289,16 @@ def test_criterion_8_ingest_builds_no_unpermuted_rows(monkeypatch):
     assert heads == ["p edge 7000 12028\n"]
     lg = random_labels(graph, 5, seed=5 * 31 + 2)
     sequential = solve(lg, 2)
-    assert sequential.clique == [1, 2, 4, 6]
-    assert (sequential.labels, sequential.stats.nodes_pass1, sequential.stats.nodes_pass2) == (
-        0b101, 19, 5)
-    # Forked workers' node counts and witness follow scheduling.
+    assert (sequential.clique, sequential.labels, sequential.stats.nodes_pass1) == (
+        [1, 2, 4, 6], 0b101, 19)
+    # Forked workers' pass-1 node counts and witness follow scheduling.
+    # Pass 2 starts from the optimum's key and finds nothing better, so its
+    # 5 nodes, one per single label, do not.
     for solution in (sequential, solve_parallel(lg, 2, workers=2)):
         stats = solution.stats
         assert (solution.size, solution.cost) == (4, 2)
-        assert (stats.subsets_pass1, stats.subsets_pass2) == (0, 5)
+        assert set(solution.clique) < set(range(8))  # inside the planted 8-clique
+        assert (stats.nodes_pass2, stats.subsets_pass1, stats.subsets_pass2) == (5, 0, 5)
         assert stats.vertices_searched == 8
         assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
     assert graph._rows is None
@@ -392,10 +394,10 @@ def test_subset_rule_follows_average_degree(keller4, monkeypatch):
     assert (first.size, first.cost) == (5, 2)
     assert (first.stats.subsets_pass1, first.stats.subsets_pass2) == (0, 16)
     assert first.stats.nodes_pass1 > 0
-    # 1,000 disjoint copies of K4 at K=5, b=2: each edge lies in exactly
-    # two triangles, so the peel keeps all 4,000 vertices, whose average
-    # degree (3) is below both C(5, 2) = 10 and the 63 machine words of a
-    # row.  Its passes walk the root branches lazily and stop at the first
+    # 1,000 disjoint copies of K4 at K=5, b=2: every vertex already has
+    # degree s0 - 1 = 3, so no peel runs and all 4,000 vertices are
+    # searched; their average degree (3) is below both C(5, 2) = 10 and the
+    # 63 machine words of a row.  Its passes walk the root branches lazily and stop at the first
     # one the bound prunes, so both passes together draw fewer than the
     # 4,000 a single full list would hold.
     drawn = []

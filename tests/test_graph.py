@@ -18,7 +18,7 @@ import labelled_clique.graph as graph_mod
 from labelled_clique.graph import (cheap_rows, core, greedy_clique_size, iter_bits,
                                    label_adjacency, reduce_to_core, truss)
 
-from conftest import random_graph, random_instance
+from conftest import planted_sparse_graph, random_graph, random_instance
 
 
 def triangle_labelled(num_labels=1, labels=(0, 0, 0)):
@@ -185,23 +185,13 @@ def test_core_matches_networkx_and_is_stable():
             assert core(random_labels(again, 1, seed), k) == alive
 
 
-def planted_sparse_graph(seed):
-    """150-300 vertices, fewer random edges than vertices and 1-3 planted
-    cliques of 3-7 vertices: too sparse for cheap rows."""
-    rng = random.Random(seed)
-    n = rng.randint(150, 300)
-    edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(n // 2, n * 3 // 4))}
-    for _ in range(rng.randint(1, 3)):
-        edges.update(combinations(sorted(rng.sample(range(n), rng.randint(3, 7))), 2))
-    return build_graph(n, sorted(edges))
-
-
 def test_truss_matches_networkx():
     # The vertices with an edge in the (k + 1)-truss of the k-core, whose
     # every edge lies in k - 1 triangles or more.
     shrank = 0
     for seed in range(200):
-        g = planted_sparse_graph(seed)
+        rng = random.Random(seed)
+        g, _ = planted_sparse_graph(rng.randint(150, 300), rng.uniform(0.5, 0.75), seed)
         assert not cheap_rows(g)
         reference = nx.Graph(list(g.edges()))
         reference.add_nodes_from(range(g.n))

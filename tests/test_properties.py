@@ -11,7 +11,6 @@ agree with the line parser.  Examples are derandomised so the suite stays
 deterministic.
 """
 
-import random
 import warnings
 from itertools import combinations
 
@@ -43,7 +42,7 @@ from labelled_clique.graph_io import MAX_VERTICES
 from labelled_clique.oracle import MAX_ORACLE_VERTICES
 from labelled_clique.sequential import WithinLabels, _expand, _search
 
-from conftest import paper_solve, random_instance
+from conftest import paper_solve, planted_sparse_graph, random_instance
 
 
 @st.composite
@@ -175,14 +174,8 @@ def sparse_planted_instances(draw):
     that size, the isolated clique's edges lie in exactly k - 1 triangles;
     half the time all of them are labelled 0, which makes it the optimum."""
     n, num_labels, seed = draw(st.integers(150, 400)), draw(st.integers(2, 6)), draw(st.integers())
-    rng = random.Random(seed)
-    sizes = [rng.randint(3, 7) for _ in range(rng.randint(1, 3))]
-    rest = n - max(sizes)
-    edges = {tuple(sorted(rng.sample(range(rest), 2))) for _ in range(rng.randint(n, 5 * n // 2))}
-    for size in sizes:
-        edges.update(combinations(sorted(rng.sample(range(rest), size)), 2))
-    isolated = list(combinations(range(rest, n), 2))
-    labels = random_labels(build_graph(n, [*edges, *isolated]), num_labels, seed).edge_label_map()
+    g, isolated = planted_sparse_graph(n, draw(st.floats(1, 2.5)), seed, isolated=True)
+    labels = random_labels(g, num_labels, seed).edge_label_map()
     if draw(st.booleans()):
         labels.update(dict.fromkeys(isolated, 0))
     lg = build_labelled(build_graph(n, sorted(labels)), num_labels, labels)
