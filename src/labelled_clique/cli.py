@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .graph import GraphError, LabelledGraph, clique_cost, label_indices
 from .graph_io import InstanceSpec, ParseError
@@ -26,9 +26,9 @@ EXIT_INTERNAL = 3
 EXIT_BAD_WITNESS = 4
 
 
-@dataclass
-class RunReport:
-    """Everything one solve run reports, witness re-validated before emission."""
+class RunReport(NamedTuple):
+    """Everything one solve run reports, witness re-validated before emission;
+    ``--json`` prints its fields in order."""
 
     instance: str
     n: int
@@ -135,7 +135,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     for line in report.lines():
         print(line)
     if args.json:
-        print(json.dumps(asdict(report)))
+        print(json.dumps(report._asdict()))
     return EXIT_OK
 
 

@@ -23,15 +23,13 @@ whose bounds reach ``kmin``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .graph import Graph
 
 
-@dataclass
-class ColourResult:
+class ColourResult(NamedTuple):
     """Vertices in colouring order with the per-prefix colour count."""
 
     order: list[int]

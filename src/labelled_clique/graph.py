@@ -9,8 +9,8 @@ labels are supported so a label set always fits one machine word in a
 fixed-width port.
 
 A graph renumbered whole by :func:`permute_by_degree` keeps its labels as
-one adjacency per label, filled in one pass over the edge list; its
-per-vertex label dicts wait until the paper's search reads them.
+one adjacency per label, filled in one pass over the edge list; its rows
+and per-vertex label dicts wait until the paper's search reads them.
 
 :func:`reduce_to_core` keeps the vertices a solve needs: the core of a
 greedy clique's size and, on a graph too sparse for cheap rows, only the
@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .colouring import colour_order_into
 
@@ -58,13 +57,13 @@ def label_indices(mask: int) -> list[int]:
 class Graph:
     """Undirected loop-free graph: degrees, edges (u, v) with u < v, and one
     adjacency bitset per vertex.  :func:`build_graph` gives the edges and
-    :func:`permute_by_degree` the rows, both trusted here; either is built
-    from the other on first use."""
+    :func:`permute_by_degree` the rows, or a function that builds them,
+    all trusted here; either is built from the other on first use."""
 
     __slots__ = ("n", "degrees", "_rows", "_edges")
 
-    def __init__(self, n: int, adjacency: list[int] | None, degrees: list[int],
-                 edges: list[tuple[int, int]] | None = None):
+    def __init__(self, n: int, adjacency: list[int] | Callable[[], list[int]] | None,
+                 degrees: list[int], edges: list[tuple[int, int]] | None = None):
         self.n, self._rows, self.degrees, self._edges = n, adjacency, degrees, edges
 
     @property
@@ -74,6 +73,8 @@ class Graph:
             for u, v in self._edges:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
+        elif callable(self._rows):
+            self._rows = self._rows()
         return self._rows
 
     def adjacent(self, v: int, w: int) -> bool:
@@ -83,7 +84,7 @@ class Graph:
         """Edges as (u, v) with u < v, ascending: the canonical order of
         label allocation, whatever order the edges were supplied in."""
         if self._edges is None:
-            self._edges = [(u, w) for u, row in enumerate(self._rows)
+            self._edges = [(u, w) for u, row in enumerate(self.adjacency)
                            for w in iter_bits((row >> (u + 1)) << (u + 1))]
         return self._edges
 
@@ -243,8 +244,7 @@ def label_adjacency(lg: LabelledGraph) -> list[list[int]]:
     return rows
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(NamedTuple):
     """Vertex renumbering: ``forward[new] = old`` and ``inverse[old] = new``.
 
     ``inverse[old]`` is None for a vertex left out of the renumbered graph.
@@ -270,9 +270,9 @@ def permute_by_degree(
 
     A whole graph whose rows :func:`cheap_rows` allows has every edge
     labelled once and filled straight into the per-label rows of
-    :func:`label_adjacency`, in one pass over the edge list; their union is
-    its adjacency, and its ``label_bits`` are built from the edge list and
-    its labels when first read.
+    :func:`label_adjacency`, in one pass over the edge list.  Only the
+    paper's search reads its adjacency, their union, and its
+    ``label_bits``, so both are built when first read.
     """
     g = lg.graph
     if kept is None:
@@ -304,9 +304,12 @@ def permute_by_degree(
                 bits[a][b] = bits[b][a] = 1 << label
             return bits
 
-        # Each edge has one label, so the rows' sum is their union.
-        union = [int(f"{row:0{n}b}"[::-1], 2) for row in map(sum, zip(*by_label))]
-        graph = Graph(n, union[::-1], degrees)
+        def build_rows() -> list[int]:
+            # Each edge has one label, so the rows' sum is their union.
+            union = [int(f"{row:0{n}b}"[::-1], 2) for row in map(sum, zip(*by_label))]
+            return union[::-1]
+
+        graph = Graph(n, build_rows, degrees)
         return LabelledGraph(graph, lg.num_labels, build_bits, by_label=by_label), perm
     if kept is None:
         neighbours = lg.label_bits

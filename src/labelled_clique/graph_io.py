@@ -17,9 +17,9 @@ so (graph, label count, seed) gives one labelling in any implementation.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
 from pathlib import Path
@@ -90,8 +90,11 @@ def _read_in_bulk(text: str) -> tuple[int, Graph]:
             or any(c in body for c in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")):
         raise ValueError("not a body of bare 'e u v' lines")
     n, declared, edges = _parse_lines(text[:cut])
-    us, vs = (list(map((-1).__add__, map(int, tokens[i::3]))) for i in (1, 2))
+    us, vs = tokens[1::3], tokens[2::3]
     del body, tokens  # free the token strings, the read's peak memory, before building
+    # A graph names each vertex in many edges: convert each distinct token once.
+    vertex = {token: int(token) - 1 for token in {*us, *vs}}.__getitem__
+    us, vs = list(map(vertex, us)), list(map(vertex, vs))
     return declared, build_graph(n, chain(edges, zip(us, vs)))
 
 
@@ -235,17 +238,37 @@ def random_labels(g: Graph, num_labels: int, seed: int) -> LabelledGraph:
     labelling depends only on (graph, num_labels, seed).  The state of
     :func:`splitmix_next` after ``i + 1`` steps is ``seed + (i + 1) * gamma``
     (Steele, Lea and Flood, 2014), so edge ``i`` is labelled when first read.
+
+    ``labels_at`` mixes all the edge indices it is given (each in [0, 2^64))
+    at once: each index takes a 128-bit lane of one int, so each step of
+    the mix is one big-int operation (SIMD within a register, Fisher and
+    Dietz 1998).  A 64-bit value times a 64-bit constant fits its lane, and
+    every lane is masked back to 64 bits before the next shift or multiply,
+    so no bit crosses into another lane and each value is
+    :func:`splitmix_next`'s.
     """
+    from array import array  # here, so that importing the package does not load it
+
     if not 1 <= num_labels <= MAX_LABELS:
         raise ValueError(f"num_labels must be in [1, {MAX_LABELS}], got {num_labels}")
-    gamma, mul1, mul2, mask = _SPLITMIX_GAMMA, _SPLITMIX_MUL1, _SPLITMIX_MUL2, _MASK64
-    start = (seed & mask) + gamma
+    order = sys.byteorder
+    low = order == "big"  # the array index of a lane's low word
+    start = ((seed + _SPLITMIX_GAMMA) & _MASK64).to_bytes(16, order)
+    ones = _MASK64.to_bytes(16, order)
 
     def labels_at(at: Sequence[int]) -> list[int]:
-        return [(z ^ (z >> 31)) % num_labels for i in at
-                for z in [(start + i * gamma) & mask]
-                for z in [((z ^ (z >> 30)) * mul1) & mask]
-                for z in [((z ^ (z >> 27)) * mul2) & mask]]
+        count = len(at)
+        words = array("Q", bytes(16 * count))
+        words[low::2] = array("Q", at)
+        z = int.from_bytes(words, order)
+        del words
+        mask = int.from_bytes(ones * count, order)
+        z = z * _SPLITMIX_GAMMA + int.from_bytes(start * count, order) & mask
+        z = ((z ^ z >> 30) & mask) * _SPLITMIX_MUL1 & mask
+        z = ((z ^ z >> 27) & mask) * _SPLITMIX_MUL2 & mask
+        words = array("Q", (z ^ z >> 31).to_bytes(16 * count, order))
+        del z, mask
+        return [value % num_labels for value in words[low::2]]
 
     return LabelledGraph(g, num_labels, labels_at=labels_at)
 
@@ -266,25 +289,37 @@ def resolve_budget(num_labels: int, budget: int | None = None, budget_pct: int |
     return max(1, (budget_pct * num_labels + 50) // 100)
 
 
-@dataclass
 class InstanceSpec:
-    """A solvable instance: graph path, one label source, one budget form."""
+    """A solvable instance: graph path, one label source, one budget form.
 
-    graph_path: Path
-    num_labels: int | None = None
-    seed: int | None = None
-    label_file: Path | None = None
-    budget: int | None = None
-    budget_pct: int | None = None
+    A slotted record: equal to another spec with equal fields, and its
+    seed defaults to 0 for random labels."""
 
-    def __post_init__(self) -> None:
-        seeded = self.num_labels is not None
-        if seeded == (self.label_file is not None):
+    __slots__ = ("graph_path", "num_labels", "seed", "label_file", "budget", "budget_pct")
+
+    def __init__(self, graph_path: Path, num_labels: int | None = None, seed: int | None = None,
+                 label_file: Path | None = None, budget: int | None = None,
+                 budget_pct: int | None = None) -> None:
+        seeded = num_labels is not None
+        if seeded == (label_file is not None):
             raise ValueError("exactly one label source: --labels/--seed or --label-file")
-        if seeded and self.seed is None:
-            self.seed = 0
-        if (self.budget is None) == (self.budget_pct is None):
+        if (budget is None) == (budget_pct is None):
             raise ValueError("exactly one of budget and budget_pct is required")
+        self.graph_path, self.num_labels, self.label_file = graph_path, num_labels, label_file
+        self.seed = 0 if seeded and seed is None else seed
+        self.budget, self.budget_pct = budget, budget_pct
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"InstanceSpec({fields})"
 
     def load(self) -> tuple[LabelledGraph, int]:
         """Read the graph, attach labels, and resolve the budget."""

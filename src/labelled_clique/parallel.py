@@ -24,8 +24,8 @@ from functools import partial
 
 # permute_by_degree is unused here, but perfbench/layers.py wraps it by name.
 from .graph import LabelledGraph, permute_by_degree  # noqa: F401
-from .sequential import (_NODES, Incumbent, Solution, Subproblem, _root_branches, _run_in_order,
-                         _run_unit, _search, _solve, solve)
+from .sequential import (_NODES, Incumbent, Solution, Subproblem, _pass_search, _root_branches,
+                         _run_in_order, _run_unit, _solve, solve)
 
 _SHARED = struct.Struct("QQ")  # next unit index, best published key
 
@@ -85,7 +85,7 @@ def _worker(state) -> None:
     """
     shared, units, first_pass, lg, subgraphs, within, budget, out = state
     inc = Incumbent()
-    search = _search(first_pass, inc, lg.graph.adjacency, within.label_bits, within, budget)
+    search = _pass_search(first_pass, inc, lg, within, budget)
     while True:
         index, key = shared.update(1)
         if index >= len(units):
@@ -130,16 +130,17 @@ def _child(write: int, state, index: int) -> None:
 
 
 def _run_pass(workers: int, units, state, best: Incumbent) -> tuple[int, list, list[int]]:
-    """Run a pass's ``units`` in up to ``workers`` forked children (here, if
-    there is one), from ``best``'s key, and merge their witnesses into
-    ``best``; returns the nodes they searched, their sub-searches' outcomes
-    and each child's nodes.  Every child has been reaped when this returns
-    or raises."""
+    """Run a pass's ``units`` in up to ``workers`` forked children (here,
+    as the pass's one worker, if there are fewer than two), from ``best``'s
+    key, and merge their witnesses into ``best``; returns the nodes they
+    searched, their sub-searches' outcomes and each worker's nodes.  Every
+    child has been reaped when this returns or raises."""
     import pickle
     import signal
 
-    if len(units) < 2:
-        return _run_in_order(units, state, best)
+    if len(units) < 2:  # the parent is this pass's one worker
+        searched, outcomes, _ = _run_in_order(units, state, best)
+        return searched, outcomes, [searched]
     shared = _Shared(best.key)
     pids: list[int] = []
     reads: list[int] = []

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from itertools import combinations, zip_longest
 from math import comb
 from operator import or_
 from time import perf_counter
+from typing import NamedTuple
 
 from .colouring import colour_order, colour_order_into, colour_top_down_into
 from .graph import (Graph, LabelledGraph, cheap_rows, label_adjacency, permute_by_degree,
@@ -154,13 +154,14 @@ class WithinLabels(dict):
         return mask
 
 
-@dataclass
-class SearchStats:
+class SearchStats(NamedTuple):
     """Node counters and wall time for one solve, the vertices left to
     search after the peel, the label-subset sub-searches each pass ran
     (0 for the paper's search; pass 2's summed over its levels, leaving out
-    the subsets skipped as refuted), and the nodes each forked worker
-    searched over both passes."""
+    the subsets skipped as refuted), and the nodes each worker searched
+    over both passes, the parent counting as the first worker of a pass it
+    runs alone.  The records here are named tuples, which import without
+    ``dataclasses``; their defaults are shared, and nothing changes them."""
 
     nodes_pass1: int = 0
     nodes_pass2: int = 0
@@ -169,22 +170,20 @@ class SearchStats:
     vertices_searched: int = 0
     subsets_pass1: int = 0
     subsets_pass2: int = 0
-    worker_nodes: list[int] = field(default_factory=list)
+    worker_nodes: list[int] = []
 
 
-@dataclass
-class Solution:
+class Solution(NamedTuple):
     """A maximum feasible clique in original vertex numbering."""
 
     clique: list[int]
     size: int
     labels: int
     cost: int
-    stats: SearchStats = field(default_factory=SearchStats)
+    stats: SearchStats = SearchStats()
 
 
-@dataclass(frozen=True)
-class Subproblem:
+class Subproblem(NamedTuple):
     """One root branch: its vertex as a one-vertex ``prefix``, the root's
     candidates that remain beside it (``cands``), and its colour ``bound``
     in the root colouring."""
@@ -207,6 +206,15 @@ def _search(first_pass, inc, adjacency, label_bits, within, budget):
     grown on demand, so a context serves one search at a time.
     """
     return (first_pass, inc, adjacency, label_bits, within, budget, [0, []], [])
+
+
+def _pass_search(first_pass, inc, lg: LabelledGraph, within, budget):
+    """:func:`_search` for one pass of :func:`_solve`.  ``_solve`` gives
+    ``within`` the label dicts once a pass runs the paper's search, the
+    only search that reads the graph's bitset rows, so the rows are read,
+    and a whole permuted graph builds them, only then."""
+    rows = None if within.label_bits is None else lg.graph.adjacency
+    return _search(first_pass, inc, rows, within.label_bits, within, budget)
 
 
 def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None, m=0):
@@ -439,7 +447,7 @@ def _run_in_order(units, state, inc: Incumbent) -> tuple[int, list, list[int]]:
     the first dead one; returns the nodes searched, the sub-searches'
     outcomes, and no per-worker nodes, since no worker was forked."""
     first_pass, lg, subgraphs, within, budget = state
-    search = _search(first_pass, inc, lg.graph.adjacency, within.label_bits, within, budget)
+    search = _pass_search(first_pass, inc, lg, within, budget)
     for unit in units:
         if not _run_unit(search, lg, subgraphs, unit):
             break

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion; any assertion failure marks that criterion red.
 """
 
+import hashlib
 import time
 from itertools import combinations
 
@@ -333,12 +334,36 @@ def test_keller4_solve_labels_each_edge_once(keller4):
     assert seen == list(range(keller4.edge_count()))
 
 
+def label_digest(lg) -> str:
+    """Digest of every edge's label, in edge order."""
+    return hashlib.sha256(bytes(lg.edge_label_map().values())).hexdigest()[:16]
+
+
+def test_label_digests_are_pinned(keller4):
+    # The labels of criterion 8's nine cells and of the keller4 benchmark
+    # pools, frozen from the one-edge-at-a-time splitmix64 labeller.
+    graph = _collaboration_scale_graph()
+    assert {(k, b): label_digest(random_labels(graph, k, seed=k * 31 + b))
+            for k in (3, 4, 5) for b in (2, 3, 4)} == {
+        (3, 2): "2ca3395c79742963", (3, 3): "b2d407962144e88d", (3, 4): "6c98036b96d7be81",
+        (4, 2): "e38645eae5012f1d", (4, 3): "5270d6d70b405410", (4, 4): "09544173eb8ef81e",
+        (5, 2): "c8b52167f4e432d5", (5, 3): "e8986e4db1e294cd", (5, 4): "f1db11d7670f15ca"}
+    assert {(k, seed): label_digest(random_labels(keller4, k, seed))
+            for k in (4, 8) for seed in range(5)} == {
+        (4, 0): "29902160ecc324ef", (4, 1): "b580cdadcaf773ee", (4, 2): "ec9245283d496639",
+        (4, 3): "c8e092747b46311d", (4, 4): "5ecedf3b432fd965", (8, 0): "f4b2017a833eaf91",
+        (8, 1): "4eff495fe617c1ea", (8, 2): "beeb69a790167c2c", (8, 3): "c411b2ed2b3cf401",
+        (8, 4): "abb80d2bf8e0e2f4"}
+    assert label_digest(random_labels(keller4, 64, 2**64 + 7)) == "e15c03c839f0cb36"
+
+
 def test_keller4_cells_skip_the_greedy_and_build_no_label_dicts(keller4, monkeypatch):
     # keller4 colours greedily with 37 colours and its minimum degree is
     # 102, so no clique has more than 103 vertices and the peel would keep
     # every vertex: neither the greedy nor the core runs.  Every pass of
     # these cells searches label subsets, which read the per-label rows
-    # that the permutation fills, so no per-vertex label dict is built.
+    # that the permutation fills, so neither the per-vertex label dicts nor
+    # the bitset rows of the paper's search are built.
     # The node counts are those of the solver that ran the greedy first.
     def refuse(*_):
         raise AssertionError("the colouring should have ruled out a peel")
@@ -356,9 +381,11 @@ def test_keller4_cells_skip_the_greedy_and_build_no_label_dicts(keller4, monkeyp
         assert solution.stats.vertices_searched == keller4.n
         assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
         assert callable(permuted[-1][0]._bits) and lg._bits is None
+        assert callable(permuted[-1][0].graph._rows)
     parallel = solve_parallel(random_labels(keller4, 8, seed=0), 2, workers=2)
     assert (parallel.size, parallel.cost, parallel.stats.subsets_pass1) == (5, 2, 28)
     assert len(permuted) == 5 and callable(permuted[-1][0]._bits)
+    assert callable(permuted[-1][0].graph._rows)
 
 
 def test_criterion_8_label_file_checks_use_the_edge_list():

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +285,15 @@ def test_bench_resolves_percentage(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert out.splitlines()[1].split()[3] == "3"  # 75% of 4 labels
+
+
+def test_imports_leave_dataclasses_out():
+    # A cold start imports no dataclasses (with inspect, ast and dis behind
+    # it): the package's records are named tuples or slotted classes.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import labelled_clique, labelled_clique.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "[]"

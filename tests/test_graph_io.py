@@ -1,6 +1,9 @@
 import time
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from labelled_clique import (
     GraphError,
@@ -19,7 +22,8 @@ from labelled_clique import (
     write_dimacs,
     write_labels,
 )
-from labelled_clique.graph_io import MAX_VERTICES
+import labelled_clique.graph_io as graph_io
+from labelled_clique.graph_io import MAX_VERTICES, _parse_lines
 
 from conftest import random_graph
 
@@ -165,20 +169,116 @@ def test_random_labels_follow_splitmix_next_in_edge_order():
             assert random_labels(g, num_labels, seed).edge_label_map() == expected
 
 
+def splitmix_stream(seed: int, count: int) -> list[int]:
+    """The first ``count`` values of ``splitmix_next`` from ``seed``."""
+    values, state = [], seed
+    for _ in range(count):
+        value, state = splitmix_next(state)
+        values.append(value)
+    return values
+
+
 def test_random_labels_label_any_edges_from_their_indices():
     # Edge i takes value i of the stream whichever edges are asked for, in
     # any order and with repeats, and asking builds no label rows.
     g = random_graph(40, 0.3, seed=9)
     m = g.edge_count()
     for num_labels, seed in ((1, 0), (7, 2**64 - 1), (64, 2**64 + 3)):
-        stream, state = [], seed
-        for _ in range(m):
-            value, state = splitmix_next(state)
-            stream.append(value % num_labels)
+        stream = [value % num_labels for value in splitmix_stream(seed, m)]
         lg = random_labels(g, num_labels, seed)
         for at in ([], [m - 1, 0, 5, 5], list(range(m))[::-3], range(m)):
             assert lg.labels_at(at) == [stream[i] for i in at]
         assert lg._bits is None
+
+
+_LONG = list(range(2999, -1, -1)) + list(range(0, 3000, 7))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.one_of(st.just(0), st.integers(1, 1000), st.integers(2**64, 2**66)),
+       st.integers(1, 64), st.lists(st.integers(0, 300), max_size=40))
+@example(0, 1, [])
+@example(2**64 + 1, 64, _LONG)
+@example(17, 5, [3] * 9 + [0, 300, 1, 299])
+def test_packed_labels_step_like_splitmix_next(seed, num_labels, at):
+    # The lanes of the packed kernel never mix: every index, in any order,
+    # repeated or not, gets the value splitmix_next gives at its step.
+    stream = splitmix_stream(seed, max(at, default=-1) + 1)
+    labels = random_labels(build_graph(2, [(0, 1)]), num_labels, seed).labels_at(at)
+    assert labels == [stream[i] % num_labels for i in at]
+
+
+def test_packed_labels_keep_the_top_lane_bits():
+    # Indices up to 2**64 - 1 fill a lane's low word: the product with the
+    # increment then reaches the lane's top bit and still carries nowhere.
+    mask = (1 << 64) - 1
+    at = [mask, mask - 1, 2**63, 1, mask]
+    for seed in (0, mask, 2**64 + 9):
+        # splitmix_next from the state after i steps gives step i + 1's value.
+        want = [splitmix_next((seed + i * graph_io._SPLITMIX_GAMMA) & mask)[0] % 64 for i in at]
+        assert random_labels(build_graph(2, [(0, 1)]), 64, seed).labels_at(at) == want
+
+
+_SPELLINGS = {
+    "plain": "{}".format,
+    "zero": "0{}".format,
+    "plus": "+{}".format,
+    "arabic": lambda k: "".join(chr(0x660 + int(d)) for d in str(k)),  # Arabic-Indic digits
+    "underscore": lambda k: f"{k // 10}_{k % 10}" if k >= 10 else str(k),
+}
+
+
+@st.composite
+def spelled_bodies(draw):
+    """DIMACS text whose ``e u v`` lines spell each vertex in one of the ways
+    ``int`` reads, with reversed, duplicate, loop and out-of-range edges."""
+    n = draw(st.integers(1, 14))
+    vertex = st.one_of(st.integers(1, n), st.integers(1, n), st.integers(0, n + 2))
+    spell = st.sampled_from(sorted(_SPELLINGS))
+    lines = [f"e {_SPELLINGS[draw(spell)](u)} {_SPELLINGS[draw(spell)](v)}"
+             for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=14))]
+    return f"p edge {n} {len(lines)}\n" + "\n".join(lines) + "\n"
+
+
+def test_bulk_read_matches_the_line_parser_token_for_token(monkeypatch):
+    # parse_dimacs converts each distinct token of a bare body once; its
+    # graph, or its error, is the line parser's with build_graph after it.
+    outcomes, taken, bulk = [], [], graph_io._read_in_bulk
+
+    def spy(text):
+        result = bulk(text)
+        taken.append(text)
+        return result
+
+    monkeypatch.setattr(graph_io, "_read_in_bulk", spy)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(spelled_bodies())
+    @example("p edge 12 4\ne 01 +3\ne 1_0 \u0663\ne 3 1\ne 10 12\n")
+    def check(text):
+        try:
+            n, _, edges = _parse_lines(text)
+            graph = build_graph(n, edges)
+            want = (graph.edges(), graph.degrees)
+        except ParseError as exc:
+            want = str(exc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                graph = parse_dimacs(text)
+                got = (graph.edges(), graph.degrees)
+            except ParseError as exc:
+                got = str(exc)
+        assert got == want
+        outcomes.append((text, isinstance(want, str)))
+
+    check()
+    graphs = [text for text, failed in outcomes if not failed and "\ne" in text]
+    assert len(graphs) >= 50 and len(outcomes) - len(graphs) >= 50
+    # The bulk read, not its fallback, took every body that makes a graph,
+    # spelling vertices every way.
+    assert taken == graphs
+    assert all(any(mark in text for text in taken) for mark in ("+", "_", " 0", "\u0661"))
 
 
 def test_every_graph_lists_its_edges_sorted_and_unique():

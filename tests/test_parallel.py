@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import importlib.util
 import os
@@ -390,7 +389,7 @@ def test_keyboard_interrupt_kills_the_workers(fig1, monkeypatch):
 
 def untimed(solution):
     """The solution with its wall time zeroed, to compare two solves."""
-    return dataclasses.replace(solution, stats=dataclasses.replace(solution.stats, elapsed=0.0))
+    return solution._replace(stats=solution.stats._replace(elapsed=0.0))
 
 
 def test_no_fork_runs_solve(fig1, monkeypatch):

@@ -5,7 +5,13 @@ import networkx as nx
 import pytest
 
 from labelled_clique import (
+    ColourResult,
     Incumbent,
+    InstanceSpec,
+    Permutation,
+    SearchStats,
+    Solution,
+    Subproblem,
     build_graph,
     build_labelled,
     clique_cost,
@@ -22,6 +28,22 @@ from labelled_clique.graph import LabelledGraph
 from labelled_clique.sequential import _NODES, WithinLabels, _expand, _search
 
 from conftest import paper_solve, random_instance
+
+
+def test_records_keep_their_fields_defaults_and_equality():
+    assert SearchStats(1, 2, 0.5, 2, 7, 3, 4, [5, 6]) == SearchStats(
+        nodes_pass1=1, nodes_pass2=2, elapsed=0.5, workers=2, vertices_searched=7,
+        subsets_pass1=3, subsets_pass2=4, worker_nodes=[5, 6])
+    assert SearchStats() == SearchStats(0, 0, 0.0, 1, 0, 0, 0, [])
+    assert Solution([1], 1, 0, 0) == Solution([1], 1, 0, 0, SearchStats())
+    assert Solution([1], 1, 0, 0) != Solution([2], 1, 0, 0)
+    assert Permutation((1, 0), (1, 0)).to_original([0]) == [1]
+    assert Subproblem((3,), 6, 2).cands == 6
+    assert ColourResult([0], [1]) == ColourResult(order=[0], bounds=[1])
+    spec = InstanceSpec("g.clq", num_labels=4, budget=2)
+    assert spec == InstanceSpec("g.clq", 4, 0, None, 2) != InstanceSpec("g.clq", 4, 1, None, 2)
+    assert repr(spec) == ("InstanceSpec(graph_path='g.clq', num_labels=4, seed=0, "
+                          "label_file=None, budget=2, budget_pct=None)")
 
 
 def to_networkx(g):
