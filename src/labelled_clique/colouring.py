@@ -1,15 +1,17 @@
 """Greedy sequential colouring: branching order plus a non-decreasing bound.
 
 There are two kernels with the same colouring, numbered both ways.
-:func:`colour_order_into` builds colour classes lowest-vertex-first: it
-repeatedly takes the lowest set bit of the still-colourable set, gives it
-the current colour, and knocks out its neighbours with one
-and-with-complement.  The paper's search and :func:`colour_order` use it.
 :func:`colour_top_down_into` takes the highest set bit, which
 ``bit_length`` finds without allocating, removes it through a table of
 ``1 << v`` and keeps only the vertices a precomputed ``below`` row leaves
-colourable.  The label-subset sub-searches number their rows top-down for
-it, so their colourings are the mirror images of the bottom-up ones.
+colourable.  Both searches number their rows top-down for it: the paper's
+search and the label-subset sub-searches.  :func:`colour_order_into`
+builds colour classes lowest-vertex-first: it repeatedly takes the lowest
+set bit of the still-colourable set, gives it the current colour, and
+knocks out its neighbours with one and-with-complement.  It now serves
+only :func:`colour_order` and the peel's colouring test,
+``graph._colours``; its colourings are the mirror images of the top-down
+ones.
 
 The ``bounds`` entry for a vertex records how many colours were in use
 when it was coloured, so the first ``i`` vertices of ``order`` are always
@@ -44,8 +46,9 @@ def colour_order_into(
     Only vertices coloured ``kmin`` or above are written; the classes below
     are still built, as they decide the later ones.  Returns the number of
     vertices written.  Buffers must hold at least ``cands.bit_count()``
-    entries; the solver reuses one pair per recursion depth to keep the hot
-    path allocation-free.
+    entries, so a caller can reuse one pair per recursion depth and keep
+    the hot path allocation-free, as the searches do with
+    :func:`colour_top_down_into`.
     """
     m = 0
     colour = 0

@@ -8,9 +8,10 @@ int masks over label indices, with cost = ``mask.bit_count()``; at most 64
 labels are supported so a label set always fits one machine word in a
 fixed-width port.
 
-A graph renumbered whole by :func:`permute_by_degree` keeps its labels as
-one adjacency per label, filled in one pass over the edge list; its rows
-and per-vertex label dicts wait until the paper's search reads them.
+A graph renumbered by :func:`permute_by_degree` keeps its labels as one
+adjacency per label, numbered top-down and filled in one pass over its
+edges.  Both searches read only those; its rows and per-vertex label
+dicts wait until some other caller reads them.
 
 :func:`reduce_to_core` keeps the vertices a solve needs: the core of a
 greedy clique's size and, on a graph too sparse for cheap rows, only the
@@ -125,10 +126,10 @@ class LabelledGraph:
     ``labels_at(indices)`` labels the edges at those positions of
     ``graph.edges()``, so a solve labels only the edges it reads, and
     ``labels()`` labels every edge, once.  ``label_bits[v]`` maps each
-    neighbour ``w`` of ``v`` to the mask ``1 << label(v, w)`` that the
-    search unions; unless given, it is built on first read, by the
-    function given in its place if there is one.  A graph may also hold
-    the rows of :func:`label_adjacency`.
+    neighbour ``w`` of ``v`` to the mask ``1 << label(v, w)``; unless
+    given, it is built on first read, by the function given in its place
+    if there is one.  A graph may also hold the rows of
+    :func:`label_adjacency`, which are all that a search reads.
     """
 
     __slots__ = ("graph", "num_labels", "labels_at", "_labels", "_bits", "_by_label")
@@ -231,9 +232,9 @@ def label_adjacency(lg: LabelledGraph) -> list[list[int]]:
     ``rows[k][n - 1 - v]`` is the bitset of the neighbours of ``v`` joined
     to it by an edge labelled ``k``.
 
-    The label-subset sub-searches colour these rows highest vertex first
-    (``colouring.colour_top_down_into``) and map their witnesses back.  A
-    graph :func:`permute_by_degree` renumbered whole holds them already."""
+    Both searches of a solve read only these rows, in this numbering, and
+    colour them highest vertex first (``colouring.colour_top_down_into``).
+    A graph :func:`permute_by_degree` renumbered holds them already."""
     if lg._by_label is not None:
         return lg._by_label
     top = lg.graph.n - 1
@@ -268,63 +269,52 @@ def permute_by_degree(
     ordered by their degrees in it; only its edges are labelled.  The
     returned :class:`Permutation` maps solutions back to the original numbering.
 
-    A whole graph whose rows :func:`cheap_rows` allows has every edge
-    labelled once and filled straight into the per-label rows of
-    :func:`label_adjacency`, in one pass over the edge list.  Only the
-    paper's search reads its adjacency, their union, and its
-    ``label_bits``, so both are built when first read.
+    The result holds its labels as the per-label rows of
+    :func:`label_adjacency`, filled in one pass over the kept edges: all
+    that a search reads.  Its bitset rows and its ``label_bits``, in the
+    returned numbering, are built from the same edges when first read.
     """
     g = lg.graph
     if kept is None:
         vertices, degree = range(g.n), g.degrees
+        edges, labels = g.edges(), lg.labels()
     else:
         vertices, neighbours = kept, lg.rows_among(kept)
         degree = {v: len(kept.intersection(neighbours[v])) for v in kept}
+        edges = [(u, w) for u in kept for w in neighbours[u] if u < w and w in kept]
+        labels = [neighbours[u][w].bit_length() - 1 for u, w in edges]
     forward = sorted(vertices, key=lambda v: (-degree[v], v))
+    n = len(forward)
     inverse: list[int | None] = [None] * g.n
+    row_of, bit = [0] * g.n, [0] * g.n
     for new, old in enumerate(forward):
         inverse[old] = new
-    n = len(forward)
-    degrees = [degree[old] for old in forward]
+        row_of[old] = t = n - 1 - new
+        bit[old] = 1 << t
+    by_label = [[0] * n for _ in range(lg.num_labels)]
+    for (u, v), label in zip(edges, labels):
+        rows = by_label[label]
+        rows[row_of[u]] |= bit[v]
+        rows[row_of[v]] |= bit[u]
+
+    def build_rows() -> list[int]:
+        rows = [0] * n
+        for u, v in edges:
+            a, b = inverse[u], inverse[v]
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        return rows
+
+    def build_bits() -> list[dict[int, int]]:
+        bits: list[dict[int, int]] = [{} for _ in range(n)]
+        for (u, v), label in zip(edges, labels):
+            a, b = inverse[u], inverse[v]
+            bits[a][b] = bits[b][a] = 1 << label
+        return bits
+
+    graph = Graph(n, build_rows, [degree[old] for old in forward])
     perm = Permutation(tuple(forward), tuple(inverse))
-    if kept is None and cheap_rows(g):
-        top, edge_labels = n - 1, lg.labels()
-        row_of = [top - new for new in inverse]
-        bit = [1 << t for t in row_of]
-        by_label = [[0] * n for _ in range(lg.num_labels)]
-        for (u, v), label in zip(g.edges(), edge_labels):
-            rows = by_label[label]
-            rows[row_of[u]] |= bit[v]
-            rows[row_of[v]] |= bit[u]
-
-        def build_bits() -> list[dict[int, int]]:
-            bits: list[dict[int, int]] = [{} for _ in range(n)]
-            for (u, v), label in zip(g.edges(), edge_labels):
-                a, b = inverse[u], inverse[v]
-                bits[a][b] = bits[b][a] = 1 << label
-            return bits
-
-        def build_rows() -> list[int]:
-            # Each edge has one label, so the rows' sum is their union.
-            union = [int(f"{row:0{n}b}"[::-1], 2) for row in map(sum, zip(*by_label))]
-            return union[::-1]
-
-        graph = Graph(n, build_rows, degrees)
-        return LabelledGraph(graph, lg.num_labels, build_bits, by_label=by_label), perm
-    if kept is None:
-        neighbours = lg.label_bits
-    adjacency = [0] * n
-    label_bits: list[dict[int, int]] = [{} for _ in range(n)]
-    for new, old in enumerate(forward):
-        row = 0
-        labels = label_bits[new]
-        for w, mask in neighbours[old].items():
-            w = inverse[w]
-            if w is not None:
-                row |= 1 << w
-                labels[w] = mask
-        adjacency[new] = row
-    return LabelledGraph(Graph(n, adjacency, degrees), lg.num_labels, label_bits), perm
+    return LabelledGraph(graph, lg.num_labels, build_bits, by_label=by_label), perm
 
 
 def greedy_clique_size(lg: LabelledGraph, budget: int) -> int:

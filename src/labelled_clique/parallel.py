@@ -24,17 +24,18 @@ from functools import partial
 
 # permute_by_degree is unused here, but perfbench/layers.py wraps it by name.
 from .graph import LabelledGraph, permute_by_degree  # noqa: F401
-from .sequential import (_NODES, Incumbent, Solution, Subproblem, _pass_search, _root_branches,
-                         _run_in_order, _run_unit, _solve, solve)
+from .sequential import (_NODES, Incumbent, Solution, Subproblem, _root_branches, _run_in_order,
+                         _run_unit, _search, _solve, solve)
 
 _SHARED = struct.Struct("QQ")  # next unit index, best published key
 
 
-def split_root(lg: LabelledGraph) -> list[Subproblem]:
-    """One subproblem per root branch, in sequential branch order: every
+def split_root(graph) -> list[Subproblem]:
+    """One subproblem per root branch of a solve's
+    :func:`sequential._search_graph`, in sequential branch order: every
     branch that :func:`sequential._root_branches` draws, listed so that
     workers can claim them by index."""
-    return list(_root_branches(lg))
+    return list(_root_branches(graph))
 
 
 def steal_from(*_) -> list[Subproblem]:
@@ -83,16 +84,16 @@ def _worker(state) -> None:
     value.  A dead unit moves the shared index past the end, since every
     later unit is dead too, so no child claims another.
     """
-    shared, units, first_pass, lg, subgraphs, within, budget, out = state
+    shared, units, *pass_state, out = state
     inc = Incumbent()
-    search = _pass_search(first_pass, inc, lg, within, budget)
+    search = _search(pass_state, inc)
     while True:
         index, key = shared.update(1)
         if index >= len(units):
             out.append((inc.clique, inc.labels, *search[_NODES]))
             return
         inc.lift(key)
-        if not _run_unit(search, lg, subgraphs, units[index]):
+        if not _run_unit(search, units[index]):
             shared.update(len(units))
         if inc.key > key:
             shared.update(0, inc.key)

@@ -23,11 +23,15 @@ the subsets of a pass or a level are worth it.
 
 A pass runs its work units in sequential order: the label subsets, or the
 root's branches (:class:`Subproblem`) when it runs the paper's search.
-Only the paper's search reads the permuted graph's per-vertex label dicts;
-a sub-search reads the per-label rows, its witness's labels included.
-:func:`_solve` is the pass loop of both solvers: :func:`solve` runs each
-pass's units in this process and stops at the first dead one, and
-``parallel.solve_parallel`` hands the same units to forked workers.
+Both searches read one numbering, the top-down one of
+:func:`graph.label_adjacency`'s per-label rows, and colour with
+:func:`colouring.colour_top_down_into`.  The paper's search colours their
+union and also reads per-vertex label dicts in the same ids, which a
+solve builds when a pass first runs it.  :func:`_solve` is the pass loop
+of both solvers, and maps the witness back to the original numbering
+once, at the end: :func:`solve` runs each pass's units in this process
+and stops at the first dead one, and ``parallel.solve_parallel`` hands
+the same units to forked workers.
 """
 
 from __future__ import annotations
@@ -40,17 +44,11 @@ from operator import or_
 from time import perf_counter
 from typing import NamedTuple
 
-from .colouring import colour_order, colour_order_into, colour_top_down_into
-from .graph import (Graph, LabelledGraph, cheap_rows, label_adjacency, permute_by_degree,
-                    reduce_to_core)
+from .colouring import colour_top_down_into
+from .graph import (Graph, LabelledGraph, cheap_rows, iter_bits, label_adjacency,
+                    permute_by_degree, reduce_to_core)
 
 _STACK_HEADROOM = 200
-
-# A keller4 solve looks up about 20,000 distinct (vertex, labels) keys,
-# which held 3 MB once all were kept.  A closed subtree keeps one label set,
-# so most lookups repeat recent keys and a small cache that is emptied when
-# full still answers about 78% of them.
-_WITHIN_CACHE_ENTRIES = 4096
 
 
 def is_better(candidate: tuple[int, int], best: tuple[int, int]) -> bool:
@@ -118,42 +116,6 @@ class Incumbent:
         return f"Incumbent(size={self.size}, cost={self.cost}, clique={self.clique})"
 
 
-class WithinLabels(dict):
-    """Per-solve cache: ``self[v, labels]`` is the bitset of the neighbours
-    of ``v`` joined to it by an edge whose label is in ``labels``.
-
-    A miss ORs together ``v``'s per-label neighbour masks, which are built
-    from ``label_bits`` the first time ``v`` is looked up, so a sparse
-    graph whose search never reaches its label limit builds none.  The
-    cache is emptied when it reaches ``_WITHIN_CACHE_ENTRIES``.  A solve
-    gives it ``label_bits`` when a pass first runs the paper's search.
-    """
-
-    __slots__ = ("label_bits", "rows")
-
-    def __init__(self, label_bits: list[dict[int, int]] | None):
-        super().__init__()
-        self.label_bits = label_bits
-        self.rows: dict[int, tuple[tuple[int, int], ...]] = {}
-
-    def __missing__(self, key: tuple[int, int]) -> int:
-        v, labels = key
-        rows = self.rows.get(v)
-        if rows is None:
-            by_label: dict[int, int] = {}
-            for w, bit in self.label_bits[v].items():
-                by_label[bit] = by_label.get(bit, 0) | (1 << w)
-            rows = self.rows[v] = tuple(by_label.items())
-        mask = 0
-        for bit, row in rows:
-            if labels & bit:
-                mask |= row
-        if len(self) >= _WITHIN_CACHE_ENTRIES:
-            self.clear()
-        self[key] = mask
-        return mask
-
-
 class SearchStats(NamedTuple):
     """Node counters and wall time for one solve, the vertices left to
     search after the peel, the label-subset sub-searches each pass ran
@@ -193,11 +155,47 @@ class Subproblem(NamedTuple):
     bound: int
 
 
-_NODES = 6
+_NODES = 7
 
 
-def _search(first_pass, inc, adjacency, label_bits, within, budget):
-    """The search context of one pass, as the tuple :func:`_expand` takes.
+def _search_graph(lg: LabelledGraph):
+    """The rows every search of a solve reads, numbered top-down like
+    :func:`graph.label_adjacency`'s: the per-label rows, their union, and
+    the union's ``(below, bit)`` tables for :func:`colour_top_down_into`,
+    ``below[v]`` holding the non-neighbours under ``v`` and ``bit[v]``
+    being ``1 << v``."""
+    by_label = label_adjacency(lg)
+    # Each edge has one label, so the rows' sum is their union.
+    rows = list(map(sum, zip(*by_label)))
+    bit = [1 << v for v in range(lg.graph.n)]
+    return by_label, rows, ([(b - 1) & ~row for b, row in zip(bit, rows)], bit)
+
+
+def _label_dicts(by_label: list[list[int]]) -> list[dict[int, int]]:
+    """``dicts[v][w]``, the mask ``1 << label`` of the edge {v, w}, in the
+    numbering of the per-label rows ``by_label``: what the label union reads."""
+    dicts: list[dict[int, int]] = [{} for _ in by_label[0]]
+    for k, rows in enumerate(by_label):
+        for labels, row in zip(dicts, rows):
+            labels.update(dict.fromkeys(iter_bits(row), 1 << k))
+    return dicts
+
+
+def _within(by_label: list[list[int]], labels: int, vertices) -> int:
+    """The at-limit filter: the bitset of the vertices joined to every one
+    of ``vertices`` by edges whose labels lie in the mask ``labels``, each
+    vertex's mask being the OR of its per-label rows for those labels."""
+    chosen = [by_label[k] for k in iter_bits(labels)]
+    mask = -1
+    for v in vertices:
+        mask &= sum([rows[v] for rows in chosen])  # one label per edge: the sum is the OR
+    return mask
+
+
+def _search(state, inc):
+    """The search context of one pass, as the tuple :func:`_expand` takes,
+    from the pass's ``state`` (pass flag, :func:`_search_graph`, label
+    dicts or None, budget) and its incumbent.
 
     It holds the pass's constants, then the counters ``[nodes, outcomes]``
     (at index ``_NODES``): the nodes searched, and the label mask of T and
@@ -205,16 +203,8 @@ def _search(first_pass, inc, adjacency, label_bits, within, budget):
     come the scratch buffers: one ``(order, bounds)`` pair per clique size,
     grown on demand, so a context serves one search at a time.
     """
-    return (first_pass, inc, adjacency, label_bits, within, budget, [0, []], [])
-
-
-def _pass_search(first_pass, inc, lg: LabelledGraph, within, budget):
-    """:func:`_search` for one pass of :func:`_solve`.  ``_solve`` gives
-    ``within`` the label dicts once a pass runs the paper's search, the
-    only search that reads the graph's bitset rows, so the rows are read,
-    and a whole permuted graph builds them, only then."""
-    rows = None if within.label_bits is None else lg.graph.adjacency
-    return _search(first_pass, inc, rows, within.label_bits, within, budget)
+    first_pass, (by_label, rows, tables), label_bits, budget = state
+    return (first_pass, inc, rows, tables, label_bits, by_label, budget, [0, []], [])
 
 
 def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None, m=0):
@@ -226,14 +216,14 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
     buffers.  The :class:`Incumbent` is updated in place.
 
     A branch whose cost reaches the pass's limit keeps only the candidates
-    that ``within`` (a :class:`WithinLabels`) joins to every clique vertex
-    by labels it already has; its subtree is searched ``closed``: no
-    candidate there adds a label, so the union is skipped and each branch
-    filters by its own vertex alone.  The limit only falls, so the cost
-    check still runs: pass 2 may lower it below a closed node's cost.  A
-    closed node's children are closed too.
+    that :func:`_within` joins to every clique vertex by labels it already
+    has.  Its subtree is searched ``closed``: no candidate there adds a
+    label, so the union is skipped and each branch filters by its own
+    vertex alone.  The limit only falls, so the cost check still runs:
+    pass 2 may lower it below a closed node's cost.  A closed node's
+    children are closed too.
 
-    The node's colouring, by ``colour_order_into``, writes only the
+    The node's colouring, by ``colour_top_down_into``, writes only the
     vertices coloured k_min or above, k_min being the lowest colour whose
     branch can beat the incumbent: a vertex below it would be pruned, and
     the incumbent only improves.
@@ -246,17 +236,18 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
     whose colouring wrote no vertex, or a branch whose bound cannot beat
     the incumbent.
     """
-    first_pass, inc, adjacency, label_bits, within, budget, nodes, scratch = search
+    first_pass, inc, rows, tables, label_bits, by_label, budget, nodes, scratch = search
     csize = len(clique)
     if order is None:
         nodes[0] += 1
         while csize >= len(scratch):
-            n = len(adjacency)
+            n = len(rows)
             scratch.append(([0] * n, [0] * n))
         order, bounds = scratch[csize]
-        m = colour_order_into(adjacency, cands, order, bounds, inc.size - csize + first_pass)
+        m = colour_top_down_into(tables, cands, order, bounds, inc.size - csize + first_pass)
         if not m:
             return True
+    bit = tables[1]
     for i in range(m - 1, -1, -1):
         reach = csize + bounds[i]
         inc_size = inc.size
@@ -277,18 +268,14 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
             size = csize + 1
             if size > inc.size or (size == inc.size and cost < inc.cost):
                 inc.replace(clique, grown, size, cost)
-            remaining = cands & adjacency[v]
+            remaining = cands & rows[v]
             at_limit = cost == limit
             if remaining and at_limit:
-                if closed:
-                    remaining &= within[v, grown]
-                else:
-                    for w in clique:
-                        remaining &= within[w, grown]
+                remaining &= _within(by_label, grown, (v,) if closed else clique)
             if remaining:
                 _expand(search, clique, remaining, grown, closed or at_limit)
         clique.pop()
-        cands &= ~(1 << v)
+        cands ^= bit[v]
     return False
 
 
@@ -315,21 +302,18 @@ def _few(count: int, graph: Graph) -> bool:
     return count * graph.n <= sum(graph.degrees) and cheap_rows(graph)
 
 
-def _search_subset(inc, lg: LabelledGraph, subgraphs, labels: int, key: int) -> tuple[int, int]:
+def _search_subset(inc, by_label, bit, labels: int, key: int) -> tuple[int, int]:
     """Search G_T for the T whose label mask is ``labels``, pruning against
     ``key``, and install a clique that beats it in ``inc``; returns the
     nodes searched and the final size of its own incumbent, an upper bound
     on the clique number of G_T.
 
-    ``subgraphs`` holds the per-label rows of :func:`graph.label_adjacency`,
-    numbered top-down, and the bit table ``bit[v] = 1 << v``, both built
-    once per solve.  G_T's rows are the OR of T's per-label rows, and
-    ``below[v]`` keeps the non-neighbours under ``v``, for
-    :func:`colour_top_down_into`.  The witness, in top-down ids, is mapped
-    back for ``inc`` with its own label set: the labels of T whose rows
-    join one of its vertices to another.
+    ``by_label`` and ``bit`` come from the solve's :func:`_search_graph`.
+    G_T's rows are the OR of T's per-label rows, and ``below[v]`` keeps the
+    non-neighbours under ``v``, for :func:`colour_top_down_into`.  The
+    witness goes to ``inc`` with its own label set: the labels of T whose
+    rows join one of its vertices to another.
     """
-    by_label, bit = subgraphs
     rows = None
     for k, row in enumerate(by_label):
         if labels >> k & 1:
@@ -337,7 +321,7 @@ def _search_subset(inc, lg: LabelledGraph, subgraphs, labels: int, key: int) -> 
     tables = ([(b - 1) & ~row for b, row in zip(bit, rows)], bit)
     found = Incumbent()
     found.lift(key)
-    n = lg.graph.n
+    n = len(bit)
     every = (1 << n) - 1
     scratch = [([0] * n, [0] * n)]
     order, bounds = scratch[0]
@@ -347,8 +331,7 @@ def _search_subset(inc, lg: LabelledGraph, subgraphs, labels: int, key: int) -> 
         members = sum(map(bit.__getitem__, found.clique))
         clique_labels = sum(1 << k for k, row in enumerate(by_label)
                             if labels >> k & 1 and any(row[v] & members for v in found.clique))
-        clique = [n - 1 - v for v in found.clique]
-        inc.replace(clique, clique_labels, len(clique), clique_labels.bit_count())
+        inc.replace(found.clique, clique_labels, len(found.clique), clique_labels.bit_count())
     return nodes, found.size
 
 
@@ -397,22 +380,26 @@ def _pass_subsets(lg: LabelledGraph, first_pass: bool, budget: int, cost: int,
     return [mask for mask in masks if all(mask & ~other for other in dead)]
 
 
-def _root_branches(lg: LabelledGraph) -> Iterator[Subproblem]:
-    """The root's branches, in sequential branch order, drawn lazily: a
-    pass that stops at a pruned branch builds none of the rest.
+def _root_branches(graph) -> Iterator[Subproblem]:
+    """The root's branches over the solve's :func:`_search_graph`, in
+    sequential branch order, drawn lazily: a pass that stops at a pruned
+    branch builds none of the rest.
 
     The branch order is the same in both passes, so the branches do not
     depend on which pass is running.
     """
-    cands = (1 << lg.graph.n) - 1
-    result = colour_order(lg.graph, cands)
-    for i in range(len(result.order) - 1, -1, -1):
-        v = result.order[i]
-        yield Subproblem((v,), cands & lg.graph.adjacency[v], result.bounds[i])
-        cands &= ~(1 << v)
+    _, rows, tables = graph
+    n = len(rows)
+    cands = (1 << n) - 1
+    order, bounds = [0] * n, [0] * n
+    colour_top_down_into(tables, cands, order, bounds, 0)
+    for i in range(n - 1, -1, -1):
+        v = order[i]
+        yield Subproblem((v,), cands & rows[v], bounds[i])
+        cands ^= tables[1][v]
 
 
-def _run_unit(search, lg: LabelledGraph, subgraphs, unit) -> bool:
+def _run_unit(search, unit) -> bool:
     """Run one work unit of a pass against ``search``'s incumbent, adding
     its nodes, and its sub-search's label mask and final size if it ran
     one, to ``search``'s counters.
@@ -429,14 +416,14 @@ def _run_unit(search, lg: LabelledGraph, subgraphs, unit) -> bool:
     """
     if isinstance(unit, Subproblem):
         return not _expand(search, [], unit.cands, 0, False, unit.prefix, (unit.bound,), 1)
-    first_pass, inc, counts = search[0], search[1], search[_NODES]
+    first_pass, inc, _, (_, bit), _, by_label, _, counts, _ = search
     if first_pass:
         key = inc.key
     elif unit.bit_count() < inc.cost:
         key = incumbent_key(inc.size - 1, 0)
     else:
         return False
-    nodes, size = _search_subset(inc, lg, subgraphs, unit, key)
+    nodes, size = _search_subset(inc, by_label, bit, unit, key)
     counts[0] += nodes
     counts[1].append((unit, size))
     return True
@@ -446,10 +433,9 @@ def _run_in_order(units, state, inc: Incumbent) -> tuple[int, list, list[int]]:
     """Run a pass's units in this process, in order, against ``inc``, up to
     the first dead one; returns the nodes searched, the sub-searches'
     outcomes, and no per-worker nodes, since no worker was forked."""
-    first_pass, lg, subgraphs, within, budget = state
-    search = _pass_search(first_pass, inc, lg, within, budget)
+    search = _search(state, inc)
     for unit in units:
-        if not _run_unit(search, lg, subgraphs, unit):
+        if not _run_unit(search, unit):
             break
     return (*search[_NODES], [])
 
@@ -459,7 +445,8 @@ def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
 
     A pass's units are its label subsets when :func:`_pass_subsets` lists
     them, else the root branches ``roots(graph)`` lists after colouring the
-    root.  ``run_pass(units, state, inc)`` runs them against ``inc`` and
+    root of the solve's :func:`_search_graph`; the label dicts of the
+    paper's search are built then, once per solve.  ``run_pass(units, state, inc)`` runs them against ``inc`` and
     returns the nodes they searched, the outcomes of their sub-searches
     and each forked worker's nodes.
 
@@ -472,8 +459,8 @@ def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
     start = perf_counter()
     permuted, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
     _fit_recursion_limit(permuted.graph)
-    within = WithinLabels(None)
-    inc, subgraphs, dead = Incumbent(), None, []
+    graph, label_bits = _search_graph(permuted), None
+    inc, dead = Incumbent(), []
     nodes, subsets, worker_nodes = [0, 0], [0, 0], []
     first_pass, index, cost = True, 0, 0
     # A level follows only a level that lowered the cost below ``cost``, as
@@ -483,12 +470,11 @@ def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
         units = _pass_subsets(permuted, first_pass, budget, inc.cost, dead)
         cost = budget + 1 if first_pass else inc.cost if units else 0
         if units is None:
-            units = roots(permuted)
+            units = roots(graph)
             nodes[index] += 1  # the root colouring
-            within.label_bits = permuted.label_bits
-        elif subgraphs is None:
-            subgraphs = (label_adjacency(permuted), [1 << v for v in range(permuted.graph.n)])
-        state = (first_pass, permuted, subgraphs, within, budget)
+            if label_bits is None:
+                label_bits = _label_dicts(graph[0])
+        state = (first_pass, graph, label_bits, budget)
         searched, outcomes, per_worker = run_pass(units, state, inc)
         nodes[index] += searched
         subsets[index] += len(outcomes)
@@ -499,7 +485,8 @@ def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
     stats = SearchStats(*nodes, elapsed, len(worker_nodes) or 1,
                         vertices_searched=permuted.graph.n, subsets_pass1=subsets[0],
                         subsets_pass2=subsets[1], worker_nodes=worker_nodes)
-    witness = sorted(perm.to_original(inc.clique))
+    top = permuted.graph.n - 1
+    witness = sorted(perm.to_original(top - v for v in inc.clique))
     return Solution(witness, inc.size, inc.labels, inc.cost, stats)
 
 

@@ -22,7 +22,7 @@ from labelled_clique import (
     splitmix_next,
 )
 from labelled_clique.graph import reduce_to_core
-from labelled_clique.sequential import _NODES, WithinLabels, _expand, _search
+from labelled_clique.sequential import _NODES, _expand, _label_dicts, _search, _search_graph
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from gen_keller4 import keller4_edges  # noqa: E402
@@ -62,6 +62,20 @@ def random_instance(n: int, density: float, num_labels: int, seed: int) -> Label
     return random_labels(g, num_labels, seed + 1_000_003)
 
 
+def paper_state(lg: LabelledGraph, first_pass: bool, budget: int) -> tuple:
+    """The state of one pass of the paper's search over ``lg`` as it is
+    numbered, as ``solve`` hands it to a pass: the search reads ``lg``'s
+    per-label rows, numbered top-down (vertex v is n - 1 - v).  The one
+    place the tests build a paper's-search pass."""
+    graph = _search_graph(lg)
+    return first_pass, graph, _label_dicts(graph[0]), budget
+
+
+def paper_search(lg: LabelledGraph, first_pass: bool, inc: Incumbent, budget: int) -> tuple:
+    """The context of one pass of the paper's search, for ``_expand``."""
+    return _search(paper_state(lg, first_pass, budget), inc)
+
+
 def paper_solve(lg: LabelledGraph, budget: int) -> Solution:
     """The paper's two passes run directly through ``_expand`` on the graph
     ``solve`` searches (peeled, then permuted), never through label subsets.
@@ -70,18 +84,17 @@ def paper_solve(lg: LabelledGraph, budget: int) -> Solution:
     node accounting; the witness is in original numbering.
     """
     permuted, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
-    label_bits = permuted.label_bits
     inc = Incumbent()
-    constants = (inc, permuted.graph.adjacency, label_bits, WithinLabels(label_bits), budget)
-    every = (1 << permuted.graph.n) - 1
+    top = permuted.graph.n - 1
     nodes = [0, 0]
     for pass_index, first_pass in enumerate((True, False)):
         if first_pass or inc.cost > 1:
-            search = _search(first_pass, *constants)
-            _expand(search, [], every, 0)
+            search = paper_search(permuted, first_pass, inc, budget)
+            _expand(search, [], (1 << permuted.graph.n) - 1, 0)
             nodes[pass_index] = search[_NODES][0]
     stats = SearchStats(*nodes, vertices_searched=permuted.graph.n)
-    return Solution(sorted(perm.to_original(inc.clique)), inc.size, inc.labels, inc.cost, stats)
+    witness = sorted(perm.to_original(top - v for v in inc.clique))
+    return Solution(witness, inc.size, inc.labels, inc.cost, stats)
 
 
 def keller4_graph() -> Graph:

@@ -417,10 +417,12 @@ def test_subset_rule_follows_average_degree(keller4, monkeypatch):
     assert levels.stats.nodes_pass2 == 14334
     # K=16, b=2: C(16, 2) = 120 subsets exceed the average degree, so pass 1
     # runs the paper's search; pass 2's level has the 16 single labels.
+    # The node counts pin the paper's search tree, whose at-limit filter
+    # runs at 16,765 of its branches here.
     first = solve(random_labels(keller4, 16, 0), 2)
     assert (first.size, first.cost) == (5, 2)
     assert (first.stats.subsets_pass1, first.stats.subsets_pass2) == (0, 16)
-    assert first.stats.nodes_pass1 > 0
+    assert (first.stats.nodes_pass1, first.stats.nodes_pass2) == (6179, 279)
     # 1,000 disjoint copies of K4 at K=5, b=2: every vertex already has
     # degree s0 - 1 = 3, so no peel runs and all 4,000 vertices are
     # searched; their average degree (3) is below both C(5, 2) = 10 and the

@@ -24,10 +24,10 @@ from labelled_clique import (
 import labelled_clique.colouring as colouring_mod
 import labelled_clique.parallel as par_mod
 import labelled_clique.sequential as seq_mod
+from labelled_clique.colouring import colour_top_down_into
 from labelled_clique.graph import reduce_to_core
-from labelled_clique.sequential import WithinLabels
 
-from conftest import paper_solve, random_instance
+from conftest import paper_solve, paper_state, random_instance
 
 
 def test_incumbent_key_examples():
@@ -98,26 +98,32 @@ def test_key_sequence_monotone_under_mixed_offers():
 
 
 def test_split_root_fig1(fig1):
+    # The search numbers the permuted graph top-down, vertex v as 6 - v.
     permuted, _ = permute_by_degree(fig1)
-    subs = split_root(permuted)
+    _, rows, tables = graph = seq_mod._search_graph(permuted)
+    subs = split_root(graph)
     assert len(subs) == 7
-    result = colour_order(permuted.graph, (1 << 7) - 1)
+    order, bounds = [0] * 7, [0] * 7
+    colour_top_down_into(tables, (1 << 7) - 1, order, bounds, 0)
     # queue order is the sequential branch order: right to left over the
-    # root colouring
-    assert [sp.prefix[0] for sp in subs] == list(reversed(result.order))
-    assert [sp.bound for sp in subs] == list(reversed(result.bounds))
+    # root colouring, the mirror image of the bottom-up one
+    assert [sp.prefix[0] for sp in subs] == list(reversed(order))
+    assert [sp.bound for sp in subs] == list(reversed(bounds))
+    result = colour_order(permuted.graph, (1 << 7) - 1)
+    assert [6 - v for v in order] == result.order and bounds == result.bounds
     # candidates replay the sequential loop: earlier-branched vertices are
     # gone, and the rest intersect the branch vertex's neighbourhood
     remaining = (1 << 7) - 1
     for sp in subs:
         v = sp.prefix[0]
-        assert sp.cands == remaining & permuted.graph.adjacency[v]
+        assert rows[v] == sum(1 << (6 - w) for w in range(7) if permuted.graph.adjacent(6 - v, w))
+        assert sp.cands == remaining & rows[v]
         remaining &= ~(1 << v)
 
 
 def test_split_root_empty_graph():
     lg = build_labelled(build_graph(0, []), 1, {})
-    assert split_root(lg) == []
+    assert split_root(seq_mod._search_graph(lg)) == []
 
 
 def test_parallel_fig1(fig1):
@@ -150,9 +156,8 @@ def test_many_workers_match_sequential():
 
 
 def record_nodes(monkeypatch) -> list[int]:
-    """Patch both colouring kernels the search calls to record each node's
-    candidate set (top-down numbered in a label-subset sub-search), colour
-    it whole (k_min = 0) and lift every colour bound to n, so no node is cut
+    """Patch the colouring kernel both searches call to record each node's
+    candidate set, numbered top-down, colour it whole (k_min = 0) and lift every colour bound to n, so no node is cut
     off by its bound and the explored tree no longer depends on when the
     incumbent improves.  :func:`recorded_solve` checks that a solve
     recorded every node it counted."""
@@ -167,10 +172,9 @@ def record_nodes(monkeypatch) -> list[int]:
 
         return recorded
 
-    for name in ("colour_order_into", "colour_top_down_into"):
-        patched = recording(getattr(colouring_mod, name))
-        for module in (colouring_mod, seq_mod):
-            monkeypatch.setattr(module, name, patched)
+    patched = recording(colouring_mod.colour_top_down_into)
+    for module in (colouring_mod, seq_mod):
+        monkeypatch.setattr(module, "colour_top_down_into", patched)
     return records
 
 
@@ -193,14 +197,15 @@ def first_pass_nodes(records: list[int], run) -> tuple[Counter, object]:
     return Counter(records[: solution.stats.nodes_pass1]), solution
 
 
-def drive_worker(units, lg, budget):
-    """Run ``_worker`` in this process as the only worker of a size pass
-    over ``units``; returns its result (witness, labels, nodes and
-    sub-search outcomes) and the unit index it left shared."""
+def drive_worker(state):
+    """Run ``_worker`` in this process as the only worker of a pass from
+    :func:`paper_state` over its root branches; returns its result
+    (witness, labels, nodes and sub-search outcomes) and the unit index it
+    left shared."""
     shared = par_mod._Shared(incumbent_key(0, 0))
     try:
         out = []
-        par_mod._worker((shared, units, True, lg, None, WithinLabels(lg.label_bits), budget, out))
+        par_mod._worker((shared, par_mod.split_root(state[1]), *state, out))
         index, _ = shared.update(0)
     finally:
         shared.close()
@@ -218,8 +223,9 @@ def test_replay_accounting_prefixes_match_sequential(monkeypatch):
     seq_nodes, seq = first_pass_nodes(records, lambda: paper_solve(lg, 2))
     assert sum(seq_nodes.values()) > 1
     permuted, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
+    state = paper_state(permuted, True, 2)
     records.clear()
-    (clique, labels, nodes, outcomes), _ = drive_worker(par_mod.split_root(permuted), permuted, 2)
+    (clique, labels, nodes, outcomes), _ = drive_worker(state)
     assert Counter(records) == seq_nodes  # no node twice, none lost, none invented
     assert outcomes == []  # root branches run no sub-search
     assert 1 + nodes == seq.stats.nodes_pass1  # the root colouring is split_root's
@@ -239,17 +245,17 @@ def test_worker_drains_the_pass_at_a_dead_unit(monkeypatch):
     # so the first branch the bound prunes ends the pass for every worker.
     lg = random_instance(24, 0.6, 16, seed=2024)
     permuted, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
-    units = split_root(permuted)
+    state = paper_state(permuted, True, 2)
     ran = []
     run_unit = par_mod._run_unit
 
-    def counting(search, lg, by_label, unit):
+    def counting(search, unit):
         ran.append(unit)
-        return run_unit(search, lg, by_label, unit)
+        return run_unit(search, unit)
 
     monkeypatch.setattr(par_mod, "_run_unit", counting)
-    (clique, labels, nodes, _), index = drive_worker(units, permuted, 2)
-    assert len(ran) < len(units) <= index
+    (clique, labels, nodes, _), index = drive_worker(state)
+    assert len(ran) < len(split_root(state[1])) <= index
     seq = solve(lg, 2)
     assert (len(clique), labels.bit_count()) == (seq.size, seq.cost)
     assert 1 + nodes == seq.stats.nodes_pass1
@@ -449,10 +455,9 @@ def test_children_of_a_pass_take_distinct_cpus(monkeypatch):
                         lambda pid, mask: os.write(write, f"{pid}:{sorted(mask)}\n".encode()))
     lg = random_instance(24, 0.6, 16, seed=2024)
     permuted, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
-    units = split_root(permuted)
-    within = WithinLabels(permuted.label_bits)
+    state = paper_state(permuted, True, 2)
     try:
-        par_mod._run_pass(2, units, (True, permuted, None, within, 2), Incumbent())
+        par_mod._run_pass(2, split_root(state[1]), state, Incumbent())
     finally:
         os.close(write)
         with open(read) as stream:

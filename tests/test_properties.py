@@ -40,9 +40,9 @@ import labelled_clique.sequential as seq_mod
 from labelled_clique.graph import MAX_LABELS
 from labelled_clique.graph_io import MAX_VERTICES
 from labelled_clique.oracle import MAX_ORACLE_VERTICES
-from labelled_clique.sequential import WithinLabels, _expand, _search
+from labelled_clique.sequential import _expand
 
-from conftest import paper_solve, planted_sparse_graph, random_instance
+from conftest import paper_search, paper_solve, planted_sparse_graph, random_instance
 
 
 @st.composite
@@ -276,15 +276,15 @@ def test_dense_graphs_solve_alike_with_and_without_the_greedy():
 
 
 def test_k_min_changes_no_solve():
-    # Kernels that leave out the vertices below k_min must give the same
-    # witness, (size, cost), node counts and subset counts as kernels
-    # forced to colour every vertex, over passes that search label subsets
-    # and passes that run the paper's search.
-    def whole(kernel):
-        return lambda rows, cands, order, bounds, kmin: kernel(rows, cands, order, bounds, 0)
+    # The kernel that leaves out the vertices below k_min must give the
+    # same witness, (size, cost), node counts and subset counts as the
+    # kernel forced to colour every vertex, over passes that search label
+    # subsets and passes that run the paper's search: both call it.
+    kernel = seq_mod.colour_top_down_into
 
-    kernels = {name: getattr(seq_mod, name)
-               for name in ("colour_order_into", "colour_top_down_into")}
+    def whole(rows, cands, order, bounds, kmin):
+        return kernel(rows, cands, order, bounds, 0)
+
     passes = set()
 
     @settings(max_examples=80, derandomize=True, database=None, deadline=None)
@@ -295,8 +295,7 @@ def test_k_min_changes_no_solve():
         for budget in range(1, min(num_labels, 4) + 1):
             got = solve(lg, budget)
             with MonkeyPatch.context() as patch:
-                for name, kernel in kernels.items():
-                    patch.setattr(seq_mod, name, whole(kernel))
+                patch.setattr(seq_mod, "colour_top_down_into", whole)
                 want = solve(lg, budget)
             assert (got.clique, got.size, got.labels, got.cost) == (
                 want.clique, want.size, want.labels, want.cost)
@@ -397,17 +396,18 @@ def pass_two_drops_below_parent(lg, budget):
     found under, so the new limit (its cost - 1) falls below that node's
     cost while the node still has branches to try."""
     permuted, _ = permute_by_degree(lg)
-    adjacency, label_bits = permuted.graph.adjacency, permuted.label_bits
-    within = WithinLabels(label_bits)
     every = (1 << permuted.graph.n) - 1
     inc = _RecordingIncumbent()
-    _expand(_search(True, inc, adjacency, label_bits, within, budget), [], every, 0)
+    _expand(paper_search(permuted, True, inc, budget), [], every, 0)
     inc.improvements.clear()
     if inc.cost > 1:
-        _expand(_search(False, inc, adjacency, label_bits, within, budget), [], every, 0)
+        _expand(paper_search(permuted, False, inc, budget), [], every, 0)
+    # The search numbers the permuted graph top-down, vertex v as n - 1 - v.
+    top = permuted.graph.n - 1
     return any(
         len(clique) >= 3
-        and clique_cost(permuted, clique[:-1])[1] == clique_cost(permuted, clique)[1]
+        and clique_cost(permuted, [top - v for v in clique[:-1]])[1]
+        == clique_cost(permuted, [top - v for v in clique])[1]
         for clique in inc.improvements
     )
 

@@ -25,9 +25,10 @@ from labelled_clique import (
 import labelled_clique.graph as graph_mod
 import labelled_clique.sequential as seq_mod
 from labelled_clique.graph import LabelledGraph
-from labelled_clique.sequential import _NODES, WithinLabels, _expand, _search
+from labelled_clique.graph import label_adjacency
+from labelled_clique.sequential import _NODES, _expand, _within
 
-from conftest import paper_solve, random_instance
+from conftest import paper_search, paper_solve, random_instance
 
 
 def test_records_keep_their_fields_defaults_and_equality():
@@ -80,11 +81,9 @@ def test_is_better_examples():
 
 def test_expand_fig1_first_pass(fig1):
     permuted, _ = permute_by_degree(fig1)
-    adjacency, label_bits = permuted.graph.adjacency, permuted.label_bits
-    within = WithinLabels(label_bits)
     inc = Incumbent()
-    search1 = _search(True, inc, adjacency, label_bits, within, 3)
-    search2 = _search(False, inc, adjacency, label_bits, within, 3)
+    search1 = paper_search(permuted, True, inc, 3)
+    search2 = paper_search(permuted, False, inc, 3)
     _expand(search1, [], (1 << 7) - 1, 0)
     # The size pass settles on a maximum feasible clique; with this branch
     # order that is {1,2,3,5} at cost 3 (hand-traced), and the cost pass is
@@ -101,13 +100,11 @@ def test_expand_second_pass_admits_equal_sizes():
     # Pass 1 prunes branches that can only tie the incumbent size; pass 2
     # explores them and finds the cheaper triangle.
     permuted, _ = permute_by_degree(two_triangles())
-    adjacency, label_bits = permuted.graph.adjacency, permuted.label_bits
-    within = WithinLabels(label_bits)
     inc = Incumbent()
     every = (1 << 6) - 1
-    _expand(_search(True, inc, adjacency, label_bits, within, 3), [], every, 0)
+    _expand(paper_search(permuted, True, inc, 3), [], every, 0)
     assert (inc.size, inc.cost) == (3, 3)
-    search2 = _search(False, inc, adjacency, label_bits, within, 3)
+    search2 = paper_search(permuted, False, inc, 3)
     _expand(search2, [], every, 0)
     assert (inc.size, inc.cost) == (3, 1)
     assert search2[_NODES][0] > 0
@@ -118,18 +115,38 @@ def test_expand_reports_a_node_its_bound_cuts_off():
     # incumbent, pass 1's k_min at the root is 4, so the root's colouring
     # writes no vertex: the counted node was cut off by its bound.
     lg = two_triangles()
-    adjacency, label_bits = lg.graph.adjacency, lg.label_bits
     inc = Incumbent([3, 4, 5], 0b111)
-    search = _search(True, inc, adjacency, label_bits, WithinLabels(label_bits), 3)
+    search = paper_search(lg, True, inc, 3)
     assert _expand(search, [], (1 << 6) - 1, 0)
     assert search[_NODES][0] == 1
     assert (inc.size, inc.cost, inc.clique) == (3, 3, [3, 4, 5])
     # A node whose every branch is searched was not cut off.
     lone = build_labelled(build_graph(1, []), 1, {})
-    search = _search(True, Incumbent(), lone.graph.adjacency, lone.label_bits,
-                     WithinLabels(lone.label_bits), 1)
+    search = paper_search(lone, True, Incumbent(), 1)
     assert not _expand(search, [], 1, 0)
     assert search[1].size == 1
+
+
+def test_at_limit_filter_keeps_the_neighbours_the_labels_join():
+    # The filter of (v, grown), in the search's top-down ids, holds exactly
+    # the neighbours w of v whose edge {v, w} has its label in grown, found
+    # by brute force on the unpermuted graph through the permutation, of a
+    # whole graph and of a kept subset.  Several vertices keep the
+    # candidates every one of them keeps.
+    for seed in range(6):
+        lg = random_instance(14, 0.5, 4, seed=700 + seed)
+        for kept in (None, set(range(3, 14))):
+            permuted, perm = permute_by_degree(lg, kept)
+            by_label, top = label_adjacency(permuted), permuted.graph.n - 1
+            for grown in range(1 << 4):
+                masks = []
+                for v in range(top + 1):
+                    old = perm.forward[top - v]
+                    masks.append(_within(by_label, grown, [v]))
+                    assert masks[-1] == sum(
+                        1 << (top - perm.inverse[w]) for w in perm.forward
+                        if lg.graph.adjacent(old, w) and grown >> lg.label_of(old, w) & 1)
+                assert _within(by_label, grown, [0, 1, 2]) == masks[0] & masks[1] & masks[2]
 
 
 def test_solve_two_triangles_end_to_end():
@@ -276,13 +293,11 @@ def test_pass_two_never_grows_and_never_costs_more():
     for seed in range(6):
         lg = random_instance(12, 0.55, 4, seed=600 + seed)
         permuted, _ = permute_by_degree(lg)
-        adjacency, label_bits = permuted.graph.adjacency, permuted.label_bits
-        within = WithinLabels(label_bits)
         every = (1 << 12) - 1
         inc = Incumbent()
-        _expand(_search(True, inc, adjacency, label_bits, within, 2), [], every, 0)
+        _expand(paper_search(permuted, True, inc, 2), [], every, 0)
         pass1 = (inc.size, inc.cost)
-        _expand(_search(False, inc, adjacency, label_bits, within, 2), [], every, 0)
+        _expand(paper_search(permuted, False, inc, 2), [], every, 0)
         assert inc.size == pass1[0]
         assert inc.cost <= pass1[1]
 
@@ -405,7 +420,8 @@ def test_label_subset_search_reads_no_label_bits(monkeypatch):
         permuted, perm = permute(lg, kept)
         rows = CountingRows(permuted.label_bits)
         counted.append((rows, permuted))
-        return LabelledGraph(permuted.graph, permuted.num_labels, rows), perm
+        by_label = label_adjacency(permuted)
+        return LabelledGraph(permuted.graph, permuted.num_labels, rows, by_label=by_label), perm
 
     monkeypatch.setattr(seq_mod, "permute_by_degree", counting)
     solution = solve(lg, 3)
