@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .graph import GraphError, LabelledGraph, clique_cost, label_indices
+from .graph import GraphError, LabelledGraph, label_indices
 from .graph_io import InstanceSpec, ParseError
 from .parallel import solve_parallel
 from .sequential import Solution, solve
@@ -74,15 +74,29 @@ class RunReport(NamedTuple):
         ]
 
 
+def _witness_labels(lg: LabelledGraph, clique: list[int]) -> tuple[int, str | None]:
+    """The label mask of the edges among ``clique``'s distinct vertices, in
+    one pass over its pairs, and None; or 0 and a message naming, 1-based,
+    the first pair that is not an edge."""
+    vertices = sorted(clique)
+    pairs = [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :]]
+    labels = 0
+    for (u, v), mask in zip(pairs, lg.masks(pairs)):
+        if mask is None:
+            return 0, f"vertices {u + 1} and {v + 1} are not adjacent"
+        labels |= mask
+    return labels, None
+
+
 def _check_witness(lg: LabelledGraph, budget: int, solution: Solution) -> str | None:
     """Re-validate a solver result against the original graph; None when sound."""
     clique = solution.clique
     if len(set(clique)) != len(clique) or len(clique) != solution.size:
         return "witness size mismatch"
-    try:
-        labels, cost = clique_cost(lg, clique)
-    except GraphError as exc:
-        return str(exc)
+    labels, problem = _witness_labels(lg, clique)
+    if problem is not None:
+        return problem
+    cost = labels.bit_count()
     if labels != solution.labels or cost != solution.cost:
         return "witness labels do not match reported labels"
     if cost > budget:
@@ -141,25 +155,23 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     lg, budget = _instance_spec(args).load()
-    graph = lg.graph
+    n = lg.graph.n
     witness = args.witness
     seen = set()
     for v in witness:
-        if not 1 <= v <= graph.n:
-            print(f"vertex {v} out of range 1..{graph.n}")
+        if not 1 <= v <= n:
+            print(f"vertex {v} out of range 1..{n}")
             return EXIT_BAD_WITNESS
         if v in seen:
             print(f"vertex {v} listed twice")
             return EXIT_BAD_WITNESS
         seen.add(v)
-    zero_based = sorted(v - 1 for v in witness)
-    for i, u in enumerate(zero_based):
-        for v in zero_based[i + 1 :]:
-            if not graph.adjacent(u, v):
-                print(f"vertices {u + 1} and {v + 1} are not adjacent")
-                return EXIT_BAD_WITNESS
-    labels, cost = clique_cost(lg, zero_based)
-    print(f"size: {len(zero_based)}")
+    labels, problem = _witness_labels(lg, [v - 1 for v in witness])
+    if problem is not None:
+        print(problem)
+        return EXIT_BAD_WITNESS
+    cost = labels.bit_count()
+    print(f"size: {len(witness)}")
     print(f"cost: {cost}")
     print("labels: " + " ".join(str(k + 1) for k in label_indices(labels)))
     if cost > budget:

@@ -8,10 +8,9 @@ int masks over label indices, with cost = ``mask.bit_count()``; at most 64
 labels are supported so a label set always fits one machine word in a
 fixed-width port.
 
-A graph renumbered by :func:`permute_by_degree` keeps its labels as one
-adjacency per label, numbered top-down and filled in one pass over its
-edges.  Both searches read only those; its rows and per-vertex label
-dicts wait until some other caller reads them.
+:func:`permute_by_degree` renumbers a graph into one adjacency per label,
+numbered top-down and filled in one pass over its edges: all that both
+searches read.
 
 :func:`reduce_to_core` keeps the vertices a solve needs: the core of a
 greedy clique's size and, on a graph too sparse for cheap rows, only the
@@ -57,15 +56,13 @@ def label_indices(mask: int) -> list[int]:
 
 class Graph:
     """Undirected loop-free graph: degrees, edges (u, v) with u < v, and one
-    adjacency bitset per vertex.  :func:`build_graph` gives the edges and
-    :func:`permute_by_degree` the rows, or a function that builds them,
-    all trusted here; either is built from the other on first use."""
+    adjacency bitset per vertex.  :func:`build_graph` gives the degrees and
+    edges, trusted here; the rows are built from the edges on first use."""
 
     __slots__ = ("n", "degrees", "_rows", "_edges")
 
-    def __init__(self, n: int, adjacency: list[int] | Callable[[], list[int]] | None,
-                 degrees: list[int], edges: list[tuple[int, int]] | None = None):
-        self.n, self._rows, self.degrees, self._edges = n, adjacency, degrees, edges
+    def __init__(self, n: int, degrees: list[int], edges: list[tuple[int, int]]):
+        self.n, self.degrees, self._edges, self._rows = n, degrees, edges, None
 
     @property
     def adjacency(self) -> list[int]:
@@ -74,8 +71,6 @@ class Graph:
             for u, v in self._edges:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-        elif callable(self._rows):
-            self._rows = self._rows()
         return self._rows
 
     def adjacent(self, v: int, w: int) -> bool:
@@ -84,9 +79,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) with u < v, ascending: the canonical order of
         label allocation, whatever order the edges were supplied in."""
-        if self._edges is None:
-            self._edges = [(u, w) for u, row in enumerate(self.adjacency)
-                           for w in iter_bits((row >> (u + 1)) << (u + 1))]
         return self._edges
 
     def edge_count(self) -> int:
@@ -96,11 +88,11 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
-def cheap_rows(graph: Graph) -> bool:
+def cheap_rows(n: int, degree_sum: int) -> bool:
     """True when a row's n/64 machine words are no more than the average
-    degree 2m/n, i.e. n * n <= 64 * degree sum: then bitset rows cost
-    about what the edge list does."""
-    return graph.n * graph.n <= 64 * sum(graph.degrees)
+    degree 2m/n of a graph of ``n`` vertices, i.e. n * n <= 64 * degree
+    sum: then bitset rows cost about what the edge list does."""
+    return n * n <= 64 * degree_sum
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -117,7 +109,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
                              else f"edge ({u}, {v}) out of range for {n} vertices")
         degrees[u] += 1
         degrees[v] += 1
-    return Graph(n, None, degrees, canonical)
+    return Graph(n, degrees, canonical)
 
 
 class LabelledGraph:
@@ -126,20 +118,16 @@ class LabelledGraph:
     ``labels_at(indices)`` labels the edges at those positions of
     ``graph.edges()``, so a solve labels only the edges it reads, and
     ``labels()`` labels every edge, once.  ``label_bits[v]`` maps each
-    neighbour ``w`` of ``v`` to the mask ``1 << label(v, w)``; unless
-    given, it is built on first read, by the function given in its place
-    if there is one.  A graph may also hold the rows of
-    :func:`label_adjacency`, which are all that a search reads.
+    neighbour ``w`` of ``v`` to the mask ``1 << label(v, w)``; it is built
+    on first read.
     """
 
-    __slots__ = ("graph", "num_labels", "labels_at", "_labels", "_bits", "_by_label")
+    __slots__ = ("graph", "num_labels", "labels_at", "_labels", "_bits")
 
     def __init__(self, graph: Graph, num_labels: int,
-                 bits: list[dict[int, int]] | Callable[[], list[dict[int, int]]] | None = None,
-                 labels_at: Callable[[Sequence[int]], list[int]] | None = None,
-                 by_label: list[list[int]] | None = None):
+                 labels_at: Callable[[Sequence[int]], list[int]]):
         self.graph, self.num_labels, self.labels_at = graph, num_labels, labels_at
-        self._labels, self._bits, self._by_label = None, bits, by_label
+        self._labels, self._bits = None, None
 
     def labels(self) -> list[int]:
         """The label of every edge, aligned with ``graph.edges()``."""
@@ -151,8 +139,6 @@ class LabelledGraph:
     def label_bits(self) -> list[dict[int, int]]:
         if self._bits is None:
             self._bits = self._add([{} for _ in self.graph.degrees], range(len(self.labels())))
-        elif callable(self._bits):
-            self._bits = self._bits()
         return self._bits
 
     def _add(self, rows, at: Sequence[int]):
@@ -175,7 +161,7 @@ class LabelledGraph:
 
     def masks(self, pairs: list[tuple[int, int]]) -> list[int | None]:
         """Label masks of the pairs (u, v) with u < v, None for a non-edge."""
-        rows = self._bits if self._by_label is None else self.label_bits
+        rows = self._bits
         if rows is None:
             edges = self.graph.edges()
             at = [i for pair in pairs if edges[(i := bisect_left(edges, pair)):i + 1] == [pair]]
@@ -226,25 +212,6 @@ def build_labelled(
     return LabelledGraph(graph, num_labels, labels_at=lambda indices: [labels[i] for i in indices])
 
 
-def label_adjacency(lg: LabelledGraph) -> list[list[int]]:
-    """One adjacency per label, numbered top-down: vertex ``v`` is
-    ``n - 1 - v`` here, both as a row index and as a bit, so
-    ``rows[k][n - 1 - v]`` is the bitset of the neighbours of ``v`` joined
-    to it by an edge labelled ``k``.
-
-    Both searches of a solve read only these rows, in this numbering, and
-    colour them highest vertex first (``colouring.colour_top_down_into``).
-    A graph :func:`permute_by_degree` renumbered holds them already."""
-    if lg._by_label is not None:
-        return lg._by_label
-    top = lg.graph.n - 1
-    rows = [[0] * lg.graph.n for _ in range(lg.num_labels)]
-    for v, labels in enumerate(lg.label_bits):
-        for w, bit in labels.items():
-            rows[bit.bit_length() - 1][top - v] |= 1 << (top - w)
-    return rows
-
-
 class Permutation(NamedTuple):
     """Vertex renumbering: ``forward[new] = old`` and ``inverse[old] = new``.
 
@@ -260,19 +227,21 @@ class Permutation(NamedTuple):
 
 def permute_by_degree(
     lg: LabelledGraph, kept: set[int] | None = None
-) -> tuple[LabelledGraph, Permutation]:
-    """Renumber vertices into non-increasing degree order.
+) -> tuple[list[list[int]], Permutation]:
+    """Renumber vertices into non-increasing degree order, as one adjacency
+    per label.
 
     Ties break by ascending original index, so the permutation is a stable
-    sort and reproducible.  Edge labels are carried through.  With ``kept``
-    (a vertex set) the result is the subgraph those vertices induce,
-    ordered by their degrees in it; only its edges are labelled.  The
-    returned :class:`Permutation` maps solutions back to the original numbering.
+    sort and reproducible.  With ``kept`` (a vertex set) the result is the
+    subgraph those vertices induce, ordered by their degrees in it; only its
+    edges are labelled.  The returned :class:`Permutation` maps solutions
+    back to the original numbering.
 
-    The result holds its labels as the per-label rows of
-    :func:`label_adjacency`, filled in one pass over the kept edges: all
-    that a search reads.  Its bitset rows and its ``label_bits``, in the
-    returned numbering, are built from the same edges when first read.
+    The rows are numbered top-down: vertex ``new`` of the permutation is
+    ``n - 1 - new`` here, both as a row index and as a bit, so
+    ``rows[k][n - 1 - new]`` is the bitset of its neighbours joined to it
+    by an edge labelled ``k``.  They are filled in one pass over the kept
+    edges, and are all that both searches of a solve read.
     """
     g = lg.graph
     if kept is None:
@@ -296,25 +265,7 @@ def permute_by_degree(
         rows = by_label[label]
         rows[row_of[u]] |= bit[v]
         rows[row_of[v]] |= bit[u]
-
-    def build_rows() -> list[int]:
-        rows = [0] * n
-        for u, v in edges:
-            a, b = inverse[u], inverse[v]
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-        return rows
-
-    def build_bits() -> list[dict[int, int]]:
-        bits: list[dict[int, int]] = [{} for _ in range(n)]
-        for (u, v), label in zip(edges, labels):
-            a, b = inverse[u], inverse[v]
-            bits[a][b] = bits[b][a] = 1 << label
-        return bits
-
-    graph = Graph(n, build_rows, [degree[old] for old in forward])
-    perm = Permutation(tuple(forward), tuple(inverse))
-    return LabelledGraph(graph, lg.num_labels, build_bits, by_label=by_label), perm
+    return by_label, Permutation(tuple(forward), tuple(inverse))
 
 
 def greedy_clique_size(lg: LabelledGraph, budget: int) -> int:
@@ -447,8 +398,9 @@ def reduce_to_core(lg: LabelledGraph, budget: int) -> set[int] | None:
     that degree and no greedy is needed.  The colouring is tried first on
     a graph whose rows :func:`cheap_rows` allows and has no isolated vertex.
     """
-    low, cheap = min(lg.graph.degrees, default=0), cheap_rows(lg.graph)
-    if low and cheap and _colours(lg.graph) <= low + 1:
+    g = lg.graph
+    low, cheap = min(g.degrees, default=0), cheap_rows(g.n, sum(g.degrees))
+    if low and cheap and _colours(g) <= low + 1:
         return None
     k = greedy_clique_size(lg, budget) - 1
     if k <= low:

@@ -23,8 +23,8 @@ the subsets of a pass or a level are worth it.
 
 A pass runs its work units in sequential order: the label subsets, or the
 root's branches (:class:`Subproblem`) when it runs the paper's search.
-Both searches read one numbering, the top-down one of
-:func:`graph.label_adjacency`'s per-label rows, and colour with
+Both searches read one numbering, the top-down one of the per-label rows
+that :func:`graph.permute_by_degree` fills, and colour with
 :func:`colouring.colour_top_down_into`.  The paper's search colours their
 union and also reads per-vertex label dicts in the same ids, which a
 solve builds when a pass first runs it.  :func:`_solve` is the pass loop
@@ -45,8 +45,7 @@ from time import perf_counter
 from typing import NamedTuple
 
 from .colouring import colour_top_down_into
-from .graph import (Graph, LabelledGraph, cheap_rows, iter_bits, label_adjacency,
-                    permute_by_degree, reduce_to_core)
+from .graph import LabelledGraph, cheap_rows, iter_bits, permute_by_degree, reduce_to_core
 
 _STACK_HEADROOM = 200
 
@@ -158,16 +157,15 @@ class Subproblem(NamedTuple):
 _NODES = 7
 
 
-def _search_graph(lg: LabelledGraph):
-    """The rows every search of a solve reads, numbered top-down like
-    :func:`graph.label_adjacency`'s: the per-label rows, their union, and
-    the union's ``(below, bit)`` tables for :func:`colour_top_down_into`,
-    ``below[v]`` holding the non-neighbours under ``v`` and ``bit[v]``
-    being ``1 << v``."""
-    by_label = label_adjacency(lg)
+def _search_graph(by_label: list[list[int]]):
+    """The rows every search of a solve reads, from the per-label rows
+    ``by_label`` that :func:`graph.permute_by_degree` fills, numbered
+    top-down like them: those rows, their union, and the union's
+    ``(below, bit)`` tables for :func:`colour_top_down_into`, ``below[v]``
+    holding the non-neighbours under ``v`` and ``bit[v]`` being ``1 << v``."""
     # Each edge has one label, so the rows' sum is their union.
     rows = list(map(sum, zip(*by_label)))
-    bit = [1 << v for v in range(lg.graph.n)]
+    bit = [1 << v for v in range(len(rows))]
     return by_label, rows, ([(b - 1) & ~row for b, row in zip(bit, rows)], bit)
 
 
@@ -279,27 +277,28 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
     return False
 
 
-def _fit_recursion_limit(graph: Graph) -> None:
+def _fit_recursion_limit(max_degree: int) -> None:
     """Raise the interpreter's recursion limit only if the search could hit it.
 
     ``_expand`` recurses once per clique vertex, so a search is at most
     omega + 1 <= max degree + 2 frames deep; ``_STACK_HEADROOM`` leaves room
     for the caller's own frames.
     """
-    needed = max(graph.degrees, default=0) + 2 + _STACK_HEADROOM
+    needed = max_degree + 2 + _STACK_HEADROOM
     if sys.getrecursionlimit() < needed:
         sys.setrecursionlimit(needed)
 
 
-def _few(count: int, graph: Graph) -> bool:
-    """True when ``count`` label-subset sub-searches are worth their setup.
+def _few(count: int, n: int, degree_sum: int) -> bool:
+    """True when ``count`` label-subset sub-searches are worth their setup
+    on a graph of ``n`` vertices whose degrees sum to ``degree_sum``.
 
     Each builds and colours n rows of n bits.  That pays when the subsets
     are no more than the average degree d = 2m/n, and when
     :func:`graph.cheap_rows` allows the rows: on a sparse graph of
     thousands of vertices, building them outweighs the whole search.
     """
-    return count * graph.n <= sum(graph.degrees) and cheap_rows(graph)
+    return count * n <= degree_sum and cheap_rows(n, degree_sum)
 
 
 def _search_subset(inc, by_label, bit, labels: int, key: int) -> tuple[int, int]:
@@ -367,16 +366,18 @@ def _max_clique(found, rows, tables, clique, cands, order, bounds, m, scratch) -
     return nodes
 
 
-def _pass_subsets(lg: LabelledGraph, first_pass: bool, budget: int, cost: int,
+def _pass_subsets(shape: tuple[int, int, int], first_pass: bool, budget: int, cost: int,
                   dead: list[int]) -> list[int] | None:
     """The label masks of the subsets T a pass searches, in order: every T
     with |T| = min(budget, K) in pass 1, or with |T| = ``cost`` - 1 in a
     pass-2 level, but none inside a ``dead`` mask.  None when :func:`_few`,
-    counting them all, leaves them to the paper's search."""
-    size = min(budget, lg.num_labels) if first_pass else cost - 1
-    if not _few(comb(lg.num_labels, size), lg.graph):
+    counting them all, leaves them to the paper's search.  ``shape`` is
+    the searched graph's (K, n, degree sum)."""
+    num_labels, n, degree_sum = shape
+    size = min(budget, num_labels) if first_pass else cost - 1
+    if not _few(comb(num_labels, size), n, degree_sum):
         return None
-    masks = (sum(1 << k for k in labels) for labels in combinations(range(lg.num_labels), size))
+    masks = (sum(1 << k for k in labels) for labels in combinations(range(num_labels), size))
     return [mask for mask in masks if all(mask & ~other for other in dead)]
 
 
@@ -443,12 +444,16 @@ def _run_in_order(units, state, inc: Incumbent) -> tuple[int, list, list[int]]:
 def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
     """The two passes of both solvers, pass 2 by levels, each over its units.
 
-    A pass's units are its label subsets when :func:`_pass_subsets` lists
-    them, else the root branches ``roots(graph)`` lists after colouring the
-    root of the solve's :func:`_search_graph`; the label dicts of the
-    paper's search are built then, once per solve.  ``run_pass(units, state, inc)`` runs them against ``inc`` and
-    returns the nodes they searched, the outcomes of their sub-searches
-    and each forked worker's nodes.
+    The search reads only the per-label rows of the peeled graph that
+    :func:`graph.permute_by_degree` fills, through the solve's
+    :func:`_search_graph`, whose union rows' bit counts, taken once, give
+    the degrees.  A pass's units are its label subsets when
+    :func:`_pass_subsets` lists them, else the root branches
+    ``roots(graph)`` lists after colouring the root; the label dicts of
+    the paper's search are built then, once per solve.
+    ``run_pass(units, state, inc)`` runs them against ``inc`` and returns
+    the nodes they searched, the outcomes of their sub-searches and each
+    forked worker's nodes.
 
     A sub-search that ends below the pass-1 size s, which pass 2 keeps,
     refutes an s-clique in its G_T and in every G_T inside it, so no later
@@ -457,9 +462,12 @@ def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
     if budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget}")
     start = perf_counter()
-    permuted, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
-    _fit_recursion_limit(permuted.graph)
-    graph, label_bits = _search_graph(permuted), None
+    by_label, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
+    graph, label_bits = _search_graph(by_label), None
+    degrees = list(map(int.bit_count, graph[1]))
+    n = len(degrees)
+    _fit_recursion_limit(max(degrees, default=0))
+    shape = len(by_label), n, sum(degrees)
     inc, dead = Incumbent(), []
     nodes, subsets, worker_nodes = [0, 0], [0, 0], []
     first_pass, index, cost = True, 0, 0
@@ -467,13 +475,13 @@ def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
     # every smaller T lies in a T it searched; none follows the paper's
     # search, which is complete.  Singletons cost 0, so stop at cost <= 1.
     while first_pass or 1 < inc.cost < cost:
-        units = _pass_subsets(permuted, first_pass, budget, inc.cost, dead)
+        units = _pass_subsets(shape, first_pass, budget, inc.cost, dead)
         cost = budget + 1 if first_pass else inc.cost if units else 0
         if units is None:
             units = roots(graph)
             nodes[index] += 1  # the root colouring
             if label_bits is None:
-                label_bits = _label_dicts(graph[0])
+                label_bits = _label_dicts(by_label)
         state = (first_pass, graph, label_bits, budget)
         searched, outcomes, per_worker = run_pass(units, state, inc)
         nodes[index] += searched
@@ -483,10 +491,9 @@ def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
         first_pass, index = False, 1
     elapsed = perf_counter() - start
     stats = SearchStats(*nodes, elapsed, len(worker_nodes) or 1,
-                        vertices_searched=permuted.graph.n, subsets_pass1=subsets[0],
+                        vertices_searched=n, subsets_pass1=subsets[0],
                         subsets_pass2=subsets[1], worker_nodes=worker_nodes)
-    top = permuted.graph.n - 1
-    witness = sorted(perm.to_original(top - v for v in inc.clique))
+    witness = sorted(perm.to_original(n - 1 - v for v in inc.clique))
     return Solution(witness, inc.size, inc.labels, inc.cost, stats)
 
 

@@ -62,18 +62,18 @@ def random_instance(n: int, density: float, num_labels: int, seed: int) -> Label
     return random_labels(g, num_labels, seed + 1_000_003)
 
 
-def paper_state(lg: LabelledGraph, first_pass: bool, budget: int) -> tuple:
-    """The state of one pass of the paper's search over ``lg`` as it is
-    numbered, as ``solve`` hands it to a pass: the search reads ``lg``'s
-    per-label rows, numbered top-down (vertex v is n - 1 - v).  The one
-    place the tests build a paper's-search pass."""
-    graph = _search_graph(lg)
-    return first_pass, graph, _label_dicts(graph[0]), budget
+def paper_state(by_label: list[list[int]], first_pass: bool, budget: int) -> tuple:
+    """The state of one pass of the paper's search over the per-label rows
+    ``by_label`` that ``permute_by_degree`` returns, numbered top-down
+    (vertex v of the permutation is n - 1 - v), as ``solve`` hands it to a
+    pass.  The one place the tests build a paper's-search pass."""
+    return first_pass, _search_graph(by_label), _label_dicts(by_label), budget
 
 
-def paper_search(lg: LabelledGraph, first_pass: bool, inc: Incumbent, budget: int) -> tuple:
+def paper_search(by_label: list[list[int]], first_pass: bool, inc: Incumbent,
+                 budget: int) -> tuple:
     """The context of one pass of the paper's search, for ``_expand``."""
-    return _search(paper_state(lg, first_pass, budget), inc)
+    return _search(paper_state(by_label, first_pass, budget), inc)
 
 
 def paper_solve(lg: LabelledGraph, budget: int) -> Solution:
@@ -83,17 +83,17 @@ def paper_solve(lg: LabelledGraph, budget: int) -> Solution:
     The reference for the label-subset search and for the parallel solver's
     node accounting; the witness is in original numbering.
     """
-    permuted, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
+    by_label, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
     inc = Incumbent()
-    top = permuted.graph.n - 1
+    n = len(perm.forward)
     nodes = [0, 0]
     for pass_index, first_pass in enumerate((True, False)):
         if first_pass or inc.cost > 1:
-            search = paper_search(permuted, first_pass, inc, budget)
-            _expand(search, [], (1 << permuted.graph.n) - 1, 0)
+            search = paper_search(by_label, first_pass, inc, budget)
+            _expand(search, [], (1 << n) - 1, 0)
             nodes[pass_index] = search[_NODES][0]
-    stats = SearchStats(*nodes, vertices_searched=permuted.graph.n)
-    witness = sorted(perm.to_original(top - v for v in inc.clique))
+    stats = SearchStats(*nodes, vertices_searched=n)
+    witness = sorted(perm.to_original(n - 1 - v for v in inc.clique))
     return Solution(witness, inc.size, inc.labels, inc.cost, stats)
 
 

@@ -305,6 +305,21 @@ def test_criterion_8_ingest_builds_no_unpermuted_rows(monkeypatch):
     assert graph._rows is None
 
 
+def test_criterion_8_verify_builds_no_rows(tmp_path, monkeypatch, capsys):
+    # verify checks the witness's pairs once, on the edge list, so a
+    # 5-vertex witness on 7,000 vertices builds no bitset row.
+    path = tmp_path / "collab.clq"
+    path.write_text(write_dimacs(_collaboration_scale_graph()))
+    parse, graphs = graph_io.parse_dimacs, []
+    monkeypatch.setattr(graph_io, "parse_dimacs",
+                        lambda text: graphs.append(parse(text)) or graphs[-1])
+    code = main(["verify", str(path), "--labels", "5", "--seed", "157", "--budget", "5",
+                 "--witness", "1", "2", "3", "4", "5"])
+    assert code == EXIT_OK and "size: 5" in capsys.readouterr().out
+    [graph] = graphs
+    assert graph.n == 7000 and graph._rows is None
+
+
 def test_criterion_8_peeled_cell_labels_only_what_it_reads():
     # K=4, b=4: the greedy clique is the planted 8-clique, so the peel keeps
     # its 8 vertices.  The greedy labels the edges among its starts and
@@ -362,8 +377,8 @@ def test_keller4_cells_skip_the_greedy_and_build_no_label_dicts(keller4, monkeyp
     # 102, so no clique has more than 103 vertices and the peel would keep
     # every vertex: neither the greedy nor the core runs.  Every pass of
     # these cells searches label subsets, which read the per-label rows
-    # that the permutation fills, so neither the per-vertex label dicts nor
-    # the bitset rows of the paper's search are built.
+    # that the permutation fills, so the per-vertex label dicts of the
+    # paper's search are never built.
     # The node counts are those of the solver that ran the greedy first.
     def refuse(*_):
         raise AssertionError("the colouring should have ruled out a peel")
@@ -373,6 +388,9 @@ def test_keller4_cells_skip_the_greedy_and_build_no_label_dicts(keller4, monkeyp
     permute, permuted = seq_mod.permute_by_degree, []
     monkeypatch.setattr(seq_mod, "permute_by_degree",
                         lambda lg, kept=None: permuted.append(permute(lg, kept)) or permuted[-1])
+    label_dicts, built = seq_mod._label_dicts, []
+    monkeypatch.setattr(seq_mod, "_label_dicts",
+                        lambda by_label: built.append(len(by_label)) or label_dicts(by_label))
     cells = {(4, 1): (398, 0), (4, 2): (3081, 255), (8, 2): (2842, 460), (8, 4): (35967, 12202)}
     for (num_labels, budget), nodes in cells.items():
         lg = random_labels(keller4, num_labels, seed=0)
@@ -380,12 +398,10 @@ def test_keller4_cells_skip_the_greedy_and_build_no_label_dicts(keller4, monkeyp
         assert (solution.stats.nodes_pass1, solution.stats.nodes_pass2) == nodes
         assert solution.stats.vertices_searched == keller4.n
         assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
-        assert callable(permuted[-1][0]._bits) and lg._bits is None
-        assert callable(permuted[-1][0].graph._rows)
+        assert lg._bits is None
     parallel = solve_parallel(random_labels(keller4, 8, seed=0), 2, workers=2)
     assert (parallel.size, parallel.cost, parallel.stats.subsets_pass1) == (5, 2, 28)
-    assert len(permuted) == 5 and callable(permuted[-1][0]._bits)
-    assert callable(permuted[-1][0].graph._rows)
+    assert len(permuted) == 5 and built == []
 
 
 def test_criterion_8_label_file_checks_use_the_edge_list():

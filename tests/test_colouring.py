@@ -2,9 +2,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from labelled_clique import build_graph, colour_order, random_labels
+from labelled_clique import build_graph, colour_order
 from labelled_clique.colouring import colour_order_into, colour_top_down_into
-from labelled_clique.graph import iter_bits, label_adjacency
+from labelled_clique.graph import iter_bits
 
 from conftest import random_graph
 
@@ -96,17 +96,15 @@ def kernel_outputs(kernel, rows, n, cands, kmin):
 @example(65, 0.5, 4, 2**70 - 1)
 @example(65, 0.9, 5, 2**64 | 1)
 def test_top_down_kernel_mirrors_the_bottom_up_one(n, density, seed, cands):
-    # Rows numbered v -> n - 1 - v, as label_adjacency numbers a
-    # one-label graph's, coloured highest vertex first, must give the
+    # Rows numbered v -> n - 1 - v, as permute_by_degree numbers its
+    # per-label rows, coloured highest vertex first, must give the
     # mirror image of the bottom-up order and the same bounds.  With
     # k_min, each kernel must write exactly the suffix of its k_min = 0
     # output whose bounds reach k_min, for every k_min up to colours + 1.
     g = random_graph(n, density, seed)
     cands &= (1 << n) - 1
     top = n - 1
-    rows = label_adjacency(random_labels(g, 1, seed))[0]
-    assert rows == [sum(1 << (top - w) for w in iter_bits(g.adjacency[top - v]))
-                    for v in range(n)]
+    rows = [sum(1 << (top - w) for w in iter_bits(g.adjacency[top - v])) for v in range(n)]
     below = [((1 << v) - 1) & ~row for v, row in enumerate(rows)]
     bit = [1 << v for v in range(n)]
     mirrored = sum(1 << (top - v) for v in iter_bits(cands))

@@ -16,7 +16,7 @@ from labelled_clique import (
 )
 import labelled_clique.graph as graph_mod
 from labelled_clique.graph import (cheap_rows, core, greedy_clique_size, iter_bits,
-                                   label_adjacency, reduce_to_core, truss)
+                                   reduce_to_core, truss)
 
 from conftest import planted_sparse_graph, random_graph, random_instance
 
@@ -99,10 +99,30 @@ def test_build_labelled_rejects_bad_labels():
         build_labelled(build_graph(3, [(0, 1)]), 1, {(0, 1): 0, (1, 2): 0})
 
 
+def permuted_degrees(by_label):
+    """Degrees in permutation order, from the union of the top-down
+    per-label rows: vertex ``new`` is row ``n - 1 - new``."""
+    return [row.bit_count() for row in reversed(list(map(sum, zip(*by_label))))]
+
+
+def assert_rows_follow_labels(lg, by_label, perm):
+    """Every bit of the per-label rows, checked against ``lg`` through
+    ``perm``: bit ``n - 1 - b`` of ``rows[k][n - 1 - a]`` is set exactly
+    when ``{forward[a], forward[b]}`` is an edge labelled ``k``, so no
+    non-edge and no edge leaving the renumbered vertices appears."""
+    n = len(perm.forward)
+    assert len(by_label) == lg.num_labels and all(len(rows) == n for rows in by_label)
+    for k, rows in enumerate(by_label):
+        for a, u in enumerate(perm.forward):
+            assert rows[n - 1 - a] == sum(
+                1 << (n - 1 - b) for b, v in enumerate(perm.forward)
+                if lg.graph.adjacent(u, v) and lg.label_of(u, v) == k)
+
+
 def test_permute_fig1_order(fig1):
-    permuted, perm = permute_by_degree(fig1)
+    by_label, perm = permute_by_degree(fig1)
     assert [v + 1 for v in perm.forward] == [4, 5, 1, 2, 3, 6, 7]
-    assert permuted.graph.degrees == [6, 6, 4, 4, 4, 3, 3]
+    assert permuted_degrees(by_label) == [6, 6, 4, 4, 4, 3, 3]
 
 
 def test_permute_identity_when_sorted():
@@ -123,50 +143,42 @@ def test_permute_all_ties_is_identity():
 def test_permute_properties():
     for seed in range(5):
         lg = random_instance(12, 0.4, 3, seed=seed)
-        permuted, perm = permute_by_degree(lg)
-        degs = permuted.graph.degrees
+        by_label, perm = permute_by_degree(lg)
+        degs = permuted_degrees(by_label)
         assert all(degs[i] >= degs[i + 1] for i in range(len(degs) - 1))
         for v in range(lg.graph.n):
             assert perm.inverse[perm.forward[v]] == v
             assert perm.forward[perm.inverse[v]] == v
-        # labels carried through the renumbering
-        for u, v in lg.graph.edges():
-            pu, pv = perm.inverse[u], perm.inverse[v]
-            assert permuted.label_of(pu, pv) == lg.label_of(u, v)
+        assert_rows_follow_labels(lg, by_label, perm)
 
 
 def test_permute_kept_vertices_builds_induced_subgraph():
+    leaving = 0
     for seed in range(5):
         lg = random_instance(12, 0.4, 3, seed=seed)
         kept = set(iter_bits(0b101101110101 >> seed))
-        permuted, perm = permute_by_degree(lg, kept)
+        by_label, perm = permute_by_degree(lg, kept)
         assert sorted(perm.forward) == sorted(kept)
         assert [perm.inverse[v] is None for v in range(12)] == [v not in kept for v in range(12)]
-        degs = permuted.graph.degrees
-        assert degs == [row.bit_count() for row in permuted.graph.adjacency]
+        degs = permuted_degrees(by_label)
         assert all(degs[i] >= degs[i + 1] for i in range(len(degs) - 1))
         induced = [(u, v) for u, v in lg.graph.edges() if u in kept and v in kept]
-        assert permuted.graph.edge_count() == len(induced)
-        for u, v in induced:
-            pu, pv = perm.inverse[u], perm.inverse[v]
-            assert permuted.label_of(pu, pv) == lg.label_of(u, v)
+        assert sum(degs) == 2 * len(induced)
+        assert_rows_follow_labels(lg, by_label, perm)
+        leaving += sum((u in kept) != (v in kept) for u, v in lg.graph.edges())
+    assert leaving > 0
 
 
 def test_whole_permutation_fills_the_rows_the_kept_one_builds():
-    # A whole graph with cheap rows is renumbered from its edge list
-    # straight into per-label rows; keeping every vertex goes through the
-    # label dicts instead.  Both must give the same graph and labels, and
-    # the whole one must build no label dict until asked.
+    # A whole graph is renumbered from its edge list straight into
+    # per-label rows; keeping every vertex goes through the label dicts
+    # instead.  Both must give the same rows and permutation, and the
+    # whole one must build no label dict.
     for n, density, num_labels in ((3, 1.0, 1), (12, 0.4, 3), (30, 0.7, 5), (65, 0.6, 64)):
         lg = random_instance(n, density, num_labels, seed=n)
-        whole, perm = permute_by_degree(lg)
-        kept, kept_perm = permute_by_degree(lg, set(range(n)))
-        assert perm == kept_perm and callable(whole._bits)
-        assert whole.graph.adjacency == kept.graph.adjacency
-        assert whole.graph.degrees == kept.graph.degrees
-        assert label_adjacency(whole) == label_adjacency(kept)
-        assert callable(whole._bits)
-        assert whole.label_bits == kept.label_bits
+        whole = permute_by_degree(lg)
+        assert lg._bits is None
+        assert whole == permute_by_degree(lg, set(range(n)))
 
 
 def test_core_matches_networkx_and_is_stable():
@@ -192,7 +204,7 @@ def test_truss_matches_networkx():
     for seed in range(200):
         rng = random.Random(seed)
         g, _ = planted_sparse_graph(rng.randint(150, 300), rng.uniform(0.5, 0.75), seed)
-        assert not cheap_rows(g)
+        assert not cheap_rows(g.n, sum(g.degrees))
         reference = nx.Graph(list(g.edges()))
         reference.add_nodes_from(range(g.n))
         for k in range(2, 6):
@@ -211,7 +223,7 @@ def test_peel_with_cheap_rows_runs_no_triangle_step(monkeypatch):
         raise AssertionError("a graph with cheap rows should keep its plain core")
 
     g = build_graph(13, [*combinations(range(12), 2), (0, 12), (1, 12)])
-    assert cheap_rows(g)
+    assert cheap_rows(g.n, sum(g.degrees))
     monkeypatch.setattr(graph_mod, "truss", refuse)
     assert reduce_to_core(random_labels(g, 1, 0), 1) == set(range(12))
 

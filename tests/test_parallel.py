@@ -99,8 +99,8 @@ def test_key_sequence_monotone_under_mixed_offers():
 
 def test_split_root_fig1(fig1):
     # The search numbers the permuted graph top-down, vertex v as 6 - v.
-    permuted, _ = permute_by_degree(fig1)
-    _, rows, tables = graph = seq_mod._search_graph(permuted)
+    by_label, perm = permute_by_degree(fig1)
+    _, rows, tables = graph = seq_mod._search_graph(by_label)
     subs = split_root(graph)
     assert len(subs) == 7
     order, bounds = [0] * 7, [0] * 7
@@ -109,21 +109,22 @@ def test_split_root_fig1(fig1):
     # root colouring, the mirror image of the bottom-up one
     assert [sp.prefix[0] for sp in subs] == list(reversed(order))
     assert [sp.bound for sp in subs] == list(reversed(bounds))
-    result = colour_order(permuted.graph, (1 << 7) - 1)
+    permuted = build_graph(7, [(perm.inverse[u], perm.inverse[v]) for u, v in fig1.graph.edges()])
+    result = colour_order(permuted, (1 << 7) - 1)
     assert [6 - v for v in order] == result.order and bounds == result.bounds
     # candidates replay the sequential loop: earlier-branched vertices are
     # gone, and the rest intersect the branch vertex's neighbourhood
     remaining = (1 << 7) - 1
     for sp in subs:
         v = sp.prefix[0]
-        assert rows[v] == sum(1 << (6 - w) for w in range(7) if permuted.graph.adjacent(6 - v, w))
+        assert rows[v] == sum(1 << (6 - w) for w in range(7) if permuted.adjacent(6 - v, w))
         assert sp.cands == remaining & rows[v]
         remaining &= ~(1 << v)
 
 
 def test_split_root_empty_graph():
     lg = build_labelled(build_graph(0, []), 1, {})
-    assert split_root(seq_mod._search_graph(lg)) == []
+    assert split_root(seq_mod._search_graph(permute_by_degree(lg)[0])) == []
 
 
 def test_parallel_fig1(fig1):
@@ -222,8 +223,8 @@ def test_replay_accounting_prefixes_match_sequential(monkeypatch):
     lg = random_instance(20, 0.5, 3, seed=1234)
     seq_nodes, seq = first_pass_nodes(records, lambda: paper_solve(lg, 2))
     assert sum(seq_nodes.values()) > 1
-    permuted, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
-    state = paper_state(permuted, True, 2)
+    by_label, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
+    state = paper_state(by_label, True, 2)
     records.clear()
     (clique, labels, nodes, outcomes), _ = drive_worker(state)
     assert Counter(records) == seq_nodes  # no node twice, none lost, none invented
@@ -244,8 +245,8 @@ def test_worker_drains_the_pass_at_a_dead_unit(monkeypatch):
     # Root bounds never increase along the pass and the bound only rises,
     # so the first branch the bound prunes ends the pass for every worker.
     lg = random_instance(24, 0.6, 16, seed=2024)
-    permuted, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
-    state = paper_state(permuted, True, 2)
+    by_label, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
+    state = paper_state(by_label, True, 2)
     ran = []
     run_unit = par_mod._run_unit
 
@@ -454,8 +455,8 @@ def test_children_of_a_pass_take_distinct_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_setaffinity",
                         lambda pid, mask: os.write(write, f"{pid}:{sorted(mask)}\n".encode()))
     lg = random_instance(24, 0.6, 16, seed=2024)
-    permuted, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
-    state = paper_state(permuted, True, 2)
+    by_label, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
+    state = paper_state(by_label, True, 2)
     try:
         par_mod._run_pass(2, split_root(state[1]), state, Incumbent())
     finally:

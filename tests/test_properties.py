@@ -336,10 +336,11 @@ def test_pass_two_skips_only_refuted_subsets():
     pass_subsets = seq_mod._pass_subsets
     skipped_levels = []
 
-    def listing(lg, first_pass, budget, cost, dead):
-        units = pass_subsets(lg, first_pass, budget, cost, dead)
+    def listing(shape, first_pass, budget, cost, dead):
+        units = pass_subsets(shape, first_pass, budget, cost, dead)
         if units is not None and not first_pass:
-            skipped_levels.append(set(pass_subsets(lg, first_pass, budget, cost, [])) - set(units))
+            skipped_levels.append(set(pass_subsets(shape, first_pass, budget, cost, []))
+                                  - set(units))
         return units
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -395,19 +396,19 @@ def pass_two_drops_below_parent(lg, budget):
     """True when a pass-2 improvement costs no more than the node it was
     found under, so the new limit (its cost - 1) falls below that node's
     cost while the node still has branches to try."""
-    permuted, _ = permute_by_degree(lg)
-    every = (1 << permuted.graph.n) - 1
+    by_label, perm = permute_by_degree(lg)
+    every = (1 << lg.graph.n) - 1
     inc = _RecordingIncumbent()
-    _expand(paper_search(permuted, True, inc, budget), [], every, 0)
+    _expand(paper_search(by_label, True, inc, budget), [], every, 0)
     inc.improvements.clear()
     if inc.cost > 1:
-        _expand(paper_search(permuted, False, inc, budget), [], every, 0)
+        _expand(paper_search(by_label, False, inc, budget), [], every, 0)
     # The search numbers the permuted graph top-down, vertex v as n - 1 - v.
-    top = permuted.graph.n - 1
+    top = lg.graph.n - 1
     return any(
         len(clique) >= 3
-        and clique_cost(permuted, [top - v for v in clique[:-1]])[1]
-        == clique_cost(permuted, [top - v for v in clique])[1]
+        and clique_cost(lg, perm.to_original(top - v for v in clique[:-1]))[1]
+        == clique_cost(lg, perm.to_original(top - v for v in clique))[1]
         for clique in inc.improvements
     )
 

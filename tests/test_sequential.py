@@ -25,7 +25,6 @@ from labelled_clique import (
 import labelled_clique.graph as graph_mod
 import labelled_clique.sequential as seq_mod
 from labelled_clique.graph import LabelledGraph
-from labelled_clique.graph import label_adjacency
 from labelled_clique.sequential import _NODES, _expand, _within
 
 from conftest import paper_search, paper_solve, random_instance
@@ -80,10 +79,10 @@ def test_is_better_examples():
 
 
 def test_expand_fig1_first_pass(fig1):
-    permuted, _ = permute_by_degree(fig1)
+    by_label, _ = permute_by_degree(fig1)
     inc = Incumbent()
-    search1 = paper_search(permuted, True, inc, 3)
-    search2 = paper_search(permuted, False, inc, 3)
+    search1 = paper_search(by_label, True, inc, 3)
+    search2 = paper_search(by_label, False, inc, 3)
     _expand(search1, [], (1 << 7) - 1, 0)
     # The size pass settles on a maximum feasible clique; with this branch
     # order that is {1,2,3,5} at cost 3 (hand-traced), and the cost pass is
@@ -99,12 +98,12 @@ def test_expand_fig1_first_pass(fig1):
 def test_expand_second_pass_admits_equal_sizes():
     # Pass 1 prunes branches that can only tie the incumbent size; pass 2
     # explores them and finds the cheaper triangle.
-    permuted, _ = permute_by_degree(two_triangles())
+    by_label, _ = permute_by_degree(two_triangles())
     inc = Incumbent()
     every = (1 << 6) - 1
-    _expand(paper_search(permuted, True, inc, 3), [], every, 0)
+    _expand(paper_search(by_label, True, inc, 3), [], every, 0)
     assert (inc.size, inc.cost) == (3, 3)
-    search2 = paper_search(permuted, False, inc, 3)
+    search2 = paper_search(by_label, False, inc, 3)
     _expand(search2, [], every, 0)
     assert (inc.size, inc.cost) == (3, 1)
     assert search2[_NODES][0] > 0
@@ -114,14 +113,14 @@ def test_expand_reports_a_node_its_bound_cuts_off():
     # Two disjoint triangles need three colours.  Against a size-3
     # incumbent, pass 1's k_min at the root is 4, so the root's colouring
     # writes no vertex: the counted node was cut off by its bound.
-    lg = two_triangles()
+    by_label, _ = permute_by_degree(two_triangles())
     inc = Incumbent([3, 4, 5], 0b111)
-    search = paper_search(lg, True, inc, 3)
+    search = paper_search(by_label, True, inc, 3)
     assert _expand(search, [], (1 << 6) - 1, 0)
     assert search[_NODES][0] == 1
     assert (inc.size, inc.cost, inc.clique) == (3, 3, [3, 4, 5])
     # A node whose every branch is searched was not cut off.
-    lone = build_labelled(build_graph(1, []), 1, {})
+    lone, _ = permute_by_degree(build_labelled(build_graph(1, []), 1, {}))
     search = paper_search(lone, True, Incumbent(), 1)
     assert not _expand(search, [], 1, 0)
     assert search[1].size == 1
@@ -136,8 +135,8 @@ def test_at_limit_filter_keeps_the_neighbours_the_labels_join():
     for seed in range(6):
         lg = random_instance(14, 0.5, 4, seed=700 + seed)
         for kept in (None, set(range(3, 14))):
-            permuted, perm = permute_by_degree(lg, kept)
-            by_label, top = label_adjacency(permuted), permuted.graph.n - 1
+            by_label, perm = permute_by_degree(lg, kept)
+            top = len(perm.forward) - 1
             for grown in range(1 << 4):
                 masks = []
                 for v in range(top + 1):
@@ -292,12 +291,12 @@ def test_subset_rule_needs_rows_no_wider_than_the_average_degree():
 def test_pass_two_never_grows_and_never_costs_more():
     for seed in range(6):
         lg = random_instance(12, 0.55, 4, seed=600 + seed)
-        permuted, _ = permute_by_degree(lg)
+        by_label, _ = permute_by_degree(lg)
         every = (1 << 12) - 1
         inc = Incumbent()
-        _expand(paper_search(permuted, True, inc, 2), [], every, 0)
+        _expand(paper_search(by_label, True, inc, 2), [], every, 0)
         pass1 = (inc.size, inc.cost)
-        _expand(paper_search(permuted, False, inc, 2), [], every, 0)
+        _expand(paper_search(by_label, False, inc, 2), [], every, 0)
         assert inc.size == pass1[0]
         assert inc.cost <= pass1[1]
 
@@ -324,8 +323,8 @@ def test_pass_two_descends_level_by_level(monkeypatch):
     levels = []
     pass_subsets = seq_mod._pass_subsets
 
-    def recording(lg, first_pass, budget, cost, dead):
-        units = pass_subsets(lg, first_pass, budget, cost, dead)
+    def recording(shape, first_pass, budget, cost, dead):
+        units = pass_subsets(shape, first_pass, budget, cost, dead)
         levels.append((first_pass, cost, len(units)))
         return units
 
@@ -345,11 +344,12 @@ def test_a_level_lists_only_subsets_inside_no_dead_mask(fig1):
     # fig1 has 4 labels and admits its C(4, 3) = C(4, 1) = 4 subsets.  A
     # subset that only overlaps a dead mask may still hold the clique.
     pass_subsets = seq_mod._pass_subsets
-    assert pass_subsets(fig1, False, 3, 4, []) == [0b0111, 0b1011, 0b1101, 0b1110]
-    assert pass_subsets(fig1, False, 3, 4, [0b0111]) == [0b1011, 0b1101, 0b1110]
-    assert pass_subsets(fig1, False, 3, 2, [0b0011, 0b0110]) == [0b1000]
-    assert pass_subsets(fig1, False, 3, 2, [0b1111]) == []
-    assert pass_subsets(fig1, False, 3, 3, []) is None  # C(4, 2) = 6 > 30/7
+    shape = (fig1.num_labels, fig1.graph.n, sum(fig1.graph.degrees))
+    assert pass_subsets(shape, False, 3, 4, []) == [0b0111, 0b1011, 0b1101, 0b1110]
+    assert pass_subsets(shape, False, 3, 4, [0b0111]) == [0b1011, 0b1101, 0b1110]
+    assert pass_subsets(shape, False, 3, 2, [0b0011, 0b0110]) == [0b1000]
+    assert pass_subsets(shape, False, 3, 2, [0b1111]) == []
+    assert pass_subsets(shape, False, 3, 3, []) is None  # C(4, 2) = 6 > 30/7
 
 
 def test_keller4_pass_two_skips_the_refuted_subsets(keller4, monkeypatch):
@@ -362,8 +362,8 @@ def test_keller4_pass_two_skips_the_refuted_subsets(keller4, monkeypatch):
     skipping = solve(lg, 6)
     pass_subsets = seq_mod._pass_subsets
     monkeypatch.setattr(seq_mod, "_pass_subsets",
-                        lambda lg, first_pass, budget, cost, dead:
-                        pass_subsets(lg, first_pass, budget, cost, []))
+                        lambda shape, first_pass, budget, cost, dead:
+                        pass_subsets(shape, first_pass, budget, cost, []))
     every = solve(lg, 6)
     assert (skipping.size, skipping.cost) == (every.size, every.cost) == (10, 6)
     assert (skipping.clique, skipping.labels) == (every.clique, every.labels)
@@ -397,40 +397,29 @@ def test_dense_graph_the_colouring_cannot_clear_still_peels(monkeypatch):
     assert calls == [1, 3, 1, 3]
 
 
-class CountingRows(list):
-    """``label_bits`` that counts the rows read by index."""
-
-    reads = 0
-
-    def __getitem__(self, v):
-        self.reads += 1
-        return super().__getitem__(v)
-
-
 def test_label_subset_search_reads_no_label_bits(monkeypatch):
     # A sub-search runs closed from its root down: G_T's edges carry only
     # T's labels, so no branch needs the label union, and the witness takes
-    # its labels from T's per-label rows.
+    # its labels from T's per-label rows.  The label dicts the union reads
+    # are built only for a solve whose passes run the paper's search, once.
     lg = random_instance(30, 0.7, 4, seed=2026)
     paper = paper_solve(lg, 3)
-    permute = seq_mod.permute_by_degree
-    counted = []
-
-    def counting(lg, kept=None):
-        permuted, perm = permute(lg, kept)
-        rows = CountingRows(permuted.label_bits)
-        counted.append((rows, permuted))
-        by_label = label_adjacency(permuted)
-        return LabelledGraph(permuted.graph, permuted.num_labels, rows, by_label=by_label), perm
-
-    monkeypatch.setattr(seq_mod, "permute_by_degree", counting)
+    label_dicts, built = seq_mod._label_dicts, []
+    monkeypatch.setattr(seq_mod, "_label_dicts",
+                        lambda by_label: built.append(len(by_label)) or label_dicts(by_label))
     solution = solve(lg, 3)
     assert (solution.size, solution.cost) == (paper.size, paper.cost)
     assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
     stats = solution.stats
     assert (stats.subsets_pass1, stats.subsets_pass2) == (4, 6)
     assert stats.nodes_pass1 > stats.subsets_pass1 and stats.nodes_pass2 > stats.subsets_pass2
-    assert counted[-1][0].reads == 0
+    assert built == []
+    lg = random_instance(24, 0.6, 16, seed=2024)
+    paper, solution = paper_solve(lg, 3), solve(lg, 3)
+    stats = solution.stats
+    assert (stats.subsets_pass1, stats.subsets_pass2) == (0, 0) and stats.nodes_pass2 > 0
+    assert (solution.size, solution.cost) == (paper.size, paper.cost)
+    assert built == [16]
 
 
 @pytest.fixture
