@@ -243,8 +243,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--budget", type=int, help="label budget")
     solve_p.add_argument("--budget-pct", type=int, help="budget as %% of labels (25/50/75)")
     solve_p.add_argument("--threads", type=int, default=1,
-                         help="worker processes over the search's work units "
-                              "(default: 1, which forks none)")
+                         help="searching processes over the search's work units, this "
+                              "one included (default: 1, which forks none)")
     solve_p.add_argument("--json", action="store_true", help="also print a JSON object")
     solve_p.set_defaults(func=_cmd_solve)
 
@@ -264,7 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="budget percentages (default: 25 50 75)")
     bench_p.add_argument("--samples", type=int, default=100, help="samples per row (default 100)")
     bench_p.add_argument("--threads", type=int, default=1,
-                         help="worker processes for the parallel column (default: 1)")
+                         help="searching processes for the parallel column, this one "
+                              "included (default: 1)")
     bench_p.set_defaults(func=_cmd_bench)
     bench_p.set_defaults(seed=0)
     return parser

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .colouring import colour_order_into
+from .colouring import colour_top_down_into, mirrored_tables
 
 MAX_LABELS = 64
 
@@ -367,14 +367,9 @@ def truss(lg: LabelledGraph, k: int) -> set[int]:
 
 
 def _colours(g: Graph) -> int:
-    """Colours of :func:`colouring.colour_order_into`'s colouring of ``g``,
-    on rows of each vertex's higher neighbours alone: it takes the lowest
-    vertex first, so the lower ones are coloured already."""
-    later = [0] * g.n
-    for u, v in g.edges():
-        later[u] |= 1 << v
+    """Colours of :func:`colouring.colour_order`'s colouring of ``g``."""
     bounds = [0] * g.n
-    colour_order_into(later, (1 << g.n) - 1, [0] * g.n, bounds, 0)
+    colour_top_down_into(mirrored_tables(g.n, g.edges()), (1 << g.n) - 1, [0] * g.n, bounds, 0)
     return bounds[-1]
 
 

@@ -4,13 +4,16 @@
 only how a pass's units run differs.  They are handed out in sequential
 order: the label subsets of :func:`sequential._pass_subsets` or, when a
 pass runs the paper's search, the root branches of :func:`split_root`;
-early root branches hold most of the work.  Each ``os.fork`` child claims
-the next unit from a shared counter, lifts its bound to the best 64-bit
-``incumbent_key`` any child has published, runs the unit and publishes its
-improvements; a dead unit ends the pass for every child.  Its witness stays
-its own and comes back through a pipe with its node count and the outcomes
-of its sub-searches; the parent keeps the best witness, forks pass 2 from
-it, and skips the subsets the outcomes refute.
+early root branches hold most of the work.  The parent forks one child per
+worker after the first and is that first worker itself, as in lazy task
+creation, where the spawning thread works too.  Each worker claims the
+next unit from a shared counter, lifts its bound to the best 64-bit
+``incumbent_key`` any worker has published, runs the unit and publishes
+its improvements; a dead unit ends the pass for every worker.  A child's
+witness stays its own and comes back through a pipe with its node count
+and the outcomes of its sub-searches; the parent keeps the best witness,
+its own included, forks pass 2 from it, and skips the subsets the
+outcomes refute.
 
 Node counts vary with scheduling; (size, cost) always equals the
 sequential result, both being optimal.
@@ -24,8 +27,8 @@ from functools import partial
 
 # permute_by_degree is unused here, but perfbench/layers.py wraps it by name.
 from .graph import LabelledGraph, permute_by_degree  # noqa: F401
-from .sequential import (_NODES, Incumbent, Solution, Subproblem, _root_branches, _run_in_order,
-                         _run_unit, _search, _solve, solve)
+from .sequential import (_NODES, Incumbent, Solution, Subproblem, _root_branches, _run_unit,
+                         _search, _solve, solve)
 
 _SHARED = struct.Struct("QQ")  # next unit index, best published key
 
@@ -75,23 +78,21 @@ class _Shared:
             os.close(fd)
 
 
-def _worker(state) -> None:
-    """The loop each child runs until the pass's units run out.
+def _claim(state) -> tuple:
+    """The loop each worker of a pass runs until its units run out, from
+    ``state``, (shared counter, units, *pass state); returns its own best
+    witness (clique, labels), its nodes and its sub-searches' outcomes.
 
-    It appends to ``state``'s last item, a list, the child's own best
-    witness (clique, labels), its nodes and its sub-searches' outcomes;
-    the benchmark's layer trace wraps this function and drops its return
-    value.  A dead unit moves the shared index past the end, since every
-    later unit is dead too, so no child claims another.
+    A dead unit moves the shared index past the end, since every later
+    unit is dead too, so no worker claims another.
     """
-    shared, units, *pass_state, out = state
+    shared, units, *pass_state = state
     inc = Incumbent()
     search = _search(pass_state, inc)
     while True:
         index, key = shared.update(1)
         if index >= len(units):
-            out.append((inc.clique, inc.labels, *search[_NODES]))
-            return
+            return (inc.clique, inc.labels, *search[_NODES])
         inc.lift(key)
         if not _run_unit(search, units[index]):
             shared.update(len(units))
@@ -99,13 +100,22 @@ def _worker(state) -> None:
             shared.update(0, inc.key)
 
 
+def _worker(state) -> None:
+    """A forked child's :func:`_claim`, whose result it appends to
+    ``state``'s last item, a list.  The benchmark's layer trace wraps this
+    function in a profiler and drops its return value; the parent calls
+    :func:`_claim` directly, so that no profiler nests in its own."""
+    state[-1].append(_claim(state[:-1]))
+
+
 def _child(write: int, state, index: int) -> None:
     """Run ``_worker`` in a forked child and send its result, or the
     exception it raised, through ``write``.  Never returns.
 
-    The ``index``-th child of a pass first moves onto the ``index``-th CPU
+    The ``index``-th worker of a pass first moves onto the ``index``-th CPU
     of its mask, modulo their count: left to the scheduler, the children of
-    a pass forked from one process can share its CPU."""
+    a pass forked from one process can share a CPU.  The parent is worker
+    0 and stays where it is."""
     try:
         import pickle
 
@@ -131,22 +141,20 @@ def _child(write: int, state, index: int) -> None:
 
 
 def _run_pass(workers: int, units, state, best: Incumbent) -> tuple[int, list, list[int]]:
-    """Run a pass's ``units`` in up to ``workers`` forked children (here,
-    as the pass's one worker, if there are fewer than two), from ``best``'s
-    key, and merge their witnesses into ``best``; returns the nodes they
-    searched, their sub-searches' outcomes and each worker's nodes.  Every
-    child has been reaped when this returns or raises."""
+    """Run a pass's ``units`` in up to ``workers`` workers from ``best``'s
+    key: this process and a forked child for each worker after the first,
+    no more workers than units.  Merges their witnesses into ``best``, this
+    process's first, and returns the nodes they searched, their
+    sub-searches' outcomes and each worker's nodes.  Every child has been
+    reaped when this returns or raises."""
     import pickle
     import signal
 
-    if len(units) < 2:  # the parent is this pass's one worker
-        searched, outcomes, _ = _run_in_order(units, state, best)
-        return searched, outcomes, [searched]
     shared = _Shared(best.key)
     pids: list[int] = []
     reads: list[int] = []
     try:
-        for index in range(min(workers, len(units))):
+        for index in range(1, min(workers, len(units))):
             read, write = os.pipe()
             reads.append(read)
             try:
@@ -156,7 +164,7 @@ def _run_pass(workers: int, units, state, best: Incumbent) -> tuple[int, list, l
             finally:
                 os.close(write)
             pids.append(pid)
-        outcomes, per_child = [], []
+        results = [_claim((shared, units, *state))]
         for read in reads:
             with open(read, "rb", closefd=False) as stream:
                 data = stream.read()
@@ -165,11 +173,13 @@ def _run_pass(workers: int, units, state, best: Incumbent) -> tuple[int, list, l
             ok, result = pickle.loads(data)
             if not ok:
                 raise result
-            clique, labels, count, searched = result
+            results.append(result)
+        outcomes, per_worker = [], []
+        for clique, labels, count, searched in results:
             best.replace(clique, labels, len(clique), labels.bit_count())
             outcomes += searched
-            per_child.append(count)
-        return sum(per_child), outcomes, per_child
+            per_worker.append(count)
+        return sum(per_worker), outcomes, per_worker
     finally:
         # A child that has finished is a zombie until it is waited for, so
         # the kill cannot reach a recycled pid.
@@ -188,10 +198,11 @@ def solve_parallel(
 ) -> Solution:
     """Two-pass parallel search; (size, cost) always equals the sequential result.
 
-    ``workers`` defaults to the CPUs this process may run on; one worker,
-    or no ``os.fork``, runs :func:`sequential.solve`.  No pass forks more
-    children than it has units, and every child is reaped before this
-    returns or raises.  Pass 2 forks from pass 1's merged incumbent.
+    ``workers`` defaults to the CPUs this process may run on, and counts
+    this process as the first; one worker, or no ``os.fork``, runs
+    :func:`sequential.solve`.  No pass runs more workers than it has units,
+    and every child is reaped before this returns or raises.  Pass 2 forks
+    from pass 1's merged incumbent.
     """
     if workers is None:
         affinity = getattr(os, "sched_getaffinity", None)

@@ -9,8 +9,7 @@ greedy colouring of the candidate set, consumed right to left.
 Label sets only grow as vertices join the clique, so once a node's cost
 equals the pass's limit no vertex joined to the clique by a new label can
 extend it feasibly.  Such vertices are dropped from the candidates before
-they are coloured, and below that node the label union is skipped, since
-every remaining candidate adds no label.
+they are coloured.
 
 A pass may instead search the subgraphs G_T that keep only the edges
 labelled in T, with no label union: every feasible clique lies in some G_T
@@ -120,8 +119,8 @@ class SearchStats(NamedTuple):
     search after the peel, the label-subset sub-searches each pass ran
     (0 for the paper's search; pass 2's summed over its levels, leaving out
     the subsets skipped as refuted), and the nodes each worker searched
-    over both passes, the parent counting as the first worker of a pass it
-    runs alone.  The records here are named tuples, which import without
+    over both passes, the parent counting as the first worker of every
+    pass.  The records here are named tuples, which import without
     ``dataclasses``; their defaults are shared, and nothing changes them."""
 
     nodes_pass1: int = 0
@@ -145,11 +144,10 @@ class Solution(NamedTuple):
 
 
 class Subproblem(NamedTuple):
-    """One root branch: its vertex as a one-vertex ``prefix``, the root's
-    candidates that remain beside it (``cands``), and its colour ``bound``
-    in the root colouring."""
+    """One root branch: its ``vertex``, the root's candidates that remain
+    beside it (``cands``), and its colour ``bound`` in the root colouring."""
 
-    prefix: tuple[int, ...]
+    vertex: int
     cands: int
     bound: int
 
@@ -205,7 +203,7 @@ def _search(state, inc):
     return (first_pass, inc, rows, tables, label_bits, by_label, budget, [0, []], [])
 
 
-def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None, m=0):
+def _expand(search, clique, cands, labels, order=None, bounds=None, m=0):
     """One node of the paper's search: colour, then branch right to left.
 
     ``search`` is the pass's context from :func:`_search`.  ``clique`` is
@@ -215,11 +213,7 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
 
     A branch whose cost reaches the pass's limit keeps only the candidates
     that :func:`_within` joins to every clique vertex by labels it already
-    has.  Its subtree is searched ``closed``: no candidate there adds a
-    label, so the union is skipped and each branch filters by its own
-    vertex alone.  The limit only falls, so the cost check still runs:
-    pass 2 may lower it below a closed node's cost.  A closed node's
-    children are closed too.
+    has.
 
     The node's colouring, by ``colour_top_down_into``, writes only the
     vertices coloured k_min or above, k_min being the lowest colour whose
@@ -255,10 +249,9 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
             return True
         v = order[i]
         grown = labels
-        if not closed:
-            row = label_bits[v]
-            for w in clique:
-                grown |= row[w]
+        row = label_bits[v]
+        for w in clique:
+            grown |= row[w]
         clique.append(v)
         cost = grown.bit_count()
         limit = budget if first_pass else inc.cost - 1
@@ -267,11 +260,10 @@ def _expand(search, clique, cands, labels, closed=False, order=None, bounds=None
             if size > inc.size or (size == inc.size and cost < inc.cost):
                 inc.replace(clique, grown, size, cost)
             remaining = cands & rows[v]
-            at_limit = cost == limit
-            if remaining and at_limit:
-                remaining &= _within(by_label, grown, (v,) if closed else clique)
+            if remaining and cost == limit:
+                remaining &= _within(by_label, grown, clique)
             if remaining:
-                _expand(search, clique, remaining, grown, closed or at_limit)
+                _expand(search, clique, remaining, grown)
         clique.pop()
         cands ^= bit[v]
     return False
@@ -396,7 +388,7 @@ def _root_branches(graph) -> Iterator[Subproblem]:
     colour_top_down_into(tables, cands, order, bounds, 0)
     for i in range(n - 1, -1, -1):
         v = order[i]
-        yield Subproblem((v,), cands & rows[v], bounds[i])
+        yield Subproblem(v, cands & rows[v], bounds[i])
         cands ^= tables[1][v]
 
 
@@ -416,7 +408,7 @@ def _run_unit(search, unit) -> bool:
     vertex short at cost 0, so only a clique of the full size beats it.
     """
     if isinstance(unit, Subproblem):
-        return not _expand(search, [], unit.cands, 0, False, unit.prefix, (unit.bound,), 1)
+        return not _expand(search, [], unit.cands, 0, (unit.vertex,), (unit.bound,), 1)
     first_pass, inc, _, (_, bit), _, by_label, _, counts, _ = search
     if first_pass:
         key = inc.key

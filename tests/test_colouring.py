@@ -3,8 +3,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labelled_clique import build_graph, colour_order
-from labelled_clique.colouring import colour_order_into, colour_top_down_into
-from labelled_clique.graph import iter_bits
+from labelled_clique.colouring import colour_top_down_into, mirrored_tables
+from labelled_clique.graph import _colours, iter_bits
 
 from conftest import random_graph
 
@@ -79,10 +79,30 @@ def test_deterministic(fig2):
     assert first.bounds == second.bounds
 
 
-def kernel_outputs(kernel, rows, n, cands, kmin):
+def reference_colouring(g, cands):
+    """Greedy sequential colouring from its definition, lowest vertex first:
+    colour 1, 2, ... in turn takes each uncoloured candidate, in ascending
+    order, that has no neighbour among the vertices it already took.
+    Returns the order and each vertex's colour."""
+    order, bounds = [], []
+    uncoloured = list(iter_bits(cands))
+    colour = 0
+    while uncoloured:
+        colour += 1
+        members = []
+        for v in uncoloured:
+            if not any(g.adjacent(v, w) for w in members):
+                members.append(v)
+        order += members
+        bounds += [colour] * len(members)
+        uncoloured = [v for v in uncoloured if v not in members]
+    return order, bounds
+
+
+def kernel_outputs(rows, n, cands, kmin):
     """The ``order`` and ``bounds`` prefixes one kernel call writes."""
     order, bounds = [0] * n, [0] * n
-    m = kernel(rows, cands, order, bounds, kmin)
+    m = colour_top_down_into(rows, cands, order, bounds, kmin)
     return order[:m], bounds[:m]
 
 
@@ -97,26 +117,27 @@ def kernel_outputs(kernel, rows, n, cands, kmin):
 @example(65, 0.9, 5, 2**64 | 1)
 def test_top_down_kernel_mirrors_the_bottom_up_one(n, density, seed, cands):
     # Rows numbered v -> n - 1 - v, as permute_by_degree numbers its
-    # per-label rows, coloured highest vertex first, must give the
-    # mirror image of the bottom-up order and the same bounds.  With
-    # k_min, each kernel must write exactly the suffix of its k_min = 0
-    # output whose bounds reach k_min, for every k_min up to colours + 1.
+    # per-label rows, coloured highest vertex first, must give the mirror
+    # image of the reference's lowest-first order and the same bounds, and
+    # so must colour_order, which numbers them so itself; the peel's test
+    # must count the reference's colours.  With k_min, the kernel must
+    # write exactly the suffix of its k_min = 0 output whose bounds reach
+    # k_min, for every k_min up to colours + 1.
     g = random_graph(n, density, seed)
     cands &= (1 << n) - 1
     top = n - 1
     rows = [sum(1 << (top - w) for w in iter_bits(g.adjacency[top - v])) for v in range(n)]
     below = [((1 << v) - 1) & ~row for v, row in enumerate(rows)]
     bit = [1 << v for v in range(n)]
+    assert mirrored_tables(n, g.edges()) == (below, bit)
     mirrored = sum(1 << (top - v) for v in iter_bits(cands))
-    order, bounds = kernel_outputs(colour_order_into, g.adjacency, n, cands, 0)
+    order, bounds = reference_colouring(g, cands)
     assert len(order) == cands.bit_count()
-    assert kernel_outputs(colour_top_down_into, (below, bit), n, mirrored, 0) == (
-        [top - v for v in order], bounds)
+    assert colour_order(g, cands) == (order, bounds)
+    if n:
+        assert _colours(g) == max(reference_colouring(g, (1 << n) - 1)[1])
     for kmin in range(max(bounds, default=0) + 2):
         keep = [i for i, bound in enumerate(bounds) if bound >= kmin]
         assert keep == list(range(len(bounds) - len(keep), len(bounds)))
-        suffix = [bounds[i] for i in keep]
-        assert kernel_outputs(colour_order_into, g.adjacency, n, cands, kmin) == (
-            [order[i] for i in keep], suffix)
-        assert kernel_outputs(colour_top_down_into, (below, bit), n, mirrored, kmin) == (
-            [top - order[i] for i in keep], suffix)
+        assert kernel_outputs((below, bit), n, mirrored, kmin) == (
+            [top - order[i] for i in keep], [bounds[i] for i in keep])

@@ -107,7 +107,7 @@ def test_split_root_fig1(fig1):
     colour_top_down_into(tables, (1 << 7) - 1, order, bounds, 0)
     # queue order is the sequential branch order: right to left over the
     # root colouring, the mirror image of the bottom-up one
-    assert [sp.prefix[0] for sp in subs] == list(reversed(order))
+    assert [sp.vertex for sp in subs] == list(reversed(order))
     assert [sp.bound for sp in subs] == list(reversed(bounds))
     permuted = build_graph(7, [(perm.inverse[u], perm.inverse[v]) for u, v in fig1.graph.edges()])
     result = colour_order(permuted, (1 << 7) - 1)
@@ -116,7 +116,7 @@ def test_split_root_fig1(fig1):
     # gone, and the rest intersect the branch vertex's neighbourhood
     remaining = (1 << 7) - 1
     for sp in subs:
-        v = sp.prefix[0]
+        v = sp.vertex
         assert rows[v] == sum(1 << (6 - w) for w in range(7) if permuted.adjacent(6 - v, w))
         assert sp.cands == remaining & rows[v]
         remaining &= ~(1 << v)
@@ -367,7 +367,7 @@ def test_unpicklable_worker_exception_keeps_its_message(fig1, monkeypatch):
     monkeypatch.setattr(par_mod, "_worker", failing)
     with pytest.raises(RuntimeError, match="^Unpicklable: worker failed$"):
         solve_parallel(fig1, 3, workers=2)
-    assert len(forks) == 2
+    assert len(forks) == 1
     assert no_children_left()
 
 
@@ -418,17 +418,19 @@ def count_forks(monkeypatch) -> list[int]:
 
 
 def test_no_more_children_than_units(fig1, monkeypatch):
-    # fig1 at budget 3 has four label subsets in each pass.
+    # fig1 at budget 3 has four label subsets in each pass: four workers,
+    # the parent and three children.
     forks = count_forks(monkeypatch)
     solution = solve_parallel(fig1, 3, workers=8)
     assert (solution.stats.subsets_pass1, solution.stats.subsets_pass2) == (4, 4)
-    assert len(forks) == 8
+    assert len(forks) == 6
     assert solution.stats.workers == len(solution.stats.worker_nodes) == 4
 
 
 def test_one_unit_pass_forks_nothing(fig1, monkeypatch):
     # At budget 4 = K pass 1 has the one subset C(4, 4), which runs in the
-    # parent; pass 2's level of C(4, 3) = 4 subsets forks two children.
+    # parent; pass 2's level of C(4, 3) = 4 subsets forks one child, the
+    # parent being its first worker.
     forks = count_forks(monkeypatch)
     per_pass = []
     run_pass = par_mod._run_pass
@@ -442,14 +444,15 @@ def test_one_unit_pass_forks_nothing(fig1, monkeypatch):
     monkeypatch.setattr(par_mod, "_run_pass", counting)
     solution = solve_parallel(fig1, 4, workers=2)
     assert (solution.size, solution.cost) == (5, 4)
-    assert per_pass == [(True, 1, 0), (False, 4, 2)]
+    assert per_pass == [(True, 1, 0), (False, 4, 1)]
 
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                     reason="placement needs at least two CPUs")
 def test_children_of_a_pass_take_distinct_cpus(monkeypatch):
     # Each child of a forked pass moves itself onto its own CPU of the
-    # parent's mask; the children report their calls through a pipe.
+    # parent's mask; the children report their calls through a pipe.  Of
+    # three workers, the parent is the first and two are children.
     cpus = os.sched_getaffinity(0)
     read, write = os.pipe()
     monkeypatch.setattr(os, "sched_setaffinity",
@@ -458,7 +461,7 @@ def test_children_of_a_pass_take_distinct_cpus(monkeypatch):
     by_label, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
     state = paper_state(by_label, True, 2)
     try:
-        par_mod._run_pass(2, split_root(state[1]), state, Incumbent())
+        par_mod._run_pass(3, split_root(state[1]), state, Incumbent())
     finally:
         os.close(write)
         with open(read) as stream:
@@ -475,7 +478,32 @@ def test_default_workers_follow_affinity(fig1, monkeypatch):
     assert not forks
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert solve_parallel(fig1, 3).stats.workers == 2
-    assert len(forks) == 4
+    assert len(forks) == 2
+
+
+def test_parent_runs_units_of_a_forked_pass(monkeypatch):
+    # The parent is each pass's first worker.  A child's _run_unit calls
+    # stay in the child, so the calls recorded here are the parent's; the
+    # children run theirs slowly, so the parent claims units while they run.
+    forks = count_forks(monkeypatch)
+    parent, ran = os.getpid(), []
+    run_unit = par_mod._run_unit
+
+    def recording(search, unit):
+        if os.getpid() == parent:
+            ran.append(unit)
+        else:
+            time.sleep(0.01)
+        return run_unit(search, unit)
+
+    monkeypatch.setattr(par_mod, "_run_unit", recording)
+    lg = random_instance(24, 0.6, 16, seed=2024)
+    seq, par = solve(lg, 2), solve_parallel(lg, 2, workers=2)
+    assert (par.size, par.cost) == (seq.size, seq.cost)
+    assert forks and par.stats.subsets_pass1 == 0
+    assert any(isinstance(unit, seq_mod.Subproblem) for unit in ran)
+    assert par.stats.worker_nodes[0] > 0
+    assert no_children_left()
 
 
 def test_worker_nodes_add_up():

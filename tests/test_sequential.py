@@ -275,6 +275,28 @@ def test_keller4_budget_one_node_count_frozen(keller4):
     assert solution.stats.nodes_pass2 == 0
 
 
+def test_paper_search_at_the_cost_limit_frozen():
+    # Sixteen labels leave every budget here to the paper's search, and
+    # its at-limit filter runs in both passes, whose branches there add no
+    # label.  Each node below such a branch still runs the label union and
+    # ANDs its filter over the whole clique, so these pins, taken when such
+    # subtrees skipped both, hold the search to the same tree and witness.
+    lg = random_instance(30, 0.7, 16, seed=0)
+    pins = {
+        3: (4, 2, [0, 10, 11, 25], 272, 38),
+        5: (5, 4, [7, 8, 11, 25, 29], 542, 272),
+        6: (6, 6, [6, 13, 18, 21, 22, 25], 490, 538),
+        7: (6, 6, [6, 13, 18, 21, 22, 25], 554, 635),
+        8: (7, 8, [4, 7, 8, 11, 15, 20, 25], 410, 540),
+    }
+    for budget, pin in pins.items():
+        solution = solve(lg, budget)
+        stats = solution.stats
+        assert (stats.subsets_pass1, stats.subsets_pass2) == (0, 0)
+        assert (solution.size, solution.cost, solution.clique,
+                stats.nodes_pass1, stats.nodes_pass2) == pin
+
+
 def test_subset_rule_needs_rows_no_wider_than_the_average_degree():
     # A circulant graph (v joined to v +- 1 and v +- 2) is 4-regular and
     # the peel keeps all of it.  Its C(2, 1) = 2 subsets never exceed the
@@ -398,8 +420,8 @@ def test_dense_graph_the_colouring_cannot_clear_still_peels(monkeypatch):
 
 
 def test_label_subset_search_reads_no_label_bits(monkeypatch):
-    # A sub-search runs closed from its root down: G_T's edges carry only
-    # T's labels, so no branch needs the label union, and the witness takes
+    # A sub-search needs no label union: G_T's edges carry only T's
+    # labels, so no branch can exceed the budget, and the witness takes
     # its labels from T's per-label rows.  The label dicts the union reads
     # are built only for a solve whose passes run the paper's search, once.
     lg = random_instance(30, 0.7, 4, seed=2026)
