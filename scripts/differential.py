@@ -6,6 +6,8 @@ runs in a fresh interpreter with only its own ``src`` on the path, solves
 every instance below with ``solve`` and with ``solve_parallel(workers=2)``,
 and prints one JSON line per instance.  This process then compares them:
 
+- the graph each side's ``parse_dimacs`` reads (vertex count, degrees and
+  edge list) and every edge's ``random_labels`` label must be equal;
 - ``solve``: witness, size, cost, label mask, ``nodes_pass1``,
   ``nodes_pass2``, ``subsets_pass1``, ``subsets_pass2`` and
   ``vertices_searched`` must be equal;
@@ -24,6 +26,7 @@ Exits 1 on any mismatch or failed re-check, 2 on bad arguments, 0 otherwise.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -38,7 +41,7 @@ from gen_keller4 import keller4_edges  # noqa: E402
 
 STATS_FIELDS = ("nodes_pass1", "nodes_pass2", "subsets_pass1", "subsets_pass2",
                 "vertices_searched")
-SOLVE_FIELDS = ("clique", "size", "cost", "labels", *STATS_FIELDS)
+SOLVE_FIELDS = ("ingest", "clique", "size", "cost", "labels", *STATS_FIELDS)
 
 
 def instances():
@@ -69,11 +72,13 @@ def instances():
 
 
 def build(spec, lc):
-    """The graph a spec names, built with the side's own ``build_graph``."""
+    """The graph a spec names, read by the side's own ``parse_dimacs`` from
+    DIMACS text that lists the edges in the order the family draws them:
+    ascending for keller4 and G(n, p), set order for the planted graphs."""
     kind, *args = spec
     if kind == "keller4":
-        return lc.build_graph(*keller4_edges())
-    if kind == "gnp":  # the tests' random_graph: splitmix64 draws, pair by pair
+        n, edges = keller4_edges()
+    elif kind == "gnp":  # the tests' random_graph: splitmix64 draws, pair by pair
         n, pct, state = args
         threshold = int(pct / 100 * (1 << 64))
         edges = []
@@ -81,13 +86,14 @@ def build(spec, lc):
             value, state = lc.splitmix_next(state)
             if value < threshold:
                 edges.append((u, v))
-        return lc.build_graph(n, edges)
-    n, seed = args  # about 1.5 n random pairs and one to three planted cliques
-    rng = random.Random(seed)
-    edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(3 * n // 2)}
-    for _ in range(rng.randint(1, 3)):
-        edges.update(combinations(sorted(rng.sample(range(n), rng.randint(3, 8))), 2))
-    return lc.build_graph(n, edges)
+    else:  # about 1.5 n random pairs and one to three planted cliques
+        n, seed = args
+        rng = random.Random(seed)
+        edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(3 * n // 2)}
+        for _ in range(rng.randint(1, 3)):
+            edges.update(combinations(sorted(rng.sample(range(n), rng.randint(3, 8))), 2))
+    return lc.parse_dimacs(f"p edge {n} {len(edges)}\n"
+                           + "".join(f"e {u + 1} {v + 1}\n" for u, v in edges))
 
 
 def checked(lc, lg, solution, budget: int) -> bool:
@@ -116,6 +122,10 @@ def run_side(root: str) -> None:
         seq = lc.solve(lg, budget)
         par = lc.solve_parallel(lg, budget, workers=2)
         row = {name: getattr(seq.stats, name) for name in STATS_FIELDS}
+        # Labelled apart from lg, so that lg's solves label only what they read.
+        read = (graph.n, graph.degrees, graph.edges(),
+                lc.random_labels(graph, num_labels, label_seed).labels())
+        row["ingest"] = hashlib.sha256(repr(read).encode()).hexdigest()
         row.update(clique=seq.clique, size=seq.size, cost=seq.cost, labels=seq.labels,
                    solve_ok=checked(lc, lg, seq, budget),
                    parallel=[par.size, par.cost], parallel_ok=checked(lc, lg, par, budget))

@@ -97,9 +97,16 @@ def cheap_rows(n: int, degree_sum: int) -> bool:
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Construct a :class:`Graph` from an edge list.  Duplicate edges
-    collapse to one; loops and out-of-range endpoints are rejected."""
+    collapse to one; loops and out-of-range endpoints are rejected.  A list
+    already in the graph's order, tuples (u, v) with 0 <= u < v < n strictly
+    ascending, becomes the graph's edge list as it is, with one pass to
+    check it and count degrees."""
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
+    if type(edges) is list:
+        degrees = _canonical_degrees(n, edges)
+        if degrees is not None:
+            return Graph(n, degrees, edges)
     # dict.fromkeys keeps the input's order, so sorted input sorts in linear time.
     canonical = sorted(dict.fromkeys((u, v) if u < v else (v, u) for u, v in edges))
     degrees = [0] * n
@@ -110,6 +117,24 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         degrees[u] += 1
         degrees[v] += 1
     return Graph(n, degrees, canonical)
+
+
+def _canonical_degrees(n: int, edges: list) -> list[int] | None:
+    """The degrees of ``edges`` if they are tuples (u, v) with
+    0 <= u < v < n, strictly ascending; None for any other list."""
+    degrees = [0] * n
+    last = (-1, n)  # below (u, v) iff u >= 0, given v < n
+    try:
+        for edge in edges:
+            u, v = edge
+            if not (last < edge and u < v < n):
+                return None
+            degrees[u] += 1
+            degrees[v] += 1
+            last = edge
+    except (TypeError, ValueError):  # not a tuple, not a pair, or not ints
+        return None
+    return degrees
 
 
 class LabelledGraph:

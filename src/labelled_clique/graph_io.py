@@ -21,7 +21,6 @@ import sys
 import warnings
 from collections.abc import Iterator, Sequence
 from importlib import resources
-from itertools import chain
 from pathlib import Path
 
 from .graph import MAX_LABELS, Graph, LabelledGraph, build_graph, build_labelled
@@ -36,6 +35,12 @@ _SPLITMIX_MUL2 = 0x94D049BB133111EB
 # not be able to demand gigabytes; the largest DIMACS clique benchmarks have
 # about 4,000 vertices.
 MAX_VERTICES = 1 << 20
+
+# Characters of DIMACS body tokenised at a time, and edge indices mixed at
+# a time by the label kernel: each bounds a transient that would otherwise
+# grow with the input.
+_CHUNK = 1 << 15
+_LANES = 1 << 10
 
 
 class ParseError(ValueError):
@@ -80,22 +85,33 @@ def _read_in_bulk(text: str) -> tuple[int, Graph]:
     """The declared edge count and graph of a text whose lines from the
     first ``e`` line on are all bare ``e u v``; ValueError for other text.
     Newline is the body's only line break and each line starts with ``e``,
-    which starts no token ``int`` takes, so ``e u v`` triples are lines."""
+    which starts no token ``int`` takes, so ``e u v`` triples are lines.
+
+    The body is checked and split in chunks of whole lines of about
+    :data:`_CHUNK` characters, so only one chunk's tokens are held at a
+    time; each distinct token is converted once, in the chunk where it
+    first appears, and every edge shares its vertex's int.
+    """
     cut = text.find("\ne") + 1
-    body = text[cut:]
-    lines = body.count("\ne") + 1
-    tokens = body.split()
-    if (not cut or body.count("\n") - body.endswith("\n") != lines - 1
-            or len(tokens) != 3 * lines or tokens[::3].count("e") != lines
-            or any(c in body for c in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")):
-        raise ValueError("not a body of bare 'e u v' lines")
+    if not cut:
+        raise ValueError("no 'e' line after the first line")
     n, declared, edges = _parse_lines(text[:cut])
-    us, vs = tokens[1::3], tokens[2::3]
-    del body, tokens  # free the token strings, the read's peak memory, before building
-    # A graph names each vertex in many edges: convert each distinct token once.
-    vertex = {token: int(token) - 1 for token in {*us, *vs}}.__getitem__
-    us, vs = list(map(vertex, us)), list(map(vertex, vs))
-    return declared, build_graph(n, chain(edges, zip(us, vs)))
+    vertex: dict[str, int] = {}
+    while cut < len(text):
+        end = text.find("\n", cut + _CHUNK) + 1 or len(text)
+        chunk = text[cut:end]
+        lines = chunk.count("\ne") + 1
+        tokens = chunk.split()
+        if (chunk[0] != "e" or chunk.count("\n") - chunk.endswith("\n") != lines - 1
+                or len(tokens) != 3 * lines or tokens[::3].count("e") != lines
+                or any(c in chunk for c in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")):
+            raise ValueError("not a body of bare 'e u v' lines")
+        us, vs = tokens[1::3], tokens[2::3]
+        for token in {*us, *vs}.difference(vertex):
+            vertex[token] = int(token) - 1
+        edges += zip(map(vertex.__getitem__, us), map(vertex.__getitem__, vs))
+        cut = end
+    return declared, build_graph(n, edges)
 
 
 def _parse_lines(text: str) -> tuple[int, int, list[tuple[int, int]]]:
@@ -239,12 +255,12 @@ def random_labels(g: Graph, num_labels: int, seed: int) -> LabelledGraph:
     :func:`splitmix_next` after ``i + 1`` steps is ``seed + (i + 1) * gamma``
     (Steele, Lea and Flood, 2014), so edge ``i`` is labelled when first read.
 
-    ``labels_at`` mixes all the edge indices it is given (each in [0, 2^64))
-    at once: each index takes a 128-bit lane of one int, so each step of
-    the mix is one big-int operation (SIMD within a register, Fisher and
-    Dietz 1998).  A 64-bit value times a 64-bit constant fits its lane, and
-    every lane is masked back to 64 bits before the next shift or multiply,
-    so no bit crosses into another lane and each value is
+    ``labels_at`` mixes the edge indices it is given (each in [0, 2^64))
+    :data:`_LANES` at a time: each index takes a 128-bit lane of one int, so
+    each step of the mix is one big-int operation (SIMD within a register,
+    Fisher and Dietz 1998).  A 64-bit value times a 64-bit constant fits its
+    lane, and every lane is masked back to 64 bits before the next shift or
+    multiply, so no bit crosses into another lane and each value is
     :func:`splitmix_next`'s.
     """
     from array import array  # here, so that importing the package does not load it
@@ -256,19 +272,23 @@ def random_labels(g: Graph, num_labels: int, seed: int) -> LabelledGraph:
     start = ((seed + _SPLITMIX_GAMMA) & _MASK64).to_bytes(16, order)
     ones = _MASK64.to_bytes(16, order)
 
-    def labels_at(at: Sequence[int]) -> list[int]:
+    def mix(at: Sequence[int]) -> list[int]:
         count = len(at)
         words = array("Q", bytes(16 * count))
         words[low::2] = array("Q", at)
         z = int.from_bytes(words, order)
-        del words
         mask = int.from_bytes(ones * count, order)
         z = z * _SPLITMIX_GAMMA + int.from_bytes(start * count, order) & mask
         z = ((z ^ z >> 30) & mask) * _SPLITMIX_MUL1 & mask
         z = ((z ^ z >> 27) & mask) * _SPLITMIX_MUL2 & mask
         words = array("Q", (z ^ z >> 31).to_bytes(16 * count, order))
-        del z, mask
         return [value % num_labels for value in words[low::2]]
+
+    def labels_at(at: Sequence[int]) -> list[int]:
+        labels: list[int] = []
+        for block in range(0, len(at), _LANES):
+            labels += mix(at[block:block + _LANES])
+        return labels
 
     return LabelledGraph(g, num_labels, labels_at=labels_at)
 

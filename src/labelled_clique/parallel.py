@@ -6,14 +6,15 @@ order: the label subsets of :func:`sequential._pass_subsets` or, when a
 pass runs the paper's search, the root branches of :func:`split_root`;
 early root branches hold most of the work.  The parent forks one child per
 worker after the first and is that first worker itself, as in lazy task
-creation, where the spawning thread works too.  Each worker claims the
-next unit from a shared counter, lifts its bound to the best 64-bit
-``incumbent_key`` any worker has published, runs the unit and publishes
-its improvements; a dead unit ends the pass for every worker.  A child's
-witness stays its own and comes back through a pipe with its node count
-and the outcomes of its sub-searches; the parent keeps the best witness,
-its own included, forks pass 2 from it, and skips the subsets the
-outcomes refute.
+creation, where the spawning thread works too.  Worker i runs on CPU i of
+the parent's mask, and the parent gets its mask back after the pass.
+Each worker claims the next unit from a shared counter, lifts its bound
+to the best 64-bit ``incumbent_key`` any worker has published, runs the
+unit and publishes its improvements; a dead unit ends the pass for every
+worker.  A child's witness stays its own and comes back through a pipe
+with its node count and the outcomes of its sub-searches; the parent
+keeps the best witness, its own included, forks pass 2 from it, and
+skips the subsets the outcomes refute.
 
 Node counts vary with scheduling; (size, cost) always equals the
 sequential result, both being optimal.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import suppress
 from functools import partial
 
 # permute_by_degree is unused here, but perfbench/layers.py wraps it by name.
@@ -108,23 +110,34 @@ def _worker(state) -> None:
     state[-1].append(_claim(state[:-1]))
 
 
+def _pin(index: int) -> set[int] | None:
+    """Move this process onto the ``index``-th CPU of its mask, modulo
+    their count, and return the mask it had; None where it cannot move.
+
+    Worker ``index`` of a pass takes CPU ``index``, the parent being worker
+    0: left to the scheduler, processes forked from one parent can share a
+    CPU.  The parent moves only after forking, or its children would
+    inherit its one-CPU mask."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        mask = os.sched_getaffinity(0)
+        cpus = sorted(mask)
+        os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+    except OSError:
+        return None
+    return mask
+
+
 def _child(write: int, state, index: int) -> None:
     """Run ``_worker`` in a forked child and send its result, or the
     exception it raised, through ``write``.  Never returns.
 
-    The ``index``-th worker of a pass first moves onto the ``index``-th CPU
-    of its mask, modulo their count: left to the scheduler, the children of
-    a pass forked from one process can share a CPU.  The parent is worker
-    0 and stays where it is."""
+    The child first moves onto its own CPU (:func:`_pin`)."""
     try:
         import pickle
 
-        if hasattr(os, "sched_setaffinity"):
-            try:
-                cpus = sorted(os.sched_getaffinity(0))
-                os.sched_setaffinity(0, {cpus[index % len(cpus)]})
-            except OSError:
-                pass
+        _pin(index)
         try:
             _worker(state)
             data = pickle.dumps((True, state[-1][0]))
@@ -146,13 +159,15 @@ def _run_pass(workers: int, units, state, best: Incumbent) -> tuple[int, list, l
     no more workers than units.  Merges their witnesses into ``best``, this
     process's first, and returns the nodes they searched, their
     sub-searches' outcomes and each worker's nodes.  Every child has been
-    reaped when this returns or raises."""
+    reaped, and this process's CPU mask restored, when this returns or
+    raises."""
     import pickle
     import signal
 
     shared = _Shared(best.key)
     pids: list[int] = []
     reads: list[int] = []
+    mask = None
     try:
         for index in range(1, min(workers, len(units))):
             read, write = os.pipe()
@@ -164,6 +179,8 @@ def _run_pass(workers: int, units, state, best: Incumbent) -> tuple[int, list, l
             finally:
                 os.close(write)
             pids.append(pid)
+        if pids:
+            mask = _pin(0)
         results = [_claim((shared, units, *state))]
         for read in reads:
             with open(read, "rb", closefd=False) as stream:
@@ -189,6 +206,9 @@ def _run_pass(workers: int, units, state, best: Incumbent) -> tuple[int, list, l
         for read in reads:
             os.close(read)
         shared.close()
+        if mask is not None:
+            with suppress(OSError):
+                os.sched_setaffinity(0, mask)
 
 
 def solve_parallel(

@@ -1,5 +1,7 @@
 import time
+import tracemalloc
 import warnings
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -239,9 +241,32 @@ def spelled_bodies(draw):
     return f"p edge {n} {len(lines)}\n" + "\n".join(lines) + "\n"
 
 
+@st.composite
+def canonical_bodies(draw):
+    """DIMACS text of edges in the order ``write_dimacs`` writes them, with
+    at most one line reversed, repeated, looped or out of range."""
+    n = draw(st.integers(2, 14))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), max_size=24)))
+    defect = draw(st.sampled_from(["none", "reversed", "duplicate", "loop", "low", "high"]))
+    if edges and defect != "none":
+        i = draw(st.integers(0, len(edges) - 1))
+        u, v = edges[i]
+        edges[i:i + 1] = {"reversed": [(v, u)], "duplicate": [(u, v), (u, v)], "loop": [(u, u)],
+                          "low": [(0, v)], "high": [(u, n + 1)]}[defect]
+    lines = [f"e {u} {v}" for u, v in edges]
+    return f"p edge {n} {len(lines)}\n" + "\n".join(lines) + "\n"
+
+
+_LATER_CHUNK = "p edge 9 9\n" + "".join(f"e {u} {u + 1}\n" for u in range(1, 8))
+
+
 def test_bulk_read_matches_the_line_parser_token_for_token(monkeypatch):
     # parse_dimacs converts each distinct token of a bare body once; its
-    # graph, or its error, is the line parser's with build_graph after it.
+    # graph, or its error, is the line parser's with build_graph's
+    # dedupe-and-sort path after it.  The body is read in chunks of two or
+    # three lines here, so most bodies span several chunks.
+    monkeypatch.setattr(graph_io, "_CHUNK", 12)
     outcomes, taken, bulk = [], [], graph_io._read_in_bulk
 
     def spy(text):
@@ -251,13 +276,21 @@ def test_bulk_read_matches_the_line_parser_token_for_token(monkeypatch):
 
     monkeypatch.setattr(graph_io, "_read_in_bulk", spy)
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(spelled_bodies())
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(spelled_bodies(), canonical_bodies()))
     @example("p edge 12 4\ne 01 +3\ne 1_0 \u0663\ne 3 1\ne 10 12\n")
+    @example(_LATER_CHUNK + "e 8 x\n")  # a bad line in the fourth chunk
+    @example(_LATER_CHUNK + "e 8 9 9\n")
+    @example(_LATER_CHUNK + "e 8\ne 1 9\n")
+    @example(_LATER_CHUNK + "e 8 9\nx 1 9\n")
+    @example(_LATER_CHUNK + "e 9 8\n")
+    @example(_LATER_CHUNK + "e 7 8\n")
+    @example(_LATER_CHUNK + "e 8 8\n")
+    @example(_LATER_CHUNK + "e 8 10\n")
     def check(text):
         try:
             n, _, edges = _parse_lines(text)
-            graph = build_graph(n, edges)
+            graph = build_graph(n, iter(edges))  # an iterator takes the sorting path
             want = (graph.edges(), graph.degrees)
         except ParseError as exc:
             want = str(exc)
@@ -272,12 +305,46 @@ def test_bulk_read_matches_the_line_parser_token_for_token(monkeypatch):
         outcomes.append((text, isinstance(want, str)))
 
     check()
+    with pytest.raises(ParseError, match="^line 9: non-integer vertex$"):
+        parse_dimacs(_LATER_CHUNK + "e 8 x\n")
     graphs = [text for text, failed in outcomes if not failed and "\ne" in text]
     assert len(graphs) >= 50 and len(outcomes) - len(graphs) >= 50
+    assert sum(text.count("\n") > 4 for text in graphs) >= 50
     # The bulk read, not its fallback, took every body that makes a graph,
     # spelling vertices every way.
     assert taken == graphs
     assert all(any(mark in text for text in taken) for mark in ("+", "_", " 0", "\u0661"))
+
+
+def traced(call):
+    """``call()``, and the bytes it allocated and kept and its allocation
+    peak, both counted from the call's start (``tracemalloc``)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept - start, peak - start
+
+
+def test_parse_holds_one_chunk_of_tokens_at_a_time():
+    # 100,128 lines of write_dimacs's order: with every token of the body
+    # held at once, the parse peaked 9.0 MB above the graph it kept.
+    text = write_dimacs(build_graph(448, combinations(range(448), 2)))
+    graph, kept, peak = traced(lambda: parse_dimacs(text))
+    assert graph.edge_count() == 100_128
+    assert peak - kept < 3_000_000
+
+
+def test_labels_mix_a_block_of_lanes_at_a_time():
+    # Mixing all 100,000 lanes in one int peaked at 8.5 MB; the labels kept
+    # take 0.8 MB.
+    lg = random_labels(build_graph(2, [(0, 1)]), 64, seed=5)
+    labels, _, peak = traced(lambda: lg.labels_at(range(100_000)))
+    assert len(labels) == 100_000
+    assert peak < 3_000_000
 
 
 def test_every_graph_lists_its_edges_sorted_and_unique():

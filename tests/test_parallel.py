@@ -447,28 +447,45 @@ def test_one_unit_pass_forks_nothing(fig1, monkeypatch):
     assert per_pass == [(True, 1, 0), (False, 4, 1)]
 
 
-@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
-                    reason="placement needs at least two CPUs")
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="placement needs CPU masks")
 def test_children_of_a_pass_take_distinct_cpus(monkeypatch):
-    # Each child of a forked pass moves itself onto its own CPU of the
-    # parent's mask; the children report their calls through a pipe.  Of
-    # three workers, the parent is the first and two are children.
-    cpus = os.sched_getaffinity(0)
+    # Worker i of a forked pass moves onto CPU i of the mask: each child
+    # onto its own, and the parent, worker 0, onto the first once its
+    # children are forked.  The parent gets its mask back when the pass
+    # ends, also when it raises.  Every process reports its calls through a
+    # pipe; the mask is a stand-in with a CPU per worker, and nothing moves.
+    mask, parent = {3, 5, 6, 9}, os.getpid()
     read, write = os.pipe()
-    monkeypatch.setattr(os, "sched_setaffinity",
-                        lambda pid, mask: os.write(write, f"{pid}:{sorted(mask)}\n".encode()))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: os.write(
+        write, f"{'parent' if os.getpid() == parent else 'child'} {sorted(cpus)}\n".encode()))
     lg = random_instance(24, 0.6, 16, seed=2024)
     by_label, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
     state = paper_state(by_label, True, 2)
+    units = split_root(state[1])
+    assert len(units) >= 4
+    claim = par_mod._claim
+
+    def failing(state):
+        if os.getpid() == parent:
+            raise RuntimeError("the parent's claim loop failed")
+        return claim(state)
+
     try:
-        par_mod._run_pass(3, split_root(state[1]), state, Incumbent())
+        par_mod._run_pass(4, units, state, Incumbent())
+        monkeypatch.setattr(par_mod, "_claim", failing)
+        with pytest.raises(RuntimeError, match="the parent's claim loop failed"):
+            par_mod._run_pass(4, units, state, Incumbent())
     finally:
         os.close(write)
         with open(read) as stream:
             calls = stream.read().splitlines()
-    assert os.sched_getaffinity(0) == cpus
-    placed = {f"0:{[cpu]}" for cpu in cpus}
-    assert len(calls) == len(set(calls)) == 2 and set(calls) <= placed
+    own = [call for call in calls if call.startswith("parent")]
+    assert own == ["parent [3]", "parent [3, 5, 6, 9]"] * 2
+    # The second pass may kill its children before they move.
+    children = [call for call in calls if call.startswith("child")]
+    assert sorted(children[:3]) == ["child [5]", "child [6]", "child [9]"]
+    assert set(children) == set(children[:3]) and len(children) <= 6
 
 
 def test_default_workers_follow_affinity(fig1, monkeypatch):
