@@ -17,8 +17,10 @@ and prints one JSON line per instance.  This process then compares them:
 
 The instance families: criterion 3's oracle grid at every budget; keller4
 at K = 4, 8 and 16 over budgets that decompose and that run the paper's
-search; seeded sparse graphs with planted cliques; and dense G(n, p)
-graphs with K = 8-20, most of whose budgets run the paper's search.
+search; seeded sparse graphs with planted cliques; dense G(n, p) graphs
+with K = 8-20, most of whose budgets run the paper's search; and G(n, p)
+graphs of 100-200 vertices plus one pendant vertex, whose minimum degree
+of 1 rules out the colouring test, so the peel runs on cheap rows.
 
 Usage: python scripts/differential.py OLD_CHECKOUT NEW_CHECKOUT
 Exits 1 on any mismatch or failed re-check, 2 on bad arguments, 0 otherwise.
@@ -69,16 +71,22 @@ def instances():
         n, pct, num_labels = rng.randint(30, 50), rng.randint(50, 85), rng.choice((8, 12, 16, 20))
         for budget in sorted({max(1, num_labels * q // 4) for q in (1, 2, 3)}):
             yield "dense", ("gnp", n, pct, 20_000 + sample), num_labels, sample, budget
+    for sample in range(40):
+        rng = random.Random(30_000 + sample)
+        n, pct, num_labels = rng.randint(100, 200), rng.randint(30, 60), rng.randint(3, 5)
+        for budget in range(1, num_labels + 1):
+            yield "peel", ("peel", n, pct, 40_000 + sample), num_labels, sample, budget
 
 
 def build(spec, lc):
     """The graph a spec names, read by the side's own ``parse_dimacs`` from
     DIMACS text that lists the edges in the order the family draws them:
-    ascending for keller4 and G(n, p), set order for the planted graphs."""
+    ascending for keller4 and G(n, p) (the pendant edge last), set order
+    for the planted graphs."""
     kind, *args = spec
     if kind == "keller4":
         n, edges = keller4_edges()
-    elif kind == "gnp":  # the tests' random_graph: splitmix64 draws, pair by pair
+    elif kind in ("gnp", "peel"):  # the tests' random_graph: splitmix64 draws, pair by pair
         n, pct, state = args
         threshold = int(pct / 100 * (1 << 64))
         edges = []
@@ -86,6 +94,9 @@ def build(spec, lc):
             value, state = lc.splitmix_next(state)
             if value < threshold:
                 edges.append((u, v))
+        if kind == "peel":  # vertex n, joined to vertex 0 alone
+            n += 1
+            edges.append((0, n - 1))
     else:  # about 1.5 n random pairs and one to three planted cliques
         n, seed = args
         rng = random.Random(seed)

@@ -180,7 +180,11 @@ class LabelledGraph:
         edged = g.n - g.degrees.count(0)
         if self._bits is None and sum(g.degrees[v] > 0 for v in vertices) < edged:
             edges = g.edges()
-            at = [i for i, (u, v) in enumerate(edges) if u in vertices and v in vertices]
+            # Edge (u, v) lies in u's slice of the sorted list, which
+            # starts at (u,) and ends before (u + 1,).
+            at = [i for u in vertices
+                  for i in range(bisect_left(edges, (u,)), bisect_left(edges, (u + 1,)))
+                  if edges[i][1] in vertices]
             return self._add(defaultdict(dict), at)
         return self.label_bits
 
@@ -202,8 +206,7 @@ class LabelledGraph:
 
     def edge_label_map(self) -> dict[tuple[int, int], int]:
         """Mapping (u, v) with u < v -> label index, for IO and reports."""
-        edges = self.graph.edges()
-        return {edge: mask.bit_length() - 1 for edge, mask in zip(edges, self.masks(edges))}
+        return dict(zip(self.graph.edges(), self.labels()))
 
     def __repr__(self) -> str:
         return f"LabelledGraph({self.graph!r}, num_labels={self.num_labels})"
@@ -330,24 +333,28 @@ def greedy_clique_size(lg: LabelledGraph, budget: int) -> int:
     return best
 
 
-def _core_rows(lg: LabelledGraph, k: int) -> dict[int, set[int]]:
-    """Each vertex of the k-core, mapped to its neighbours in the k-core.
+def _core_rows(lg: LabelledGraph, k: int) -> dict[int, list[int]]:
+    """Each vertex of the k-core, mapped to a list of its neighbours in the
+    k-core.
 
     On the edges among the vertices of degree ``k`` or more, vertices of
     degree below ``k`` are peeled one at a time, each leaving its
     neighbours' rows and peeling those that fall below ``k``: the O(m)
-    peel of Batagelj and Zaversnik (2003), for this one ``k`` only.
+    peel of Batagelj and Zaversnik (2003), for this one ``k`` only.  A
+    vertex is removed from a row only while it is peeled, and then it is
+    still in the row of every neighbour left in its own, so each
+    ``list.remove`` finds it.
     """
-    rows: list[set[int] | None] = [set() if d >= k else None for d in lg.graph.degrees]
+    rows: list[list[int] | None] = [[] if d >= k else None for d in lg.graph.degrees]
     for u, v in lg.graph.edges():
         if rows[u] is not None and rows[v] is not None:
-            rows[u].add(v)
-            rows[v].add(u)
+            rows[u].append(v)
+            rows[v].append(u)
     peeled = [v for v, row in enumerate(rows) if row is not None and len(row) < k]
     for v in peeled:
         for w in rows[v]:
             row = rows[w]
-            row.discard(v)
+            row.remove(v)
             if len(row) == k - 1:  # only once, and never for a peeled vertex
                 peeled.append(w)
     return {v: row for v, row in enumerate(rows) if row is not None and len(row) >= k}
@@ -367,19 +374,22 @@ def truss(lg: LabelledGraph, k: int) -> set[int]:
     Every edge of a (k + 1)-clique lies in k - 1 of the clique's own
     triangles, so such a clique keeps all its vertices here.  One sweep
     first drops every edge in no triangle, which takes no triangle with
-    it; a sparse graph has few triangles, so few edges are left.  Then
-    every edge in too few triangles goes at once, and after that only the
-    edges at a vertex that lost one can have lost a triangle.
+    it; a sparse graph has few triangles, so few edges are left.  The
+    sweep holds one vertex's neighbours as a set at a time and tests it
+    against each neighbour's list.  Then every edge in too few triangles
+    goes at once, and after that only the edges at a vertex that lost one
+    can have lost a triangle.
     """
     rows = _core_rows(lg, k)
     if k < 2:
         return set(rows)
-    get = rows.__getitem__
     strong: dict[int, set[int]] = defaultdict(set)
-    for v, w in [(v, w) for v, row in rows.items() for w in row
-                 if v < w and not row.isdisjoint(get(w))]:
-        strong[v].add(w)
-        strong[w].add(v)
+    for v, row in rows.items():
+        mine = set(row)
+        for w in row:
+            if v < w and not mine.isdisjoint(rows[w]):
+                strong[v].add(w)
+                strong[w].add(v)
     touched = set(strong)
     while touched:
         weak = [(v, w) for v in touched for w in strong[v] if len(strong[v] & strong[w]) < k - 1]

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -60,6 +61,36 @@ def planted_sparse_graph(n: int, ratio: float, seed: int,
 def random_instance(n: int, density: float, num_labels: int, seed: int) -> LabelledGraph:
     g = random_graph(n, density, seed)
     return random_labels(g, num_labels, seed + 1_000_003)
+
+
+def collaboration_scale_graph(n=7000, extra_edges=12000, seed=42):
+    """Sparse random graph at Erdos-collaboration scale with a planted
+    8-clique so the search has something to find."""
+    state = seed
+    edges = set()
+    while len(edges) < extra_edges:
+        a, state = splitmix_next(state)
+        b, state = splitmix_next(state)
+        u, v = a % n, b % n
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    for i in range(8):
+        for j in range(i + 1, 8):
+            edges.add((i, j))
+    return build_graph(n, sorted(edges))
+
+
+def traced(call):
+    """``call()``, and the bytes it allocated and kept and its allocation
+    peak, both counted from the call's start (``tracemalloc``)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept - start, peak - start
 
 
 def paper_state(by_label: list[list[int]], first_pass: bool, budget: int) -> tuple:

@@ -35,7 +35,7 @@ import labelled_clique.sequential as seq_mod
 from labelled_clique.cli import EXIT_OK, main
 from labelled_clique.oracle import oracle_solve
 
-from conftest import random_graph, random_instance
+from conftest import collaboration_scale_graph, random_graph, random_instance
 
 
 def criterion3_grid():
@@ -233,25 +233,8 @@ def test_criterion_7_keller4_performance_smoke(keller4):
     print(f"ACCEPTANCE 7: PASS (30 keller4 runs, worst sequential {worst_seq:.2f}s < 60s)")
 
 
-def _collaboration_scale_graph(n=7000, extra_edges=12000, seed=42):
-    """Sparse random graph at Erdos-collaboration scale with a planted
-    8-clique so the search has something to find."""
-    state = seed
-    edges = set()
-    while len(edges) < extra_edges:
-        a, state = splitmix_next(state)
-        b, state = splitmix_next(state)
-        u, v = a % n, b % n
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    for i in range(8):
-        for j in range(i + 1, 8):
-            edges.add((i, j))
-    return build_graph(n, sorted(edges))
-
-
 def test_criterion_8_large_sparse_graphs():
-    graph = _collaboration_scale_graph()
+    graph = collaboration_scale_graph()
     assert graph.n == 7000
     assert 11_000 <= graph.edge_count() <= 13_000
     worst = 0.0
@@ -286,7 +269,7 @@ def test_criterion_8_ingest_builds_no_unpermuted_rows(monkeypatch):
     heads = []
     parse_lines = graph_io._parse_lines
     monkeypatch.setattr(graph_io, "_parse_lines", lambda text: heads.append(text) or parse_lines(text))
-    graph = parse_dimacs(write_dimacs(_collaboration_scale_graph()))
+    graph = parse_dimacs(write_dimacs(collaboration_scale_graph()))
     assert heads == ["p edge 7000 12028\n"]
     lg = random_labels(graph, 5, seed=5 * 31 + 2)
     sequential = solve(lg, 2)
@@ -309,7 +292,7 @@ def test_criterion_8_verify_builds_no_rows(tmp_path, monkeypatch, capsys):
     # verify checks the witness's pairs once, on the edge list, so a
     # 5-vertex witness on 7,000 vertices builds no bitset row.
     path = tmp_path / "collab.clq"
-    path.write_text(write_dimacs(_collaboration_scale_graph()))
+    path.write_text(write_dimacs(collaboration_scale_graph()))
     parse, graphs = graph_io.parse_dimacs, []
     monkeypatch.setattr(graph_io, "parse_dimacs",
                         lambda text: graphs.append(parse(text)) or graphs[-1])
@@ -325,7 +308,7 @@ def test_criterion_8_peeled_cell_labels_only_what_it_reads():
     # its 8 vertices.  The greedy labels the edges among its starts and
     # their neighbours, the permutation and the witness check the 28 edges
     # of the clique; the unpermuted label rows are never built.
-    graph = parse_dimacs(write_dimacs(_collaboration_scale_graph()))
+    graph = parse_dimacs(write_dimacs(collaboration_scale_graph()))
     lg = random_labels(graph, 4, seed=4 * 31 + 4)
     labels_at, counts = lg.labels_at, []
     lg.labels_at = lambda at: counts.append(len(at)) or labels_at(at)
@@ -357,7 +340,7 @@ def label_digest(lg) -> str:
 def test_label_digests_are_pinned(keller4):
     # The labels of criterion 8's nine cells and of the keller4 benchmark
     # pools, frozen from the one-edge-at-a-time splitmix64 labeller.
-    graph = _collaboration_scale_graph()
+    graph = collaboration_scale_graph()
     assert {(k, b): label_digest(random_labels(graph, k, seed=k * 31 + b))
             for k in (3, 4, 5) for b in (2, 3, 4)} == {
         (3, 2): "2ca3395c79742963", (3, 3): "b2d407962144e88d", (3, 4): "6c98036b96d7be81",
@@ -407,7 +390,7 @@ def test_keller4_cells_skip_the_greedy_and_build_no_label_dicts(keller4, monkeyp
 def test_criterion_8_label_file_checks_use_the_edge_list():
     # parse_labels and build_labelled find each labelled edge in the sorted
     # edge list, so reading a label file builds no rows of the graph.
-    graph = _collaboration_scale_graph()
+    graph = collaboration_scale_graph()
     lg = random_labels(graph, 5, seed=5 * 31 + 2)
     back = parse_labels(write_labels(lg), graph)
     assert graph._rows is None

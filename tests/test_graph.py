@@ -18,7 +18,8 @@ import labelled_clique.graph as graph_mod
 from labelled_clique.graph import (cheap_rows, core, greedy_clique_size, iter_bits,
                                    reduce_to_core, truss)
 
-from conftest import planted_sparse_graph, random_graph, random_instance
+from conftest import (collaboration_scale_graph, planted_sparse_graph, random_graph,
+                      random_instance, traced)
 
 
 def triangle_labelled(num_labels=1, labels=(0, 0, 0)):
@@ -182,11 +183,17 @@ def test_whole_permutation_fills_the_rows_the_kept_one_builds():
 
 
 def test_core_matches_networkx_and_is_stable():
-    for seed in range(6):
-        g = random_graph(40, 0.05 + 0.05 * seed, seed)
+    # Sparse graphs, and dense ones plus a pendant vertex, whose peel
+    # removes vertices from rows of about 75 neighbours: near k = 60 it
+    # drops a few, and a little above it cascades until nothing is left.
+    cases = [(random_graph(40, 0.05 + 0.05 * seed, seed), range(8)) for seed in range(6)]
+    for seed in range(3):
+        dense = random_graph(150, 0.5, seed)
+        cases.append((build_graph(151, [*dense.edges(), (0, 150)]), [10, 40, *range(55, 66), 70]))
+    for seed, (g, ks) in enumerate(cases):
         reference = nx.Graph(list(g.edges()))
         reference.add_nodes_from(range(g.n))
-        for k in range(8):
+        for k in ks:
             alive = core(random_labels(g, 1, seed), k)
             assert alive == set(nx.k_core(reference, k))
             mask = sum(1 << v for v in alive)
@@ -213,6 +220,16 @@ def test_truss_matches_networkx():
             assert kept == {v for v, d in edged.degree if d}
             shrank += kept < core(random_labels(g, 1, seed), k)
     assert shrank > 100
+
+
+def test_truss_holds_one_set_of_neighbours_at_a_time():
+    # Criterion 8's graph at k = 2: a set of neighbours for each of its
+    # thousands of vertices of degree 2 or more peaked at 2.80 MB; lists,
+    # and one set at a time in the triangle sweep, peak at 1.23 MB.
+    lg = random_labels(collaboration_scale_graph(), 4, seed=0)
+    kept, _, peak = traced(lambda: truss(lg, 2))
+    assert kept >= set(range(8))
+    assert peak < 1_800_000
 
 
 def test_peel_with_cheap_rows_runs_no_triangle_step(monkeypatch):

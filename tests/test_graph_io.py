@@ -1,5 +1,4 @@
 import time
-import tracemalloc
 import warnings
 from itertools import combinations
 
@@ -26,7 +25,7 @@ from labelled_clique import (
 import labelled_clique.graph_io as graph_io
 from labelled_clique.graph_io import MAX_VERTICES, _parse_lines
 
-from conftest import random_graph
+from conftest import random_graph, traced
 
 # First outputs of the pinned splitmix64 stream, frozen from two independent
 # implementations (Python big-int and C uint64) of the three-step formula.
@@ -314,19 +313,6 @@ def test_bulk_read_matches_the_line_parser_token_for_token(monkeypatch):
     # spelling vertices every way.
     assert taken == graphs
     assert all(any(mark in text for text in taken) for mark in ("+", "_", " 0", "\u0661"))
-
-
-def traced(call):
-    """``call()``, and the bytes it allocated and kept and its allocation
-    peak, both counted from the call's start (``tracemalloc``)."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        result = call()
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, kept - start, peak - start
 
 
 def test_parse_holds_one_chunk_of_tokens_at_a_time():
