@@ -338,26 +338,32 @@ def _core_rows(lg: LabelledGraph, k: int) -> dict[int, list[int]]:
     k-core.
 
     On the edges among the vertices of degree ``k`` or more, vertices of
-    degree below ``k`` are peeled one at a time, each leaving its
-    neighbours' rows and peeling those that fall below ``k``: the O(m)
-    peel of Batagelj and Zaversnik (2003), for this one ``k`` only.  A
-    vertex is removed from a row only while it is peeled, and then it is
-    still in the row of every neighbour left in its own, so each
-    ``list.remove`` finds it.
+    degree below ``k`` are peeled one at a time, each lowering its
+    neighbours' counts of live neighbours and peeling those that fall
+    below ``k``: the O(m) peel of Batagelj and Zaversnik (2003), for this
+    one ``k`` only.  Nothing leaves a row during the peel, so a hub costs
+    its degree; a survivor that lost a neighbour has its row filtered
+    once at the end.
     """
     rows: list[list[int] | None] = [[] if d >= k else None for d in lg.graph.degrees]
     for u, v in lg.graph.edges():
         if rows[u] is not None and rows[v] is not None:
             rows[u].append(v)
             rows[v].append(u)
-    peeled = [v for v, row in enumerate(rows) if row is not None and len(row) < k]
+    live = [0 if row is None else len(row) for row in rows]
+    peeled = [v for v, d in enumerate(live) if d < k and rows[v] is not None]
     for v in peeled:
         for w in rows[v]:
-            row = rows[w]
-            row.remove(v)
-            if len(row) == k - 1:  # only once, and never for a peeled vertex
+            live[w] -= 1
+            if live[w] == k - 1:  # only once, and never for a peeled vertex
                 peeled.append(w)
-    return {v: row for v, row in enumerate(rows) if row is not None and len(row) >= k}
+    core_rows: dict[int, list[int]] = {}
+    for v, row in enumerate(rows):
+        if live[v] >= k:
+            if live[v] < len(row):
+                row = rows[v] = [w for w in row if live[w] >= k]
+            core_rows[v] = row
+    return core_rows
 
 
 def core(lg: LabelledGraph, k: int) -> set[int]:
@@ -375,19 +381,22 @@ def truss(lg: LabelledGraph, k: int) -> set[int]:
     triangles, so such a clique keeps all its vertices here.  One sweep
     first drops every edge in no triangle, which takes no triangle with
     it; a sparse graph has few triangles, so few edges are left.  The
-    sweep holds one vertex's neighbours as a set at a time and tests it
-    against each neighbour's list.  Then every edge in too few triangles
-    goes at once, and after that only the edges at a vertex that lost one
-    can have lost a triangle.
+    sweep holds one vertex's neighbours as a set at a time and tests each
+    edge once, from its end with the longer row, against the other end's
+    list, so a hub costs its degree and not its degree squared.  Then
+    every edge in too few triangles goes at once, and after that only the
+    edges at a vertex that lost one can have lost a triangle.
     """
     rows = _core_rows(lg, k)
     if k < 2:
         return set(rows)
     strong: dict[int, set[int]] = defaultdict(set)
     for v, row in rows.items():
-        mine = set(row)
+        mine, d = set(row), len(row)
         for w in row:
-            if v < w and not mine.isdisjoint(rows[w]):
+            other = rows[w]
+            e = len(other)
+            if (e < d or e == d and w < v) and not mine.isdisjoint(other):
                 strong[v].add(w)
                 strong[w].add(v)
     touched = set(strong)

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import networkx as nx
@@ -184,7 +185,7 @@ def test_whole_permutation_fills_the_rows_the_kept_one_builds():
 
 def test_core_matches_networkx_and_is_stable():
     # Sparse graphs, and dense ones plus a pendant vertex, whose peel
-    # removes vertices from rows of about 75 neighbours: near k = 60 it
+    # takes vertices out of rows of about 75 neighbours: near k = 60 it
     # drops a few, and a little above it cascades until nothing is left.
     cases = [(random_graph(40, 0.05 + 0.05 * seed, seed), range(8)) for seed in range(6)]
     for seed in range(3):
@@ -225,11 +226,34 @@ def test_truss_matches_networkx():
 def test_truss_holds_one_set_of_neighbours_at_a_time():
     # Criterion 8's graph at k = 2: a set of neighbours for each of its
     # thousands of vertices of degree 2 or more peaked at 2.80 MB; lists,
-    # and one set at a time in the triangle sweep, peak at 1.23 MB.
+    # and one set at a time in the triangle sweep, peak at 1.29 MB.
     lg = random_labels(collaboration_scale_graph(), 4, seed=0)
     kept, _, peak = traced(lambda: truss(lg, 2))
     assert kept >= set(range(8))
     assert peak < 1_800_000
+
+
+def test_peel_and_truss_cost_a_hub_its_degree():
+    # A hub joined to both ends of 20,000 leaf pairs (a windmill of
+    # triangles) and to 20,000 spokes, each with a pendant leaf of its own,
+    # ordered so that the spokes leave the hub's row from its end.  At
+    # k = 2 the spokes go, and every triangle edge has the hub at one end:
+    # testing it from the leaf's side against the hub's whole row, or
+    # deleting each spoke from that row, costs the hub's degree squared
+    # (17 s for both), where counting the peel down and testing each edge
+    # from its longer row take about 0.2 s.
+    pairs, spokes = 20_000, 20_000
+    hub, first_spoke = 2 * pairs, 2 * pairs + 1
+    n = first_spoke + 2 * spokes
+    edges = [(u, hub) for u in range(2 * pairs)]
+    edges += [(2 * i, 2 * i + 1) for i in range(pairs)]
+    edges += [(v, hub) for v in range(first_spoke, first_spoke + spokes)]
+    edges += [(first_spoke + i, n - 1 - i) for i in range(spokes)]
+    lg = random_labels(build_graph(n, sorted((min(e), max(e)) for e in edges)), 3, seed=0)
+    start = time.perf_counter()
+    kept = truss(lg, 2)
+    assert time.perf_counter() - start < 2.0
+    assert kept == set(range(hub + 1))
 
 
 def test_peel_with_cheap_rows_runs_no_triangle_step(monkeypatch):
