@@ -13,7 +13,12 @@ and prints one JSON line per instance.  This process then compares them:
   ``vertices_searched`` must be equal;
 - ``solve_parallel``: (size, cost) must be equal, and each side re-checks
   its witness (a clique, its labels and cost as reported, within budget,
-  of the reported size), as it does ``solve``'s.
+  of the reported size), as it does ``solve``'s;
+- each side also checks its own ``solve_parallel`` counts: its
+  ``subsets_pass1`` must equal its ``solve``'s, since no pass-1 subset is
+  dead, and its ``worker_nodes`` plus one root colouring for each pass it
+  split at the root (each call of ``parallel.split_root``) must add up to
+  its node total.
 
 The instance families: criterion 3's oracle grid at every budget; keller4
 at K = 4, 8 and 16 over budgets that decompose and that run the paper's
@@ -118,19 +123,38 @@ def checked(lc, lg, solution, budget: int) -> bool:
             and len(set(solution.clique)) == solution.size)
 
 
+def counted_parallel(par, seq, splits: int) -> bool:
+    """Whether a ``solve_parallel`` result's counts are consistent: pass 1
+    ran as many subsets as ``solve``'s, and its workers' nodes plus the
+    root colourings of the ``splits`` passes it split at the root add up to
+    the nodes of both passes."""
+    stats = par.stats
+    return (stats.subsets_pass1 == seq.stats.subsets_pass1
+            and sum(stats.worker_nodes) + splits == stats.nodes_pass1 + stats.nodes_pass2)
+
+
 def run_side(root: str) -> None:
     """Solve every instance with the checkout at ``root``; one JSON line each."""
     import labelled_clique as lc
+    import labelled_clique.parallel as parallel
 
     source = Path(lc.__file__).resolve()
     if Path(root).resolve() not in source.parents:
         raise SystemExit(f"imported {source}, not the checkout at {root}")
+    splits, split_root = [], parallel.split_root
+
+    def counting_split_root(graph):
+        splits.append(1)
+        return split_root(graph)
+
+    parallel.split_root = counting_split_root
     built = graph = None
     for family, spec, num_labels, label_seed, budget in instances():
         if spec != built:  # the instances of one graph are listed together
             built, graph = spec, build(spec, lc)
         lg = lc.random_labels(graph, num_labels, label_seed)
         seq = lc.solve(lg, budget)
+        splits.clear()
         par = lc.solve_parallel(lg, budget, workers=2)
         row = {name: getattr(seq.stats, name) for name in STATS_FIELDS}
         # Labelled apart from lg, so that lg's solves label only what they read.
@@ -139,7 +163,8 @@ def run_side(root: str) -> None:
         row["ingest"] = hashlib.sha256(repr(read).encode()).hexdigest()
         row.update(clique=seq.clique, size=seq.size, cost=seq.cost, labels=seq.labels,
                    solve_ok=checked(lc, lg, seq, budget),
-                   parallel=[par.size, par.cost], parallel_ok=checked(lc, lg, par, budget))
+                   parallel=[par.size, par.cost], parallel_ok=checked(lc, lg, par, budget),
+                   counts_ok=counted_parallel(par, seq, len(splits)))
         print(json.dumps([family, spec, num_labels, label_seed, budget, row]), flush=True)
 
 
@@ -173,6 +198,9 @@ def main(argv: list[str]) -> int:
             for run in ("solve", "parallel"):
                 if not row[f"{run}_ok"]:
                     problems.append(f"RECHECK FAILED {name}: {label} {run} witness")
+            if not row["counts_ok"]:
+                problems.append(f"COUNTS FAILED {name}: {label} solve_parallel subsets_pass1"
+                                " or worker_nodes")
     for family in solves:
         print(f"{family}: {solves[family]} solves, {paper[family]} whose pass 1 ran the "
               f"paper's search")

@@ -220,8 +220,6 @@ def build_labelled(
     ``assignments`` must cover exactly the edges of ``graph`` (keys may be
     in either vertex order) with label indices in ``[0, num_labels)``.
     """
-    if not 1 <= num_labels <= MAX_LABELS:
-        raise GraphError(f"num_labels must be in [1, {MAX_LABELS}], got {num_labels}")
     index = {edge: i for i, edge in enumerate(graph.edges())}
     labels: list[int | None] = [None] * len(index)
     for (u, v), label in assignments.items():
@@ -237,6 +235,14 @@ def build_labelled(
     if None in labels:
         u, v = graph.edges()[labels.index(None)]
         raise GraphError(f"edge ({u}, {v}) has no label")
+    return from_label_list(graph, num_labels, labels)
+
+
+def from_label_list(graph: Graph, num_labels: int, labels: list[int]) -> LabelledGraph:
+    """Attach ``labels``, one index in ``[0, num_labels)`` per edge of
+    ``graph.edges()``, trusted here; only ``num_labels`` is checked."""
+    if not 1 <= num_labels <= MAX_LABELS:
+        raise GraphError(f"num_labels must be in [1, {MAX_LABELS}], got {num_labels}")
     return LabelledGraph(graph, num_labels, labels_at=lambda indices: [labels[i] for i in indices])
 
 
@@ -305,10 +311,12 @@ def greedy_clique_size(lg: LabelledGraph, budget: int) -> int:
     so the result is a feasible size: a lower bound on the optimum.  Only
     the edges among the starts and their neighbours are labelled.
     """
+    from heapq import nlargest  # here, so that importing the package does not load it
+
     g = lg.graph
     degree = g.degrees.__getitem__
     best = min(g.n, 1)
-    starts = sorted(range(g.n), key=degree, reverse=True)[:_GREEDY_STARTS]
+    starts = nlargest(_GREEDY_STARTS, range(g.n), key=degree)
     first = set(starts)
     neighbours = lg.rows_among(
         first.union([v if u in first else u for u, v in g.edges() if u in first or v in first]))

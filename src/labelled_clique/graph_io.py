@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import sys
 import warnings
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
-from .graph import MAX_LABELS, Graph, LabelledGraph, build_graph, build_labelled
+from .graph import MAX_LABELS, Graph, LabelledGraph, build_graph, from_label_list
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4B7C15
@@ -87,19 +89,17 @@ def _read_in_bulk(text: str) -> tuple[int, Graph]:
     Newline is the body's only line break and each line starts with ``e``,
     which starts no token ``int`` takes, so ``e u v`` triples are lines.
 
-    The body is checked and split in chunks of whole lines of about
-    :data:`_CHUNK` characters, so only one chunk's tokens are held at a
-    time; each distinct token is converted once, in the chunk where it
-    first appears, and every edge shares its vertex's int.
+    The body is checked and split a chunk at a time (:func:`_chunks`), so
+    only one chunk's tokens are held at a time; each distinct token is
+    converted once, in the chunk where it first appears, and every edge
+    shares its vertex's int.
     """
     cut = text.find("\ne") + 1
     if not cut:
         raise ValueError("no 'e' line after the first line")
     n, declared, edges = _parse_lines(text[:cut])
     vertex: dict[str, int] = {}
-    while cut < len(text):
-        end = text.find("\n", cut + _CHUNK) + 1 or len(text)
-        chunk = text[cut:end]
+    for chunk in _chunks(text, cut):
         lines = chunk.count("\ne") + 1
         tokens = chunk.split()
         if (chunk[0] != "e" or chunk.count("\n") - chunk.endswith("\n") != lines - 1
@@ -110,8 +110,22 @@ def _read_in_bulk(text: str) -> tuple[int, Graph]:
         for token in {*us, *vs}.difference(vertex):
             vertex[token] = int(token) - 1
         edges += zip(map(vertex.__getitem__, us), map(vertex.__getitem__, vs))
-        cut = end
     return declared, build_graph(n, edges)
+
+
+def _chunks(text: str, cut: int = 0) -> Iterator[str]:
+    """``text`` from ``cut`` on, in chunks of whole lines of about
+    :data:`_CHUNK` characters, each ending in a newline but the last."""
+    while cut < len(text):
+        end = text.find("\n", cut + _CHUNK) + 1 or len(text)
+        yield text[cut:end]
+        cut = end
+
+
+def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The lines of ``text.splitlines()``, numbered from 1, split a chunk
+    at a time: no line break spans two chunks."""
+    return enumerate(chain.from_iterable(map(str.splitlines, _chunks(text))), start=1)
 
 
 def _parse_lines(text: str) -> tuple[int, int, list[tuple[int, int]]]:
@@ -119,7 +133,7 @@ def _parse_lines(text: str) -> tuple[int, int, list[tuple[int, int]]]:
     n: int | None = None
     declared = 0
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in _numbered_lines(text):
         line = raw.strip()
         if not line or line[0] == "c":
             continue
@@ -191,11 +205,11 @@ def parse_labels(text: str, g: Graph) -> LabelledGraph:
     least the largest ``k`` seen; without that line it is the largest ``k``,
     or 1 for an edgeless graph, since a labelling needs at least one label.
     """
-    edges = set(g.edges())
-    assignments: dict[tuple[int, int], int] = {}
+    edges = g.edges()
+    labels: list[int | None] = [None] * len(edges)
     max_label = 0
     count: tuple[int, int] | None = None  # (line number, declared label count)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in _numbered_lines(text):
         line = raw.strip()
         if not line:
             continue
@@ -217,21 +231,22 @@ def parse_labels(text: str, g: Graph) -> LabelledGraph:
         if k < 1:
             raise ParseError(f"line {lineno}: label must be >= 1, got {k}")
         key = (min(u, v) - 1, max(u, v) - 1)
-        if key not in edges:
+        i = bisect_left(edges, key)
+        if i == len(edges) or edges[i] != key:
             raise ParseError(f"line {lineno}: no edge {u} {v} in the graph")
-        if key in assignments:
+        if labels[i] is not None:
             raise ParseError(f"line {lineno}: edge {u} {v} labelled twice")
-        assignments[key] = k - 1
+        labels[i] = k - 1
         max_label = max(max_label, k)
-    for u, v in g.edges():
-        if (u, v) not in assignments:
-            raise ParseError(f"edge {u + 1} {v + 1} has no label line")
+    if None in labels:
+        u, v = edges[labels.index(None)]
+        raise ParseError(f"edge {u + 1} {v + 1} has no label line")
     if count is None:
-        return build_labelled(g, max(max_label, 1), assignments)
+        return from_label_list(g, max(max_label, 1), labels)
     lineno, num_labels = count
     if num_labels < max_label:
         raise ParseError(f"line {lineno}: label count {num_labels} is below label {max_label}")
-    return build_labelled(g, num_labels, assignments)
+    return from_label_list(g, num_labels, labels)
 
 
 def write_labels(lg: LabelledGraph, comment: str | None = None) -> str:

@@ -6,15 +6,15 @@ order: the label subsets of :func:`sequential._pass_subsets` or, when a
 pass runs the paper's search, the root branches of :func:`split_root`;
 early root branches hold most of the work.  The parent forks one child per
 worker after the first and is that first worker itself, as in lazy task
-creation, where the spawning thread works too.  Worker i runs on CPU i of
-the parent's mask, and the parent gets its mask back after the pass.
-Each worker claims the next unit from a shared counter, lifts its bound
-to the best 64-bit ``incumbent_key`` any worker has published, runs the
-unit and publishes its improvements; a dead unit ends the pass for every
-worker.  A child's witness stays its own and comes back through a pipe
-with its node count and the outcomes of its sub-searches; the parent
-keeps the best witness, its own included, forks pass 2 from it, and
-skips the subsets the outcomes refute.
+creation, where the spawning thread works too.  Every worker runs
+``solve``'s own unit loop, :func:`sequential._run_in_order`, over the
+units it claims from a shared counter; each claim also publishes the
+worker's 64-bit ``incumbent_key`` and lifts its bound to the best any
+worker has published, and a dead unit ends the pass for every worker.  A
+child's witness stays its own and comes back through a pipe with its node
+count and the outcomes of its sub-searches; the parent keeps the best
+witness, its own included, forks pass 2 from it, and skips the subsets
+the outcomes refute.
 
 Node counts vary with scheduling; (size, cost) always equals the
 sequential result, both being optimal.
@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import os
 import struct
-from contextlib import suppress
 from functools import partial
 
 # permute_by_degree is unused here, but perfbench/layers.py wraps it by name.
 from .graph import LabelledGraph, permute_by_degree  # noqa: F401
-from .sequential import (_NODES, Incumbent, Solution, Subproblem, _root_branches, _run_unit,
-                         _search, _solve, solve)
+from .sequential import (Incumbent, Solution, Subproblem, _root_branches, _run_in_order, _solve,
+                         solve)
 
 _SHARED = struct.Struct("QQ")  # next unit index, best published key
 
@@ -80,26 +79,29 @@ class _Shared:
             os.close(fd)
 
 
-def _claim(state) -> tuple:
-    """The loop each worker of a pass runs until its units run out, from
-    ``state``, (shared counter, units, *pass state); returns its own best
-    witness (clique, labels), its nodes and its sub-searches' outcomes.
+def _claimed(shared, units, inc: Incumbent):
+    """The units this worker claims, in the order the shared index hands
+    them out.  Each claim is one :meth:`_Shared.update`, which publishes
+    ``inc``'s key and lifts ``inc`` to the best key published before it."""
+    while True:
+        index, key = shared.update(1, inc.key)
+        inc.lift(key)
+        if index >= len(units):
+            return
+        yield units[index]
 
-    A dead unit moves the shared index past the end, since every later
-    unit is dead too, so no worker claims another.
-    """
+
+def _claim(state) -> tuple:
+    """Each worker's :func:`sequential._run_in_order` over the units it
+    claims, from ``state``, (shared counter, units, *pass state); returns
+    its own best witness (clique, labels), its nodes and its sub-searches'
+    outcomes.  The loop ends when the units run out or at a dead unit, after
+    which every unit is dead, so the worker then drains the shared index."""
     shared, units, *pass_state = state
     inc = Incumbent()
-    search = _search(pass_state, inc)
-    while True:
-        index, key = shared.update(1)
-        if index >= len(units):
-            return (inc.clique, inc.labels, *search[_NODES])
-        inc.lift(key)
-        if not _run_unit(search, units[index]):
-            shared.update(len(units))
-        if inc.key > key:
-            shared.update(0, inc.key)
+    nodes, outcomes, _ = _run_in_order(_claimed(shared, units, inc), pass_state, inc)
+    shared.update(len(units))
+    return inc.clique, inc.labels, nodes, outcomes
 
 
 def _worker(state) -> None:
@@ -110,34 +112,12 @@ def _worker(state) -> None:
     state[-1].append(_claim(state[:-1]))
 
 
-def _pin(index: int) -> set[int] | None:
-    """Move this process onto the ``index``-th CPU of its mask, modulo
-    their count, and return the mask it had; None where it cannot move.
-
-    Worker ``index`` of a pass takes CPU ``index``, the parent being worker
-    0: left to the scheduler, processes forked from one parent can share a
-    CPU.  The parent moves only after forking, or its children would
-    inherit its one-CPU mask."""
-    if not hasattr(os, "sched_setaffinity"):
-        return None
-    try:
-        mask = os.sched_getaffinity(0)
-        cpus = sorted(mask)
-        os.sched_setaffinity(0, {cpus[index % len(cpus)]})
-    except OSError:
-        return None
-    return mask
-
-
-def _child(write: int, state, index: int) -> None:
+def _child(write: int, state) -> None:
     """Run ``_worker`` in a forked child and send its result, or the
-    exception it raised, through ``write``.  Never returns.
-
-    The child first moves onto its own CPU (:func:`_pin`)."""
+    exception it raised, through ``write``.  Never returns."""
     try:
         import pickle
 
-        _pin(index)
         try:
             _worker(state)
             data = pickle.dumps((True, state[-1][0]))
@@ -159,28 +139,24 @@ def _run_pass(workers: int, units, state, best: Incumbent) -> tuple[int, list, l
     no more workers than units.  Merges their witnesses into ``best``, this
     process's first, and returns the nodes they searched, their
     sub-searches' outcomes and each worker's nodes.  Every child has been
-    reaped, and this process's CPU mask restored, when this returns or
-    raises."""
+    reaped when this returns or raises."""
     import pickle
     import signal
 
     shared = _Shared(best.key)
     pids: list[int] = []
     reads: list[int] = []
-    mask = None
     try:
-        for index in range(1, min(workers, len(units))):
+        for _ in range(1, min(workers, len(units))):
             read, write = os.pipe()
             reads.append(read)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(write, (shared, units, *state, []), index)
+                    _child(write, (shared, units, *state, []))
             finally:
                 os.close(write)
             pids.append(pid)
-        if pids:
-            mask = _pin(0)
         results = [_claim((shared, units, *state))]
         for read in reads:
             with open(read, "rb", closefd=False) as stream:
@@ -206,9 +182,6 @@ def _run_pass(workers: int, units, state, best: Incumbent) -> tuple[int, list, l
         for read in reads:
             os.close(read)
         shared.close()
-        if mask is not None:
-            with suppress(OSError):
-                os.sched_setaffinity(0, mask)
 
 
 def solve_parallel(

@@ -28,9 +28,9 @@ that :func:`graph.permute_by_degree` fills, and colour with
 union and also reads per-vertex label dicts in the same ids, which a
 solve builds when a pass first runs it.  :func:`_solve` is the pass loop
 of both solvers, and maps the witness back to the original numbering
-once, at the end: :func:`solve` runs each pass's units in this process
-and stops at the first dead one, and ``parallel.solve_parallel`` hands
-the same units to forked workers.
+once, at the end.  Both run units through :func:`_run_in_order`, which
+stops at the first dead one: :func:`solve` a pass's units, and each forked
+worker of ``parallel.solve_parallel`` the units it claims.
 """
 
 from __future__ import annotations
@@ -423,9 +423,9 @@ def _run_unit(search, unit) -> bool:
 
 
 def _run_in_order(units, state, inc: Incumbent) -> tuple[int, list, list[int]]:
-    """Run a pass's units in this process, in order, against ``inc``, up to
-    the first dead one; returns the nodes searched, the sub-searches'
-    outcomes, and no per-worker nodes, since no worker was forked."""
+    """Run ``units``, a pass's or those a forked worker claims, in order
+    against ``inc`` up to the first dead one; returns the nodes searched,
+    the sub-searches' outcomes, and no per-worker nodes."""
     search = _search(state, inc)
     for unit in units:
         if not _run_unit(search, unit):

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from labelled_clique import fixture_path, write_dimacs
+from labelled_clique import Solution, fixture_path, write_dimacs
+import labelled_clique.cli as cli_mod
 from labelled_clique.cli import (
     EXIT_BAD_WITNESS,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
@@ -137,6 +139,55 @@ def test_bad_arguments(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run([], capsys)
     assert code == EXIT_USAGE
+
+
+# fig1 at budget 3 (0-based witnesses): the optimum is {3, 4, 5, 6} with
+# labels 0b0110 at cost 2; {0, ..., 4} is a clique of cost 4; 0 and 5 are
+# not adjacent.
+BAD_WITNESSES = [
+    (Solution([3, 3, 4, 5], 4, 0b0110, 2), "witness size mismatch"),
+    (Solution([3, 4, 5, 6], 5, 0b0110, 2), "witness size mismatch"),
+    (Solution([0, 5], 2, 0b0001, 1), "vertices 1 and 6 are not adjacent"),
+    (Solution([3, 4, 5, 6], 4, 0b0011, 2), "witness labels do not match reported labels"),
+    (Solution([3, 4, 5, 6], 4, 0b0110, 1), "witness labels do not match reported labels"),
+    (Solution([0, 1, 2, 3, 4], 5, 0b1111, 4), "witness cost 4 exceeds budget 3"),
+]
+COMMANDS = {
+    "solve": ["solve", FIG1, "--label-file", FIG1_LAB, "--budget", "3"],
+    "bench": ["bench", FIG1, "--label-file", FIG1_LAB, "--budget-pct", "75", "--samples", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("bad, message", BAD_WITNESSES,
+                         ids=["repeat", "size", "adjacency", "labels", "cost", "budget"])
+def test_bad_solver_witness_exits_internal(command, bad, message, capsys, monkeypatch):
+    # Both commands re-check every witness a solver returns; bench checks
+    # the sequential solve's first.
+    monkeypatch.setattr(cli_mod, "solve", lambda lg, budget: bad)
+    monkeypatch.setattr(cli_mod, "solve_parallel", lambda lg, budget, workers: bad)
+    code, out, err = run(COMMANDS[command], capsys)
+    assert code == EXIT_INTERNAL
+    assert err == f"internal validation failure: {message}\n"
+    assert "size:" not in out
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_threads_below_one_is_a_usage_error(command, capsys):
+    code, out, err = run([*COMMANDS[command], "--threads", "0"], capsys)
+    assert code == EXIT_USAGE
+    assert "threads must be >= 1, got 0" in err and "usage" in err
+    assert out == ""
+
+
+def test_label_above_64_without_a_count_line_is_a_parse_error(tmp_path, capsys):
+    graph_file, label_file = tmp_path / "t.clq", tmp_path / "t.lab"
+    graph_file.write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+    label_file.write_text("l 1 2 1\nl 2 3 65\nl 1 3 2\n")
+    code, out, err = run(["solve", str(graph_file), "--label-file", str(label_file),
+                          "--budget", "1"], capsys)
+    assert code == EXIT_PARSE
+    assert err == "parse error: num_labels must be in [1, 64], got 65\n" and out == ""
 
 
 def test_help_exits_zero(capsys):

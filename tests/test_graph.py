@@ -50,6 +50,8 @@ def test_build_rejects_out_of_range():
         build_graph(3, [(0, 3)])
     with pytest.raises(GraphError):
         build_graph(3, [(-1, 1)])
+    with pytest.raises(GraphError, match="vertex count must be non-negative, got -1"):
+        build_graph(-1, [])
 
 
 def test_build_rejects_loops():
@@ -99,6 +101,10 @@ def test_build_labelled_rejects_bad_labels():
         build_labelled(g, 65, {(0, 1): 0})
     with pytest.raises(GraphError, match="non-edge"):
         build_labelled(build_graph(3, [(0, 1)]), 1, {(0, 1): 0, (1, 2): 0})
+    with pytest.raises(GraphError, match=r"conflicting labels for edge \(0, 1\)"):
+        build_labelled(g, 2, {(0, 1): 0, (1, 0): 1})
+    # The same label from both ends is one assignment.
+    assert build_labelled(g, 2, {(0, 1): 1, (1, 0): 1}).labels() == [1]
 
 
 def permuted_degrees(by_label):

@@ -75,6 +75,12 @@ def test_parse_errors_carry_line_numbers():
         parse_dimacs("p col 3 1\ne 1 2")
     with pytest.raises(ParseError, match="line 2: non-integer"):
         parse_dimacs("p edge 3 1\ne 1 two")
+    for header in ("p edge x 1", "p edge 3 1.5"):
+        with pytest.raises(ParseError, match="^line 2: non-integer size in problem line$"):
+            parse_dimacs(f"c sizes\n{header}\ne 1 2")
+    for header in ("p edge -3 1", "p edge 3 -1"):
+        with pytest.raises(ParseError, match="^line 1: negative size in problem line$"):
+            parse_dimacs(f"{header}\ne 1 2")
 
 
 def test_parse_rejects_vertex_count_above_cap():
@@ -324,6 +330,33 @@ def test_parse_holds_one_chunk_of_tokens_at_a_time():
     assert peak - kept < 3_000_000
 
 
+def test_numbered_lines_follow_splitlines(monkeypatch):
+    # Chunks of about four characters, so that most line breaks, "\r\n"
+    # included, fall near a chunk's end.
+    monkeypatch.setattr(graph_io, "_CHUNK", 4)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.text(alphabet="ab \n\r\x0b\x1c\u2028", max_size=40))
+    @example("a\r\nb\n\n\r")
+    def check(text):
+        want = list(enumerate(text.splitlines(), start=1))
+        assert list(graph_io._numbered_lines(text)) == want
+
+    check()
+
+
+def test_parse_labels_holds_one_label_list():
+    # 100,128 label lines: a set of every edge, a dict of the assignments
+    # and build_labelled's index of the edges peaked at 28 MB; the labels
+    # kept take 0.8 MB.
+    g = build_graph(448, combinations(range(448), 2))
+    lg = random_labels(g, 64, seed=3)
+    text = write_labels(lg)
+    parsed, _, peak = traced(lambda: parse_labels(text, g))
+    assert parsed.labels() == lg.labels()
+    assert peak < 3_000_000
+
+
 def test_labels_mix_a_block_of_lanes_at_a_time():
     # Mixing all 100,000 lanes in one int peaked at 8.5 MB; the labels kept
     # take 0.8 MB.
@@ -339,6 +372,7 @@ def test_every_graph_lists_its_edges_sorted_and_unique():
         f"e {v + 1} {u + 1}\n" for u, v in g.edges())
     graphs = [
         build_graph(30, [(v, u) for u, v in reversed(g.edges())] + g.edges()),
+        build_graph(30, [list(edge) for edge in g.edges()]),  # not tuples: the sorting path
         parse_dimacs(write_dimacs(g)),
         parse_dimacs(write_dimacs(g).replace("\n", "\r\n")),  # the line parser
         parse_dimacs(reversed_text),
@@ -417,6 +451,13 @@ def test_parse_labels_errors():
         parse_labels("c labels x\n" + full, g)
     with pytest.raises(ParseError, match="line 5: duplicate label count"):
         parse_labels("c labels 4\n" + full + "c labels 4", g)
+    # Without a count line the largest label is the count, at most 64.
+    with pytest.raises(GraphError, match="num_labels must be in .*got 65"):
+        parse_labels("l 1 2 1\nl 2 3 65\nl 1 3 2", g)
+    # Errors name the first bad line, after a chunk boundary too.
+    padded = "c " + "x" * graph_io._CHUNK + "\n" + full
+    with pytest.raises(ParseError, match="^line 4: edge 3 2 labelled twice$"):
+        parse_labels(padded.replace("l 1 3 2", "l 3 2 1"), g)
 
 
 def test_resolve_budget():

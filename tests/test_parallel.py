@@ -201,16 +201,16 @@ def first_pass_nodes(records: list[int], run) -> tuple[Counter, object]:
 def drive_worker(state):
     """Run ``_worker`` in this process as the only worker of a pass from
     :func:`paper_state` over its root branches; returns its result
-    (witness, labels, nodes and sub-search outcomes) and the unit index it
-    left shared."""
+    (witness, labels, nodes and sub-search outcomes) and the unit index and
+    best key it left shared."""
     shared = par_mod._Shared(incumbent_key(0, 0))
     try:
         out = []
         par_mod._worker((shared, par_mod.split_root(state[1]), *state, out))
-        index, _ = shared.update(0)
+        shared_state = shared.update(0)
     finally:
         shared.close()
-    return out[0], index
+    return out[0], shared_state
 
 
 def test_replay_accounting_prefixes_match_sequential(monkeypatch):
@@ -248,17 +248,18 @@ def test_worker_drains_the_pass_at_a_dead_unit(monkeypatch):
     by_label, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
     state = paper_state(by_label, True, 2)
     ran = []
-    run_unit = par_mod._run_unit
+    run_unit = seq_mod._run_unit
 
     def counting(search, unit):
         ran.append(unit)
         return run_unit(search, unit)
 
-    monkeypatch.setattr(par_mod, "_run_unit", counting)
-    (clique, labels, nodes, _), index = drive_worker(state)
+    monkeypatch.setattr(seq_mod, "_run_unit", counting)
+    (clique, labels, nodes, _), (index, key) = drive_worker(state)
     assert len(ran) < len(split_root(state[1])) <= index
     seq = solve(lg, 2)
     assert (len(clique), labels.bit_count()) == (seq.size, seq.cost)
+    assert key == incumbent_key(seq.size, seq.cost)  # its claims published its best
     assert 1 + nodes == seq.stats.nodes_pass1
 
 
@@ -447,18 +448,11 @@ def test_one_unit_pass_forks_nothing(fig1, monkeypatch):
     assert per_pass == [(True, 1, 0), (False, 4, 1)]
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="placement needs CPU masks")
-def test_children_of_a_pass_take_distinct_cpus(monkeypatch):
-    # Worker i of a forked pass moves onto CPU i of the mask: each child
-    # onto its own, and the parent, worker 0, onto the first once its
-    # children are forked.  The parent gets its mask back when the pass
-    # ends, also when it raises.  Every process reports its calls through a
-    # pipe; the mask is a stand-in with a CPU per worker, and nothing moves.
-    mask, parent = {3, 5, 6, 9}, os.getpid()
-    read, write = os.pipe()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: os.write(
-        write, f"{'parent' if os.getpid() == parent else 'child'} {sorted(cpus)}\n".encode()))
+def test_parent_claim_failure_leaves_no_child(monkeypatch):
+    # An exception in the parent's own claim loop, with its children
+    # forked and running, propagates once every child has been reaped.
+    parent = os.getpid()
+    forks = count_forks(monkeypatch)
     lg = random_instance(24, 0.6, 16, seed=2024)
     by_label, _ = permute_by_degree(lg, reduce_to_core(lg, 2))
     state = paper_state(by_label, True, 2)
@@ -471,21 +465,11 @@ def test_children_of_a_pass_take_distinct_cpus(monkeypatch):
             raise RuntimeError("the parent's claim loop failed")
         return claim(state)
 
-    try:
+    monkeypatch.setattr(par_mod, "_claim", failing)
+    with pytest.raises(RuntimeError, match="the parent's claim loop failed"):
         par_mod._run_pass(4, units, state, Incumbent())
-        monkeypatch.setattr(par_mod, "_claim", failing)
-        with pytest.raises(RuntimeError, match="the parent's claim loop failed"):
-            par_mod._run_pass(4, units, state, Incumbent())
-    finally:
-        os.close(write)
-        with open(read) as stream:
-            calls = stream.read().splitlines()
-    own = [call for call in calls if call.startswith("parent")]
-    assert own == ["parent [3]", "parent [3, 5, 6, 9]"] * 2
-    # The second pass may kill its children before they move.
-    children = [call for call in calls if call.startswith("child")]
-    assert sorted(children[:3]) == ["child [5]", "child [6]", "child [9]"]
-    assert set(children) == set(children[:3]) and len(children) <= 6
+    assert len(forks) == 3
+    assert no_children_left()
 
 
 def test_default_workers_follow_affinity(fig1, monkeypatch):
@@ -504,7 +488,7 @@ def test_parent_runs_units_of_a_forked_pass(monkeypatch):
     # children run theirs slowly, so the parent claims units while they run.
     forks = count_forks(monkeypatch)
     parent, ran = os.getpid(), []
-    run_unit = par_mod._run_unit
+    run_unit = seq_mod._run_unit
 
     def recording(search, unit):
         if os.getpid() == parent:
@@ -513,7 +497,7 @@ def test_parent_runs_units_of_a_forked_pass(monkeypatch):
             time.sleep(0.01)
         return run_unit(search, unit)
 
-    monkeypatch.setattr(par_mod, "_run_unit", recording)
+    monkeypatch.setattr(seq_mod, "_run_unit", recording)
     lg = random_instance(24, 0.6, 16, seed=2024)
     seq, par = solve(lg, 2), solve_parallel(lg, 2, workers=2)
     assert (par.size, par.cost) == (seq.size, seq.cost)
