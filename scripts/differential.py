@@ -20,6 +20,10 @@ and prints one JSON line per instance.  This process then compares them:
   split at the root (each call of ``parallel.split_root``) must add up to
   its node total.
 
+Per family it prints the solves, those whose pass 1 ran the paper's
+search, and both sides' nodes over those; each mismatch line says what
+the old side's pass 1 searched.
+
 The instance families: criterion 3's oracle grid at every budget; keller4
 at K = 4, 8 and 16 over budgets that decompose and that run the paper's
 search; seeded sparse graphs with planted cliques; dense G(n, p) graphs
@@ -187,13 +191,19 @@ def main(argv: list[str]) -> int:
         print(f"MISMATCH: {len(old)} instances against {len(new)}")
         return 1
     solves, paper, problems = Counter(), Counter(), []
+    paper_nodes = {"old": Counter(), "new": Counter()}
     for (family, spec, k, seed, budget, a), (*_, b) in zip(old, new):
         name = f"{family} {spec} K={k} seed={seed} b={budget}"
         solves[family] += 1
-        paper[family] += a["subsets_pass1"] == 0
+        ran_paper = a["subsets_pass1"] == 0
+        if ran_paper:
+            paper[family] += 1
+            for label, row in (("old", a), ("new", b)):
+                paper_nodes[label][family] += row["nodes_pass1"] + row["nodes_pass2"]
         differing = [field for field in (*SOLVE_FIELDS, "parallel") if a[field] != b[field]]
         if differing:
-            problems.append(f"MISMATCH {name}: {', '.join(differing)}")
+            searched = "paper's search" if ran_paper else "label subsets"
+            problems.append(f"MISMATCH {name} (pass 1: {searched}): {', '.join(differing)}")
         for label, row in (("old", a), ("new", b)):
             for run in ("solve", "parallel"):
                 if not row[f"{run}_ok"]:
@@ -203,7 +213,8 @@ def main(argv: list[str]) -> int:
                                 " or worker_nodes")
     for family in solves:
         print(f"{family}: {solves[family]} solves, {paper[family]} whose pass 1 ran the "
-              f"paper's search")
+              f"paper's search, in {paper_nodes['old'][family]:,} nodes against "
+              f"{paper_nodes['new'][family]:,}")
     print(f"total: {sum(solves.values())} solve and {sum(solves.values())} "
           f"solve_parallel(workers=2) calls per side, {len(problems)} problems")
     for problem in problems:

@@ -2,10 +2,9 @@
 
 Finds the largest clique whose edges use at most a budgeted number of
 distinct labels and, among equally large feasible cliques, the one using
-fewest labels.  Sequential and parallel two-pass branch-and-bound solvers
-share one pass loop, a bitset graph encoding and a greedy-colouring
-bound; an exhaustive oracle, DIMACS/label-file IO and a CLI round out the
-package.
+fewest labels.  Sequential and parallel branch-and-bound solvers share
+one pass loop, a bitset graph encoding and a greedy-colouring bound; an
+exhaustive oracle, DIMACS/label-file IO and a CLI round out the package.
 """
 
 from .colouring import ColourResult, colour_order

@@ -13,8 +13,9 @@ worker's 64-bit ``incumbent_key`` and lifts its bound to the best any
 worker has published, and a dead unit ends the pass for every worker.  A
 child's witness stays its own and comes back through a pipe with its node
 count and the outcomes of its sub-searches; the parent keeps the best
-witness, its own included, forks pass 2 from it, and skips the subsets
-the outcomes refute.
+witness, its own included, forks any pass 2 from it, and skips the
+subsets the outcomes refute.  A solve whose pass 1 runs the paper's
+search forks once, as that pass is the only one.
 
 Node counts vary with scheduling; (size, cost) always equals the
 sequential result, both being optimal.
@@ -189,13 +190,13 @@ def solve_parallel(
     budget: int,
     workers: int | None = None,
 ) -> Solution:
-    """Two-pass parallel search; (size, cost) always equals the sequential result.
+    """``solve``'s passes in forked workers; (size, cost) always equals the
+    sequential result.
 
     ``workers`` defaults to the CPUs this process may run on, and counts
     this process as the first; one worker, or no ``os.fork``, runs
     :func:`sequential.solve`.  No pass runs more workers than it has units,
-    and every child is reaped before this returns or raises.  Pass 2 forks
-    from pass 1's merged incumbent.
+    and every child is reaped before this returns or raises.
     """
     if workers is None:
         affinity = getattr(os, "sched_getaffinity", None)

@@ -1,24 +1,23 @@
-"""Sequential two-pass branch and bound for the maximum labelled clique.
+"""Sequential branch and bound for the maximum labelled clique.
 
-Pass 1 maximises clique size, filtering label sets against the budget.
-Pass 2 keeps the pass-1 incumbent, fixes its size, and minimises the number
-of distinct labels by filtering against (incumbent cost - 1), which shrinks
-as cheaper solutions are found.  The bound at each node comes from a fresh
-greedy colouring of the candidate set, consumed right to left.
+The paper's search is one pass in the solution order (:func:`is_better`).
+A branch that can beat the incumbent's size filters label sets against the
+budget, one that can only tie it against (incumbent cost - 1), which
+shrinks as cheaper solutions are found.  The bound at each node comes from
+a fresh greedy colouring of the candidate set, consumed right to left.
 
-Label sets only grow as vertices join the clique, so once a node's cost
-equals the pass's limit no vertex joined to the clique by a new label can
-extend it feasibly.  Such vertices are dropped from the candidates before
-they are coloured.
+Label sets only grow as vertices join the clique, so a node whose cost
+equals its branch's limit drops from its candidates, before colouring
+them, every vertex joined to the clique by a new label.
 
 A pass may instead search the subgraphs G_T that keep only the edges
 labelled in T, with no label union: every feasible clique lies in some G_T
-with |T| = min(budget, K), and pass 2 asks level by level whether a G_T
-with |T| one below the incumbent's cost holds a clique of its size.  Each
-G_T gets a plain maximum-clique search, :func:`_max_clique`, and a level
-skips every T inside one whose search ended below the pass-1 size.
-:func:`_few` decides from the graph's size and average degree whether
-the subsets of a pass or a level are worth it.
+with |T| = min(budget, K).  Such a pass 1 maximises size, and pass 2 asks
+level by level whether a G_T with |T| one below the incumbent's cost holds
+a clique of its size.  Each G_T gets a plain maximum-clique search,
+:func:`_max_clique`, and a level skips every T inside one whose search
+ended below the pass-1 size.  :func:`_few` decides from the graph's size
+and average degree whether the subsets of a pass or a level are worth it.
 
 A pass runs its work units in sequential order: the label subsets, or the
 root's branches (:class:`Subproblem`) when it runs the paper's search.
@@ -26,7 +25,7 @@ Both searches read one numbering, the top-down one of the per-label rows
 that :func:`graph.permute_by_degree` fills, and colour with
 :func:`colouring.colour_top_down_into`.  The paper's search colours their
 union and also reads per-vertex label dicts in the same ids, which a
-solve builds when a pass first runs it.  :func:`_solve` is the pass loop
+solve builds when a pass runs it.  :func:`_solve` is the pass loop
 of both solvers, and maps the witness back to the original numbering
 once, at the end.  Both run units through :func:`_run_in_order`, which
 stops at the first dead one: :func:`solve` a pass's units, and each forked
@@ -119,9 +118,10 @@ class SearchStats(NamedTuple):
     search after the peel, the label-subset sub-searches each pass ran
     (0 for the paper's search; pass 2's summed over its levels, leaving out
     the subsets skipped as refuted), and the nodes each worker searched
-    over both passes, the parent counting as the first worker of every
-    pass.  The records here are named tuples, which import without
-    ``dataclasses``; their defaults are shared, and nothing changes them."""
+    over all passes, the parent counting as the first worker of every
+    pass; no pass 2 follows a pass 1 of the paper's search.  The records
+    here are named tuples, which import without ``dataclasses``; their
+    defaults are shared, and nothing changes them."""
 
     nodes_pass1: int = 0
     nodes_pass2: int = 0
@@ -211,22 +211,24 @@ def _expand(search, clique, cands, labels, order=None, bounds=None, m=0):
     ever scans the current clique, and its length picks the node's scratch
     buffers.  The :class:`Incumbent` is updated in place.
 
-    A branch whose cost reaches the pass's limit keeps only the candidates
-    that :func:`_within` joins to every clique vertex by labels it already
-    has.
+    A branch whose reach (clique size plus colour bound) is below the
+    incumbent's size is pruned.  Its cost limit is the budget if it can beat
+    that size and the size is not yet proven (``first_pass``), else one
+    below the incumbent's cost.  A branch whose cost reaches its limit
+    keeps only the candidates that :func:`_within` joins to every clique
+    vertex by labels it already has.
 
     The node's colouring, by ``colour_top_down_into``, writes only the
     vertices coloured k_min or above, k_min being the lowest colour whose
-    branch can beat the incumbent: a vertex below it would be pruned, and
-    the incumbent only improves.
+    branch can reach the incumbent's size: a vertex below it would be
+    pruned, and the incumbent only improves.
 
     A caller that has already coloured the node passes ``order``, ``bounds``
     and ``m`` instead; that entry is not counted as a node, since the
     colouring was counted where it was made.  Every root branch enters
     this way, as a one-entry colouring of the root (:func:`_run_unit`).
     Returns True when the colour bound cut the node off: a counted node
-    whose colouring wrote no vertex, or a branch whose bound cannot beat
-    the incumbent.
+    whose colouring wrote no vertex, or a branch pruned by its reach.
     """
     first_pass, inc, rows, tables, label_bits, by_label, budget, nodes, scratch = search
     csize = len(clique)
@@ -236,7 +238,7 @@ def _expand(search, clique, cands, labels, order=None, bounds=None, m=0):
             n = len(rows)
             scratch.append(([0] * n, [0] * n))
         order, bounds = scratch[csize]
-        m = colour_top_down_into(tables, cands, order, bounds, inc.size - csize + first_pass)
+        m = colour_top_down_into(tables, cands, order, bounds, inc.size - csize)
         if not m:
             return True
     bit = tables[1]
@@ -245,7 +247,7 @@ def _expand(search, clique, cands, labels, order=None, bounds=None, m=0):
         inc_size = inc.size
         # bounds never decreases with i, so every remaining branch
         # would prune too: abandon the whole node.
-        if reach < inc_size or (first_pass and reach == inc_size):
+        if reach < inc_size:
             return True
         v = order[i]
         grown = labels
@@ -254,7 +256,7 @@ def _expand(search, clique, cands, labels, order=None, bounds=None, m=0):
             grown |= row[w]
         clique.append(v)
         cost = grown.bit_count()
-        limit = budget if first_pass else inc.cost - 1
+        limit = budget if first_pass and reach > inc_size else inc.cost - 1
         if cost <= limit:
             size = csize + 1
             if size > inc.size or (size == inc.size and cost < inc.cost):
@@ -376,11 +378,7 @@ def _pass_subsets(shape: tuple[int, int, int], first_pass: bool, budget: int, co
 def _root_branches(graph) -> Iterator[Subproblem]:
     """The root's branches over the solve's :func:`_search_graph`, in
     sequential branch order, drawn lazily: a pass that stops at a pruned
-    branch builds none of the rest.
-
-    The branch order is the same in both passes, so the branches do not
-    depend on which pass is running.
-    """
+    branch builds none of the rest."""
     _, rows, tables = graph
     n = len(rows)
     cands = (1 << n) - 1
@@ -400,11 +398,12 @@ def _run_unit(search, unit) -> bool:
     Returns False when this unit and every later unit of the pass are
     dead.  A root branch enters :func:`_expand` as a one-entry colouring of
     the root, which the pass counted; it is dead when its colour bound
-    cannot beat the incumbent, as root bounds never increase along the
-    pass and the incumbent only improves.  A pass-2 level asks whether G_T
-    holds a clique of the incumbent's size, and T is dead unless |T| <
-    inc.cost: once one T lowers the cost, a cheaper clique lies in a smaller
-    T, which the next level lists.  The probe prunes against a clique one
+    falls below the incumbent's size (one equal to it may tie it more
+    cheaply), as root bounds never increase along the pass and the
+    incumbent only improves.  A pass-2 level asks whether G_T holds a
+    clique of the incumbent's size, and T is dead unless |T| < inc.cost:
+    once one T lowers the cost, a cheaper clique lies in a smaller T, which
+    the next level lists.  The probe prunes against a clique one
     vertex short at cost 0, so only a clique of the full size beats it.
     """
     if isinstance(unit, Subproblem):
@@ -434,7 +433,8 @@ def _run_in_order(units, state, inc: Incumbent) -> tuple[int, list, list[int]]:
 
 
 def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
-    """The two passes of both solvers, pass 2 by levels, each over its units.
+    """The passes of both solvers, each over its units: the paper's search
+    alone, or pass 1 over label subsets, then pass 2 by levels.
 
     The search reads only the per-label rows of the peeled graph that
     :func:`graph.permute_by_degree` fills, through the solve's
@@ -464,11 +464,11 @@ def _solve(lg: LabelledGraph, budget: int, roots, run_pass) -> Solution:
     nodes, subsets, worker_nodes = [0, 0], [0, 0], []
     first_pass, index, cost = True, 0, 0
     # A level follows only a level that lowered the cost below ``cost``, as
-    # every smaller T lies in a T it searched; none follows the paper's
+    # every smaller T lies in a T it searched; no pass follows the paper's
     # search, which is complete.  Singletons cost 0, so stop at cost <= 1.
     while first_pass or 1 < inc.cost < cost:
         units = _pass_subsets(shape, first_pass, budget, inc.cost, dead)
-        cost = budget + 1 if first_pass else inc.cost if units else 0
+        cost = (budget + 1 if first_pass else inc.cost) if units else 0
         if units is None:
             units = roots(graph)
             nodes[index] += 1  # the root colouring
@@ -495,10 +495,9 @@ def solve(lg: LabelledGraph, budget: int) -> Solution:
     The graph is peeled to the vertices that can hold a clique as large as
     a greedy one, unless a colouring shows that the peel keeps every vertex
     (:func:`graph.reduce_to_core`), permuted into non-increasing degree
-    order, searched twice (size pass, then cost pass, keeping the
-    incumbent in between), and the witness is mapped back to original
-    numbering.  Each pass searches the label subsets' subgraphs when they
-    are few, and the whole graph otherwise, one root branch at a time, all
-    in this process.
+    order and searched, all in this process, and the witness is mapped back
+    to original numbering.  The search is a size pass over the label
+    subsets' subgraphs and a cost pass, when they are few, else one pass of
+    the paper's search, one root branch at a time.
     """
     return _solve(lg, budget, _root_branches, _run_in_order)

@@ -93,6 +93,22 @@ def traced(call):
     return result, kept - start, peak - start
 
 
+class RecordingIncumbent(Incumbent):
+    """An :class:`Incumbent` that lists each (clique, size, cost) it installs."""
+
+    __slots__ = ("improvements",)
+
+    def __init__(self, clique=(), labels=0):
+        super().__init__(clique, labels)
+        self.improvements = []
+
+    def replace(self, clique, labels, size, cost):
+        installed = super().replace(clique, labels, size, cost)
+        if installed:
+            self.improvements.append((list(clique), size, cost))
+        return installed
+
+
 def paper_state(by_label: list[list[int]], first_pass: bool, budget: int) -> tuple:
     """The state of one pass of the paper's search over the per-label rows
     ``by_label`` that ``permute_by_degree`` returns, numbered top-down
@@ -108,8 +124,9 @@ def paper_search(by_label: list[list[int]], first_pass: bool, inc: Incumbent,
 
 
 def paper_solve(lg: LabelledGraph, budget: int) -> Solution:
-    """The paper's two passes run directly through ``_expand`` on the graph
-    ``solve`` searches (peeled, then permuted), never through label subsets.
+    """The paper's search, one pass in the solution order, run directly
+    through ``_expand`` on the graph ``solve`` searches (peeled, then
+    permuted), never through label subsets.
 
     The reference for the label-subset search and for the parallel solver's
     node accounting; the witness is in original numbering.
@@ -117,13 +134,9 @@ def paper_solve(lg: LabelledGraph, budget: int) -> Solution:
     by_label, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
     inc = Incumbent()
     n = len(perm.forward)
-    nodes = [0, 0]
-    for pass_index, first_pass in enumerate((True, False)):
-        if first_pass or inc.cost > 1:
-            search = paper_search(by_label, first_pass, inc, budget)
-            _expand(search, [], (1 << n) - 1, 0)
-            nodes[pass_index] = search[_NODES][0]
-    stats = SearchStats(*nodes, vertices_searched=n)
+    search = paper_search(by_label, True, inc, budget)
+    _expand(search, [], (1 << n) - 1, 0)
+    stats = SearchStats(search[_NODES][0], vertices_searched=n)
     witness = sorted(perm.to_original(n - 1 - v for v in inc.clique))
     return Solution(witness, inc.size, inc.labels, inc.cost, stats)
 

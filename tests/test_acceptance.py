@@ -264,8 +264,9 @@ def test_criterion_8_ingest_builds_no_unpermuted_rows(monkeypatch):
     # edge lines through the bulk read, and the search only through the
     # rows of the peeled, renumbered graph.  The greedy clique has 4
     # vertices, and the edges in two triangles or more are the planted
-    # 8-clique's, so the passes search its 8 vertices: pass 2's level of
-    # C(5, 1) = 5 single labels is within their average degree of 7.
+    # 8-clique's, so the search covers its 8 vertices.  C(5, 2) = 10 label
+    # subsets exceed their average degree of 7, so it is one pass of the
+    # paper's search, which no pass 2 follows.
     heads = []
     parse_lines = graph_io._parse_lines
     monkeypatch.setattr(graph_io, "_parse_lines", lambda text: heads.append(text) or parse_lines(text))
@@ -274,15 +275,13 @@ def test_criterion_8_ingest_builds_no_unpermuted_rows(monkeypatch):
     lg = random_labels(graph, 5, seed=5 * 31 + 2)
     sequential = solve(lg, 2)
     assert (sequential.clique, sequential.labels, sequential.stats.nodes_pass1) == (
-        [1, 2, 4, 6], 0b101, 19)
-    # Forked workers' pass-1 node counts and witness follow scheduling.
-    # Pass 2 starts from the optimum's key and finds nothing better, so its
-    # 5 nodes, one per single label, do not.
+        [1, 2, 4, 6], 0b101, 22)
+    # Forked workers' node counts and witness follow scheduling.
     for solution in (sequential, solve_parallel(lg, 2, workers=2)):
         stats = solution.stats
         assert (solution.size, solution.cost) == (4, 2)
         assert set(solution.clique) < set(range(8))  # inside the planted 8-clique
-        assert (stats.nodes_pass2, stats.subsets_pass1, stats.subsets_pass2) == (5, 0, 5)
+        assert (stats.nodes_pass2, stats.subsets_pass1, stats.subsets_pass2) == (0, 0, 0)
         assert stats.vertices_searched == 8
         assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
     assert graph._rows is None
@@ -414,21 +413,21 @@ def test_subset_rule_follows_average_degree(keller4, monkeypatch):
     assert (levels.size, levels.cost) == (10, 6)
     assert (levels.stats.subsets_pass1, levels.stats.subsets_pass2) == (28, 25)
     assert levels.stats.nodes_pass2 == 14334
-    # K=16, b=2: C(16, 2) = 120 subsets exceed the average degree, so pass 1
-    # runs the paper's search; pass 2's level has the 16 single labels.
-    # The node counts pin the paper's search tree, whose at-limit filter
-    # runs at 16,765 of its branches here; 547 of its 6,305 _expand calls
-    # lie below such a branch, where every candidate adds no label.
+    # K=16, b=2: C(16, 2) = 120 subsets exceed the average degree, so the
+    # paper's search runs, in one pass that no pass 2 follows.  The node
+    # counts pin its tree, whose at-limit filter runs at 17,909 of its
+    # branches here; 619 of its 6,395 _expand calls lie below such a
+    # branch, where every candidate adds no label.
     first = solve(random_labels(keller4, 16, 0), 2)
     assert (first.size, first.cost) == (5, 2)
-    assert (first.stats.subsets_pass1, first.stats.subsets_pass2) == (0, 16)
-    assert (first.stats.nodes_pass1, first.stats.nodes_pass2) == (6179, 279)
+    assert (first.stats.subsets_pass1, first.stats.subsets_pass2) == (0, 0)
+    assert (first.stats.nodes_pass1, first.stats.nodes_pass2) == (6260, 0)
     # 1,000 disjoint copies of K4 at K=5, b=2: every vertex already has
     # degree s0 - 1 = 3, so no peel runs and all 4,000 vertices are
     # searched; their average degree (3) is below both C(5, 2) = 10 and the
-    # 63 machine words of a row.  Its passes walk the root branches lazily and stop at the first
-    # one the bound prunes, so both passes together draw fewer than the
-    # 4,000 a single full list would hold.
+    # 63 machine words of a row.  Its one pass walks the root branches
+    # lazily and stops at the first one the bound prunes, so it draws fewer
+    # than the 4,000 a full list would hold.
     drawn = []
     root_branches = seq_mod._root_branches
 
@@ -444,7 +443,7 @@ def test_subset_rule_follows_average_degree(keller4, monkeypatch):
     assert (sparse.size, sparse.cost) == (4, 2)
     assert sparse.stats.vertices_searched == 4000
     assert (sparse.stats.subsets_pass1, sparse.stats.subsets_pass2) == (0, 0)
-    assert sparse.stats.nodes_pass1 > 0 and sparse.stats.nodes_pass2 > 0
+    assert sparse.stats.nodes_pass1 > 0 and sparse.stats.nodes_pass2 == 0
     assert 0 < len(drawn) < sparse.stats.vertices_searched
 
 

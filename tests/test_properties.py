@@ -20,7 +20,6 @@ from pytest import MonkeyPatch, raises
 
 from labelled_clique import (
     GraphError,
-    Incumbent,
     ParseError,
     build_graph,
     build_labelled,
@@ -42,7 +41,8 @@ from labelled_clique.graph_io import MAX_VERTICES
 from labelled_clique.oracle import MAX_ORACLE_VERTICES
 from labelled_clique.sequential import _expand
 
-from conftest import paper_search, paper_solve, planted_sparse_graph, random_instance
+from conftest import (RecordingIncumbent, paper_search, paper_solve, planted_sparse_graph,
+                      random_instance)
 
 
 @st.composite
@@ -80,7 +80,8 @@ def peelable_graphs(draw, max_n=14, max_labels=5):
 
 def assert_solvers_agree(lg, budget):
     """Both solvers give the oracle's (size, cost) with witnesses that
-    re-check on ``lg``; returns how many vertices each searched."""
+    re-check on ``lg``, and run no pass after a pass 1 of the paper's
+    search; returns how many vertices each searched."""
     size, cost, _ = oracle_solve(lg, budget)
     searched = []
     for solution in (solve(lg, budget), solve_parallel(lg, budget, workers=2)):
@@ -88,7 +89,10 @@ def assert_solvers_agree(lg, budget):
         assert len(set(solution.clique)) == solution.size
         assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
         assert solution.cost <= budget
-        searched.append(solution.stats.vertices_searched)
+        stats = solution.stats
+        if stats.subsets_pass1 == 0:
+            assert stats.nodes_pass2 == stats.subsets_pass2 == 0
+        searched.append(stats.vertices_searched)
     return searched
 
 
@@ -380,36 +384,21 @@ def test_label_file_round_trip(lg):
     assert back.label_bits == lg.label_bits
 
 
-class _RecordingIncumbent(Incumbent):
-    __slots__ = ("improvements",)
-
-    def __init__(self):
-        super().__init__()
-        self.improvements = []
-
-    def replace(self, clique, labels, size, cost):
-        self.improvements.append(list(clique))
-        super().replace(clique, labels, size, cost)
-
-
-def pass_two_drops_below_parent(lg, budget):
-    """True when a pass-2 improvement costs no more than the node it was
-    found under, so the new limit (its cost - 1) falls below that node's
-    cost while the node still has branches to try."""
+def limit_drops_below_parent(lg, budget):
+    """True when the paper's search installs a clique that ties the
+    incumbent's size and costs no more than the node it was found under,
+    so the new limit (its cost - 1) falls below that node's cost while the
+    node still has branches to try."""
     by_label, perm = permute_by_degree(lg)
-    every = (1 << lg.graph.n) - 1
-    inc = _RecordingIncumbent()
-    _expand(paper_search(by_label, True, inc, budget), [], every, 0)
-    inc.improvements.clear()
-    if inc.cost > 1:
-        _expand(paper_search(by_label, False, inc, budget), [], every, 0)
+    inc = RecordingIncumbent()
+    _expand(paper_search(by_label, True, inc, budget), [], (1 << lg.graph.n) - 1, 0)
     # The search numbers the permuted graph top-down, vertex v as n - 1 - v.
     top = lg.graph.n - 1
+    sizes = [0] + [size for _, size, _ in inc.improvements]
     return any(
-        len(clique) >= 3
-        and clique_cost(lg, perm.to_original(top - v for v in clique[:-1]))[1]
-        == clique_cost(lg, perm.to_original(top - v for v in clique))[1]
-        for clique in inc.improvements
+        size == before and size >= 3
+        and clique_cost(lg, perm.to_original(top - v for v in clique[:-1]))[1] == cost
+        for before, (clique, size, cost) in zip(sizes, inc.improvements)
     )
 
 
@@ -417,7 +406,7 @@ def test_solvers_agree_when_pass_two_lowers_limit_mid_subtree():
     cases = [(12, 0.6, 4, 0, 3), (12, 0.6, 4, 1, 2), (11, 0.7, 5, 6, 5), (12, 0.5, 3, 6, 2)]
     for n, density, num_labels, seed, budget in cases:
         lg = random_instance(n, density, num_labels, seed)
-        assert pass_two_drops_below_parent(lg, budget)
+        assert limit_drops_below_parent(lg, budget)
         assert_solvers_agree(lg, budget)
 
 

@@ -27,7 +27,7 @@ import labelled_clique.sequential as seq_mod
 from labelled_clique.graph import LabelledGraph
 from labelled_clique.sequential import _NODES, _expand, _within
 
-from conftest import paper_search, paper_solve, random_instance
+from conftest import RecordingIncumbent, paper_search, paper_solve, random_graph, random_instance
 
 
 def test_records_keep_their_fields_defaults_and_equality():
@@ -80,45 +80,42 @@ def test_is_better_examples():
 
 def test_expand_fig1_first_pass(fig1):
     by_label, _ = permute_by_degree(fig1)
-    inc = Incumbent()
-    search1 = paper_search(by_label, True, inc, 3)
-    search2 = paper_search(by_label, False, inc, 3)
-    _expand(search1, [], (1 << 7) - 1, 0)
-    # The size pass settles on a maximum feasible clique; with this branch
-    # order that is {1,2,3,5} at cost 3 (hand-traced), and the cost pass is
-    # what brings the cost down to 2.
-    assert inc.size == 4
-    assert inc.cost == 3
-    assert search1[_NODES][0] > 0
-    assert search2[_NODES][0] == 0
-    _expand(search2, [], (1 << 7) - 1, 0)
-    assert (inc.size, inc.cost) == (4, 2)
+    inc = RecordingIncumbent()
+    search = paper_search(by_label, True, inc, 3)
+    _expand(search, [], (1 << 7) - 1, 0)
+    # The one pass first reaches a maximum feasible clique, with this branch
+    # order {1,2,3,5} at cost 3 (hand-traced), and then brings the cost down
+    # to 2 in a branch that can only tie its size.
+    assert [(size, cost) for _, size, cost in inc.improvements][-2:] == [(4, 3), (4, 2)]
+    assert search[_NODES][0] > 0
+    # It is complete: a cost pass from its incumbent finds nothing cheaper.
+    found = len(inc.improvements)
+    _expand(paper_search(by_label, False, inc, 3), [], (1 << 7) - 1, 0)
+    assert (inc.size, inc.cost, len(inc.improvements)) == (4, 2, found)
 
 
 def test_expand_second_pass_admits_equal_sizes():
-    # Pass 1 prunes branches that can only tie the incumbent size; pass 2
-    # explores them and finds the cheaper triangle.
+    # The pass explores the branches that can only tie the incumbent's
+    # size, at one label below its cost: after the dearer triangle it finds
+    # the cheaper one.
     by_label, _ = permute_by_degree(two_triangles())
-    inc = Incumbent()
-    every = (1 << 6) - 1
-    _expand(paper_search(by_label, True, inc, 3), [], every, 0)
-    assert (inc.size, inc.cost) == (3, 3)
-    search2 = paper_search(by_label, False, inc, 3)
-    _expand(search2, [], every, 0)
-    assert (inc.size, inc.cost) == (3, 1)
-    assert search2[_NODES][0] > 0
+    inc = RecordingIncumbent()
+    search = paper_search(by_label, True, inc, 3)
+    _expand(search, [], (1 << 6) - 1, 0)
+    assert [(size, cost) for _, size, cost in inc.improvements][-2:] == [(3, 3), (3, 1)]
+    assert search[_NODES][0] > 0
 
 
 def test_expand_reports_a_node_its_bound_cuts_off():
-    # Two disjoint triangles need three colours.  Against a size-3
-    # incumbent, pass 1's k_min at the root is 4, so the root's colouring
-    # writes no vertex: the counted node was cut off by its bound.
+    # Two disjoint triangles need three colours.  Against a size-4
+    # incumbent, k_min at the root is 4, so the root's colouring writes no
+    # vertex: the counted node was cut off by its bound.
     by_label, _ = permute_by_degree(two_triangles())
-    inc = Incumbent([3, 4, 5], 0b111)
+    inc = Incumbent([2, 3, 4, 5], 0b111)
     search = paper_search(by_label, True, inc, 3)
     assert _expand(search, [], (1 << 6) - 1, 0)
     assert search[_NODES][0] == 1
-    assert (inc.size, inc.cost, inc.clique) == (3, 3, [3, 4, 5])
+    assert (inc.size, inc.cost, inc.clique) == (4, 3, [2, 3, 4, 5])
     # A node whose every branch is searched was not cut off.
     lone, _ = permute_by_degree(build_labelled(build_graph(1, []), 1, {}))
     search = paper_search(lone, True, Incumbent(), 1)
@@ -152,7 +149,10 @@ def test_solve_two_triangles_end_to_end():
     solution = solve(two_triangles(), 3)
     assert (solution.size, solution.cost) == (3, 1)
     assert solution.clique == [0, 1, 2]
-    assert solution.stats.nodes_pass2 > 0
+    # One pass of the paper's search finds the cheaper triangle; no cost
+    # pass follows it.
+    stats = solution.stats
+    assert (stats.subsets_pass1, stats.nodes_pass2) == (0, 0) and stats.nodes_pass1 > 0
 
 
 def test_solve_fig1_budgets(fig1):
@@ -276,18 +276,18 @@ def test_keller4_budget_one_node_count_frozen(keller4):
 
 
 def test_paper_search_at_the_cost_limit_frozen():
-    # Sixteen labels leave every budget here to the paper's search, and
-    # its at-limit filter runs in both passes, whose branches there add no
+    # Sixteen labels leave every budget here to the paper's search, in one
+    # pass, and its at-limit filter runs, below which no branch adds a
     # label.  Each node below such a branch still runs the label union and
-    # ANDs its filter over the whole clique, so these pins, taken when such
-    # subtrees skipped both, hold the search to the same tree and witness.
+    # ANDs its filter over the whole clique, so these pins hold the search
+    # to one tree and witness.
     lg = random_instance(30, 0.7, 16, seed=0)
     pins = {
-        3: (4, 2, [0, 10, 11, 25], 272, 38),
-        5: (5, 4, [7, 8, 11, 25, 29], 542, 272),
-        6: (6, 6, [6, 13, 18, 21, 22, 25], 490, 538),
-        7: (6, 6, [6, 13, 18, 21, 22, 25], 554, 635),
-        8: (7, 8, [4, 7, 8, 11, 15, 20, 25], 410, 540),
+        3: (4, 2, [0, 10, 11, 25], 277, 0),
+        5: (5, 4, [6, 13, 18, 22, 25], 702, 0),
+        6: (6, 6, [6, 13, 18, 21, 22, 25], 795, 0),
+        7: (6, 6, [6, 13, 18, 21, 22, 25], 909, 0),
+        8: (7, 8, [4, 7, 8, 11, 15, 20, 25], 793, 0),
     }
     for budget, pin in pins.items():
         solution = solve(lg, budget)
@@ -295,6 +295,20 @@ def test_paper_search_at_the_cost_limit_frozen():
         assert (stats.subsets_pass1, stats.subsets_pass2) == (0, 0)
         assert (solution.size, solution.cost, solution.clique,
                 stats.nodes_pass1, stats.nodes_pass2) == pin
+
+
+def test_paper_search_at_the_proven_size_frozen():
+    # K = 8, b = 6 on 49 vertices: pass 1 searches the C(8, 6) = 28 label
+    # subsets, but pass 2's level of C(8, 5) = 56 exceeds the average
+    # degree, so it runs the paper's search at the size pass 1 proved.
+    # Each of its branches can only tie that size, so each filters against
+    # one label below the incumbent's cost, never against the budget.
+    lg = random_labels(random_graph(49, 0.8, 20004), 8, 4)
+    solution = solve(lg, 6)
+    stats = solution.stats
+    assert (solution.size, solution.cost) == (11, 6)
+    assert (stats.subsets_pass1, stats.subsets_pass2) == (28, 0)
+    assert (stats.nodes_pass1, stats.nodes_pass2) == (336, 6176)
 
 
 def test_subset_rule_needs_rows_no_wider_than_the_average_degree():
@@ -423,7 +437,7 @@ def test_label_subset_search_reads_no_label_bits(monkeypatch):
     # A sub-search needs no label union: G_T's edges carry only T's
     # labels, so no branch can exceed the budget, and the witness takes
     # its labels from T's per-label rows.  The label dicts the union reads
-    # are built only for a solve whose passes run the paper's search, once.
+    # are built only for a solve that runs the paper's search, once.
     lg = random_instance(30, 0.7, 4, seed=2026)
     paper = paper_solve(lg, 3)
     label_dicts, built = seq_mod._label_dicts, []
@@ -439,7 +453,7 @@ def test_label_subset_search_reads_no_label_bits(monkeypatch):
     lg = random_instance(24, 0.6, 16, seed=2024)
     paper, solution = paper_solve(lg, 3), solve(lg, 3)
     stats = solution.stats
-    assert (stats.subsets_pass1, stats.subsets_pass2) == (0, 0) and stats.nodes_pass2 > 0
+    assert (stats.subsets_pass1, stats.subsets_pass2, stats.nodes_pass2) == (0, 0, 0)
     assert (solution.size, solution.cost) == (paper.size, paper.cost)
     assert built == [16]
 
