@@ -1,7 +1,7 @@
-"""Graphs as edge lists with bitset rows on demand, and edge labels on demand.
+"""Graphs as sorted edge lists, and edge labels on demand.
 
-A graph holds its sorted edge list and degrees; its rows, bit ``w`` of row
-``v`` set iff ``{v, w}`` is an edge, are built when first read.  Bitsets
+A graph holds its sorted edge list and degrees only: an edge is found by
+bisecting the list, the edges among a vertex set by slicing it.  Bitsets
 are plain Python ints, so every set operation in the search (intersection,
 and-with-complement) runs word-at-a-time in C.  Label sets are also plain
 int masks over label indices, with cost = ``mask.bit_count()``; at most 64
@@ -24,7 +24,7 @@ read their own copies.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .colouring import colour_top_down_into, mirrored_tables
@@ -55,26 +55,16 @@ def label_indices(mask: int) -> list[int]:
 
 
 class Graph:
-    """Undirected loop-free graph: degrees, edges (u, v) with u < v, and one
-    adjacency bitset per vertex.  :func:`build_graph` gives the degrees and
-    edges, trusted here; the rows are built from the edges on first use."""
+    """Undirected loop-free graph: degrees, and edges (u, v) with u < v in
+    ascending order.  :func:`build_graph` gives both, trusted here."""
 
-    __slots__ = ("n", "degrees", "_rows", "_edges")
+    __slots__ = ("n", "degrees", "_edges")
 
     def __init__(self, n: int, degrees: list[int], edges: list[tuple[int, int]]):
-        self.n, self.degrees, self._edges, self._rows = n, degrees, edges, None
-
-    @property
-    def adjacency(self) -> list[int]:
-        if self._rows is None:
-            rows = self._rows = [0] * self.n
-            for u, v in self._edges:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        return self._rows
+        self.n, self.degrees, self._edges = n, degrees, edges
 
     def adjacent(self, v: int, w: int) -> bool:
-        return (self.adjacency[v] >> w) & 1 == 1
+        return _position(self._edges, (v, w) if v < w else (w, v)) is not None
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) with u < v, ascending: the canonical order of
@@ -86,6 +76,20 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
+
+
+def _position(edges: list[tuple[int, int]], pair: tuple[int, int]) -> int | None:
+    """The index of ``pair`` in the sorted ``edges``, or None if absent."""
+    return i if edges[(i := bisect_left(edges, pair)):i + 1] == [pair] else None
+
+
+def _among(edges: list[tuple[int, int]], vertices: set[int]) -> list[int]:
+    """The indices in the sorted ``edges`` of the edges among ``vertices``.
+    Edge (u, v) lies in u's slice of the list, which starts at (u,) and
+    ends before (u + 1,)."""
+    return [i for u in vertices
+            for i in range(bisect_left(edges, (u,)), bisect_left(edges, (u + 1,)))
+            if edges[i][1] in vertices]
 
 
 def cheap_rows(n: int, degree_sum: int) -> bool:
@@ -142,17 +146,16 @@ class LabelledGraph:
 
     ``labels_at(indices)`` labels the edges at those positions of
     ``graph.edges()``, so a solve labels only the edges it reads, and
-    ``labels()`` labels every edge, once.  ``label_bits[v]`` maps each
-    neighbour ``w`` of ``v`` to the mask ``1 << label(v, w)``; it is built
-    on first read.
+    ``labels()`` labels every edge, once, and keeps the list: once it is
+    built, every lookup reads it.
     """
 
-    __slots__ = ("graph", "num_labels", "labels_at", "_labels", "_bits")
+    __slots__ = ("graph", "num_labels", "labels_at", "_labels")
 
     def __init__(self, graph: Graph, num_labels: int,
                  labels_at: Callable[[Sequence[int]], list[int]]):
         self.graph, self.num_labels, self.labels_at = graph, num_labels, labels_at
-        self._labels, self._bits = None, None
+        self._labels = None
 
     def labels(self) -> list[int]:
         """The label of every edge, aligned with ``graph.edges()``."""
@@ -160,42 +163,26 @@ class LabelledGraph:
             self._labels = self.labels_at(range(self.graph.edge_count()))
         return self._labels
 
-    @property
-    def label_bits(self) -> list[dict[int, int]]:
-        if self._bits is None:
-            self._bits = self._add([{} for _ in self.graph.degrees], range(len(self.labels())))
-        return self._bits
+    def _labels_of(self, at: Sequence[int]) -> Iterable[int]:
+        """The labels of the edges at positions ``at`` of ``graph.edges()``."""
+        return self.labels_at(at) if self._labels is None else map(self._labels.__getitem__, at)
 
-    def _add(self, rows, at: Sequence[int]):
-        """Add the edges at positions ``at`` of ``graph.edges()`` to ``rows``."""
-        labels = self.labels_at(at) if self._labels is None else map(self._labels.__getitem__, at)
-        for (u, v), label in zip(map(self.graph.edges().__getitem__, at), labels):
+    def rows_among(self, vertices: set[int]) -> dict[int, dict[int, int]]:
+        """Each vertex of ``vertices`` mapped to a dict from each neighbour ``w``
+        among them to the mask ``1 << label``, labelling only those edges."""
+        edges, rows = self.graph.edges(), defaultdict(dict)
+        at = _among(edges, vertices)
+        for (u, v), label in zip(map(edges.__getitem__, at), self._labels_of(at)):
             rows[u][v] = rows[v][u] = 1 << label
         return rows
 
-    def rows_among(self, vertices: set[int]) -> list[dict[int, int]] | dict[int, dict[int, int]]:
-        """Rows like ``label_bits`` of the edges among ``vertices``, labelling only
-        those, unless ``label_bits`` is built or ``vertices`` has every edge."""
-        g = self.graph
-        edged = g.n - g.degrees.count(0)
-        if self._bits is None and sum(g.degrees[v] > 0 for v in vertices) < edged:
-            edges = g.edges()
-            # Edge (u, v) lies in u's slice of the sorted list, which
-            # starts at (u,) and ends before (u + 1,).
-            at = [i for u in vertices
-                  for i in range(bisect_left(edges, (u,)), bisect_left(edges, (u + 1,)))
-                  if edges[i][1] in vertices]
-            return self._add(defaultdict(dict), at)
-        return self.label_bits
-
     def masks(self, pairs: list[tuple[int, int]]) -> list[int | None]:
-        """Label masks of the pairs (u, v) with u < v, None for a non-edge."""
-        rows = self._bits
-        if rows is None:
-            edges = self.graph.edges()
-            at = [i for pair in pairs if edges[(i := bisect_left(edges, pair)):i + 1] == [pair]]
-            rows = self._add(defaultdict(dict), at)
-        return [rows[u].get(v) for u, v in pairs]
+        """Label masks of the pairs (u, v) with u < v, None for a non-edge;
+        only the pairs that are edges are labelled."""
+        edges = self.graph.edges()
+        found = [_position(edges, pair) for pair in pairs]
+        labels = iter(self._labels_of([i for i in found if i is not None]))
+        return [None if i is None else 1 << next(labels) for i in found]
 
     def label_of(self, u: int, v: int) -> int:
         """Label index of edge (u, v); raises GraphError for a non-edge."""
@@ -247,13 +234,9 @@ def from_label_list(graph: Graph, num_labels: int, labels: list[int]) -> Labelle
 
 
 class Permutation(NamedTuple):
-    """Vertex renumbering: ``forward[new] = old`` and ``inverse[old] = new``.
-
-    ``inverse[old]`` is None for a vertex left out of the renumbered graph.
-    """
+    """Vertex renumbering: ``forward[new] = old``."""
 
     forward: tuple[int, ...]
-    inverse: tuple[int | None, ...]
 
     def to_original(self, vertices: Iterable[int]) -> list[int]:
         return [self.forward[v] for v in vertices]
@@ -275,23 +258,21 @@ def permute_by_degree(
     ``n - 1 - new`` here, both as a row index and as a bit, so
     ``rows[k][n - 1 - new]`` is the bitset of its neighbours joined to it
     by an edge labelled ``k``.  They are filled in one pass over the kept
-    edges, and are all that both searches of a solve read.
+    edges, and are all that both searches of a solve read.  A subgraph's
+    edges are sliced out of the edge list and labelled in one call.
     """
     g = lg.graph
     if kept is None:
         vertices, degree = range(g.n), g.degrees
         edges, labels = g.edges(), lg.labels()
     else:
-        vertices, neighbours = kept, lg.rows_among(kept)
-        degree = {v: len(kept.intersection(neighbours[v])) for v in kept}
-        edges = [(u, w) for u in kept for w in neighbours[u] if u < w and w in kept]
-        labels = [neighbours[u][w].bit_length() - 1 for u, w in edges]
+        at = _among(g.edges(), kept)
+        edges, labels = list(map(g.edges().__getitem__, at)), lg._labels_of(at)
+        vertices, degree = kept, Counter(v for edge in edges for v in edge)
     forward = sorted(vertices, key=lambda v: (-degree[v], v))
     n = len(forward)
-    inverse: list[int | None] = [None] * g.n
     row_of, bit = [0] * g.n, [0] * g.n
     for new, old in enumerate(forward):
-        inverse[old] = new
         row_of[old] = t = n - 1 - new
         bit[old] = 1 << t
     by_label = [[0] * n for _ in range(lg.num_labels)]
@@ -299,7 +280,7 @@ def permute_by_degree(
         rows = by_label[label]
         rows[row_of[u]] |= bit[v]
         rows[row_of[v]] |= bit[u]
-    return by_label, Permutation(tuple(forward), tuple(inverse))
+    return by_label, Permutation(tuple(forward))
 
 
 def greedy_clique_size(lg: LabelledGraph, budget: int) -> int:

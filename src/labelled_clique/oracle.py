@@ -16,10 +16,22 @@ MAX_ORACLE_VERTICES = 25
 _SUBSET_LIMIT = 20
 
 
-def _clique_labels(lg: LabelledGraph, vertices: list[int]) -> int:
+def _rows(lg: LabelledGraph) -> tuple[list[int], list[dict[int, int]]]:
+    """Adjacency bitsets and label dicts (neighbour -> ``1 << label``), read
+    straight from ``graph.edges()`` and ``labels()`` on purpose: the reference
+    shares none of the solvers' edge lookups (``rows_among``, ``masks``)."""
+    adjacency, label_rows = [0] * lg.graph.n, [{} for _ in range(lg.graph.n)]
+    for (u, v), label in zip(lg.graph.edges(), lg.labels()):
+        adjacency[u] |= 1 << v
+        adjacency[v] |= 1 << u
+        label_rows[u][v] = label_rows[v][u] = 1 << label
+    return adjacency, label_rows
+
+
+def _clique_labels(label_rows: list[dict[int, int]], vertices: list[int]) -> int:
     labels = 0
     for i, u in enumerate(vertices):
-        row = lg.label_bits[u]
+        row = label_rows[u]
         for v in vertices[i + 1 :]:
             labels |= row[v]
     return labels
@@ -44,10 +56,9 @@ class _Best:
 
 
 def _solve_by_subsets(lg: LabelledGraph, budget: int) -> tuple[int, int, list[int]]:
-    n = lg.graph.n
-    adjacency = lg.graph.adjacency
+    adjacency, label_rows = _rows(lg)
     best = _Best()
-    for mask in range(1, 1 << n):
+    for mask in range(1, 1 << len(adjacency)):
         rest = mask
         vertices = []
         ok = True
@@ -61,7 +72,7 @@ def _solve_by_subsets(lg: LabelledGraph, budget: int) -> tuple[int, int, list[in
             rest ^= bit
         if not ok:
             continue
-        labels = _clique_labels(lg, vertices)
+        labels = _clique_labels(label_rows, vertices)
         cost = labels.bit_count()
         if cost <= budget:
             best.offer(tuple(vertices), cost)
@@ -69,8 +80,7 @@ def _solve_by_subsets(lg: LabelledGraph, budget: int) -> tuple[int, int, list[in
 
 
 def _solve_by_extension(lg: LabelledGraph, budget: int) -> tuple[int, int, list[int]]:
-    n = lg.graph.n
-    adjacency = lg.graph.adjacency
+    adjacency, label_rows = _rows(lg)
     best = _Best()
 
     def extend(clique: list[int], labels: int, cands: int) -> None:
@@ -85,7 +95,7 @@ def _solve_by_extension(lg: LabelledGraph, budget: int) -> tuple[int, int, list[
             bit = cands & -cands
             v = bit.bit_length() - 1
             cands ^= bit
-            row = lg.label_bits[v]
+            row = label_rows[v]
             grown = labels
             for w in clique:
                 grown |= row[w]
@@ -93,7 +103,7 @@ def _solve_by_extension(lg: LabelledGraph, budget: int) -> tuple[int, int, list[
             extend(clique, grown, cands & adjacency[v])
             clique.pop()
 
-    extend([], 0, (1 << n) - 1)
+    extend([], 0, (1 << len(adjacency)) - 1)
     return best.size, best.cost, list(best.witness)
 
 

@@ -58,6 +58,16 @@ def planted_sparse_graph(n: int, ratio: float, seed: int,
     return build_graph(n, [*edges, *alone]), alone
 
 
+def bitset_rows(g: Graph) -> list[int]:
+    """Each vertex's adjacency bitset, bit ``w`` of row ``v`` set iff
+    ``{v, w}`` is an edge, built from ``g.edges()``: the tests' own rows."""
+    rows = [0] * g.n
+    for u, v in g.edges():
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
 def random_instance(n: int, density: float, num_labels: int, seed: int) -> LabelledGraph:
     g = random_graph(n, density, seed)
     return random_labels(g, num_labels, seed + 1_000_003)

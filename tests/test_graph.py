@@ -19,8 +19,8 @@ import labelled_clique.graph as graph_mod
 from labelled_clique.graph import (cheap_rows, core, greedy_clique_size, iter_bits,
                                    reduce_to_core, truss)
 
-from conftest import (collaboration_scale_graph, planted_sparse_graph, random_graph,
-                      random_instance, traced)
+from conftest import (bitset_rows, collaboration_scale_graph, planted_sparse_graph,
+                      random_graph, random_instance, traced)
 
 
 def triangle_labelled(num_labels=1, labels=(0, 0, 0)):
@@ -68,11 +68,12 @@ def test_build_collapses_duplicates():
 def test_adjacency_symmetric_and_loop_free():
     lg = random_instance(14, 0.5, 3, seed=7)
     g = lg.graph
+    rows = bitset_rows(g)
     for v in range(g.n):
         assert not g.adjacent(v, v)
         for w in range(g.n):
-            assert g.adjacent(v, w) == g.adjacent(w, v)
-        assert g.degrees[v] == g.adjacency[v].bit_count()
+            assert g.adjacent(v, w) == g.adjacent(w, v) == (rows[v] >> w & 1 == 1)
+        assert g.degrees[v] == rows[v].bit_count()
 
 
 def test_build_labelled_triangle():
@@ -138,7 +139,6 @@ def test_permute_identity_when_sorted():
     lg = build_labelled(g, 1, {(0, 1): 0, (0, 2): 0})
     _, perm = permute_by_degree(lg)
     assert perm.forward == (0, 1, 2)
-    assert perm.inverse == (0, 1, 2)
 
 
 def test_permute_all_ties_is_identity():
@@ -154,9 +154,7 @@ def test_permute_properties():
         by_label, perm = permute_by_degree(lg)
         degs = permuted_degrees(by_label)
         assert all(degs[i] >= degs[i + 1] for i in range(len(degs) - 1))
-        for v in range(lg.graph.n):
-            assert perm.inverse[perm.forward[v]] == v
-            assert perm.forward[perm.inverse[v]] == v
+        assert sorted(perm.forward) == list(range(lg.graph.n))
         assert_rows_follow_labels(lg, by_label, perm)
 
 
@@ -167,7 +165,6 @@ def test_permute_kept_vertices_builds_induced_subgraph():
         kept = set(iter_bits(0b101101110101 >> seed))
         by_label, perm = permute_by_degree(lg, kept)
         assert sorted(perm.forward) == sorted(kept)
-        assert [perm.inverse[v] is None for v in range(12)] == [v not in kept for v in range(12)]
         degs = permuted_degrees(by_label)
         assert all(degs[i] >= degs[i + 1] for i in range(len(degs) - 1))
         induced = [(u, v) for u, v in lg.graph.edges() if u in kept and v in kept]
@@ -178,14 +175,13 @@ def test_permute_kept_vertices_builds_induced_subgraph():
 
 
 def test_whole_permutation_fills_the_rows_the_kept_one_builds():
-    # A whole graph is renumbered from its edge list straight into
-    # per-label rows; keeping every vertex goes through the label dicts
-    # instead.  Both must give the same rows and permutation, and the
-    # whole one must build no label dict.
+    # A whole graph is renumbered from its edge list and labels() straight
+    # into per-label rows; keeping every vertex slices the edge list and
+    # labels what it finds instead.  Both must give the same rows and
+    # permutation.
     for n, density, num_labels in ((3, 1.0, 1), (12, 0.4, 3), (30, 0.7, 5), (65, 0.6, 64)):
         lg = random_instance(n, density, num_labels, seed=n)
         whole = permute_by_degree(lg)
-        assert lg._bits is None
         assert whole == permute_by_degree(lg, set(range(n)))
 
 
@@ -198,6 +194,7 @@ def test_core_matches_networkx_and_is_stable():
         dense = random_graph(150, 0.5, seed)
         cases.append((build_graph(151, [*dense.edges(), (0, 150)]), [10, 40, *range(55, 66), 70]))
     for seed, (g, ks) in enumerate(cases):
+        rows = bitset_rows(g)
         reference = nx.Graph(list(g.edges()))
         reference.add_nodes_from(range(g.n))
         for k in ks:
@@ -205,7 +202,7 @@ def test_core_matches_networkx_and_is_stable():
             assert alive == set(nx.k_core(reference, k))
             mask = sum(1 << v for v in alive)
             for v in alive:
-                assert (g.adjacency[v] & mask).bit_count() >= k
+                assert (rows[v] & mask).bit_count() >= k
             # Peeling the core's own subgraph again removes nothing.
             again = build_graph(g.n, [(u, v) for u, v in g.edges() if u in alive and v in alive])
             assert core(random_labels(again, 1, seed), k) == alive
@@ -286,16 +283,17 @@ def test_greedy_clique_size_is_feasible_lower_bound():
 def greedy_on_rows(lg, budget):
     """``greedy_clique_size`` as it ran on adjacency rows before it read the
     label maps: the reference for its choices and tie-breaks."""
-    g = lg.graph
+    g, label = lg.graph, lg.edge_label_map()
+    rows = bitset_rows(g)
     degree = g.degrees.__getitem__
     best = min(g.n, 1)
     for v in sorted(range(g.n), key=degree, reverse=True)[:32]:
-        clique, labels, cands = [v], 0, g.adjacency[v]
+        clique, labels, cands = [v], 0, rows[v]
         while cands:
             for w in sorted(iter_bits(cands), key=degree, reverse=True):
                 grown = labels
                 for u in clique:
-                    grown |= lg.label_bits[w][u]
+                    grown |= 1 << label[min(u, w), max(u, w)]
                 if grown.bit_count() <= budget:
                     break
                 cands ^= 1 << w
@@ -303,7 +301,7 @@ def greedy_on_rows(lg, budget):
                 break
             clique.append(w)
             labels = grown
-            cands &= g.adjacency[w]
+            cands &= rows[w]
         best = max(best, len(clique))
     return best
 
@@ -327,7 +325,6 @@ def test_greedy_clique_size_labels_only_its_starts_and_their_neighbours():
             for budget in range(1, num_labels + 1):
                 lg = random_labels(g, num_labels, seed)
                 size = greedy_clique_size(lg, budget)
-                assert lg._bits is None
                 assert size == greedy_on_rows(lg, budget)
 
 

@@ -25,7 +25,7 @@ from labelled_clique import (
 import labelled_clique.graph_io as graph_io
 from labelled_clique.graph_io import MAX_VERTICES, _parse_lines
 
-from conftest import random_graph, traced
+from conftest import bitset_rows, random_graph, traced
 
 # First outputs of the pinned splitmix64 stream, frozen from two independent
 # implementations (Python big-int and C uint64) of the three-step formula.
@@ -186,7 +186,7 @@ def splitmix_stream(seed: int, count: int) -> list[int]:
 
 def test_random_labels_label_any_edges_from_their_indices():
     # Edge i takes value i of the stream whichever edges are asked for, in
-    # any order and with repeats, and asking builds no label rows.
+    # any order and with repeats.
     g = random_graph(40, 0.3, seed=9)
     m = g.edge_count()
     for num_labels, seed in ((1, 0), (7, 2**64 - 1), (64, 2**64 + 3)):
@@ -194,7 +194,6 @@ def test_random_labels_label_any_edges_from_their_indices():
         lg = random_labels(g, num_labels, seed)
         for at in ([], [m - 1, 0, 5, 5], list(range(m))[::-3], range(m)):
             assert lg.labels_at(at) == [stream[i] for i in at]
-        assert lg._bits is None
 
 
 _LONG = list(range(2999, -1, -1)) + list(range(0, 3000, 7))
@@ -380,7 +379,7 @@ def test_every_graph_lists_its_edges_sorted_and_unique():
     for graph in graphs:
         edges = list(graph.edges())
         assert edges == sorted(set(edges)) and all(u < v for u, v in edges)
-        assert graph.degrees == [row.bit_count() for row in graph.adjacency]
+        assert graph.degrees == [row.bit_count() for row in bitset_rows(graph)]
     assert all(graph.edges() == g.edges() for graph in graphs)
 
 
@@ -399,7 +398,7 @@ def test_random_labels_pass_build_labelled_checks():
     # accept them and build identical rows.
     g = random_graph(12, 0.5, seed=8)
     lg = random_labels(g, 6, seed=3)
-    assert build_labelled(g, 6, lg.edge_label_map()).label_bits == lg.label_bits
+    assert build_labelled(g, 6, lg.edge_label_map()).edge_label_map() == lg.edge_label_map()
 
 
 def test_parse_labels_fig1(fig1):

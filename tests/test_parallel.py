@@ -109,7 +109,8 @@ def test_split_root_fig1(fig1):
     # root colouring, the mirror image of the bottom-up one
     assert [sp.vertex for sp in subs] == list(reversed(order))
     assert [sp.bound for sp in subs] == list(reversed(bounds))
-    permuted = build_graph(7, [(perm.inverse[u], perm.inverse[v]) for u, v in fig1.graph.edges()])
+    new = perm.forward.index
+    permuted = build_graph(7, [(new(u), new(v)) for u, v in fig1.graph.edges()])
     result = colour_order(permuted, (1 << 7) - 1)
     assert [6 - v for v in order] == result.order and bounds == result.bounds
     # candidates replay the sequential loop: earlier-branched vertices are

@@ -1,6 +1,7 @@
 """Property-based tests: both solvers against the oracle, the label-subset
 search against the paper's, k_min colourings against whole ones, solves
-after the triangle peel against solves of the whole graph, and the parsers
+after the triangle peel against solves of the whole graph, the edge
+lookups of a labelled graph against its edge label map, and the parsers
 against arbitrary text.
 
 Every budget of every drawn instance must give the oracle's (size, cost),
@@ -134,16 +135,12 @@ def sparse_seeded_instances(draw):
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(sparse_seeded_instances())
 def test_labels_on_demand_solve_like_a_checked_labelling(instance):
-    # The same labels given as a checked list, with every label row built
-    # up front, must give the same solves as labels computed on demand, and
-    # a non-edge must raise with or without label_bits built.
+    # The same labels given as a checked list must give the same solves as
+    # labels computed on demand, and a non-edge must raise in both.
     g, num_labels, seed = instance
     full = build_labelled(g, num_labels, random_labels(g, num_labels, seed).edge_label_map())
-    full.label_bits
     non_edges = [(u, v) for u in range(3) for v in range(u + 1, g.n) if not g.adjacent(u, v)][:5]
-    built = random_labels(g, num_labels, seed)
-    built.label_bits
-    for lg in (random_labels(g, num_labels, seed), built, full,
+    for lg in (random_labels(g, num_labels, seed), full,
                build_labelled(g, num_labels, full.edge_label_map())):
         for u, v in non_edges:
             for call in (lambda: lg.label_of(v, u), lambda: clique_cost(lg, [u, v])):
@@ -381,7 +378,39 @@ def seeded_labellings(draw):
 def test_label_file_round_trip(lg):
     back = parse_labels(write_labels(lg), lg.graph)
     assert back.num_labels == lg.num_labels
-    assert back.label_bits == lg.label_bits
+    assert back.edge_label_map() == lg.edge_label_map()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.one_of(seeded_labellings(), labelled_graphs(max_labels=MAX_LABELS)), st.booleans(),
+       st.data())
+def test_edge_lookups_follow_the_edge_label_map(lg, cached, data):
+    # rows_among, masks and adjacent find edges in the sorted edge list,
+    # with labels() built or not.  rows_among must give exactly the edges
+    # among its vertex set, both ways round, as masks 1 << label, and label
+    # only those edges, or none once labels() is built; masks must be None
+    # exactly on the non-edges; adjacent must be symmetric.
+    g = lg.graph
+    want = dict(zip(g.edges(), lg.labels_at(range(g.edge_count()))))  # what edge_label_map gives
+    if cached:
+        lg.labels()
+    labels_at, asked = lg.labels_at, []
+    lg.labels_at = lambda at: asked.extend(at) or labels_at(at)
+    picks = data.draw(st.lists(st.lists(st.booleans(), min_size=g.n, max_size=g.n), max_size=4))
+    for vertices in [set(range(g.n)), *({v for v in range(g.n) if pick[v]} for pick in picks)]:
+        asked.clear()
+        rows = lg.rows_among(vertices)
+        among = [i for i, (u, v) in enumerate(g.edges()) if u in vertices and v in vertices]
+        assert {(u, v, mask) for u, row in rows.items() for v, mask in row.items()} == {
+            (u, v, 1 << want[edge]) for edge in map(g.edges().__getitem__, among)
+            for u, v in (edge, edge[::-1])}
+        assert sorted(asked) == ([] if cached else among)
+    assert lg.edge_label_map() == want
+    pairs = data.draw(st.permutations([(u, v) for u in range(g.n) for v in range(u + 1, g.n)]))
+    assert lg.masks(pairs) == [1 << want[pair] if pair in want else None for pair in pairs]
+    for u in range(g.n):
+        for v in range(g.n):
+            assert g.adjacent(u, v) == g.adjacent(v, u) == ((min(u, v), max(u, v)) in want)
 
 
 def limit_drops_below_parent(lg, budget):
