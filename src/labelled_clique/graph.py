@@ -147,7 +147,7 @@ class LabelledGraph:
     ``labels_at(indices)`` labels the edges at those positions of
     ``graph.edges()``, so a solve labels only the edges it reads, and
     ``labels()`` labels every edge, once, and keeps the list: once it is
-    built, every lookup reads it.
+    built, or given (:func:`from_label_list`), every lookup reads it.
     """
 
     __slots__ = ("graph", "num_labels", "labels_at", "_labels")
@@ -227,10 +227,13 @@ def build_labelled(
 
 def from_label_list(graph: Graph, num_labels: int, labels: list[int]) -> LabelledGraph:
     """Attach ``labels``, one index in ``[0, num_labels)`` per edge of
-    ``graph.edges()``, trusted here; only ``num_labels`` is checked."""
+    ``graph.edges()``, trusted here and kept, not copied, as the
+    ``labels()`` list; only ``num_labels`` is checked."""
     if not 1 <= num_labels <= MAX_LABELS:
         raise GraphError(f"num_labels must be in [1, {MAX_LABELS}], got {num_labels}")
-    return LabelledGraph(graph, num_labels, labels_at=lambda indices: [labels[i] for i in indices])
+    lg = LabelledGraph(graph, num_labels, labels_at=lambda indices: [labels[i] for i in indices])
+    lg._labels = labels
+    return lg
 
 
 class Permutation(NamedTuple):

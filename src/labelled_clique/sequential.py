@@ -3,8 +3,10 @@
 The paper's search is one pass in the solution order (:func:`is_better`).
 A branch that can beat the incumbent's size filters label sets against the
 budget, one that can only tie it against (incumbent cost - 1), which
-shrinks as cheaper solutions are found.  The bound at each node comes from
-a fresh greedy colouring of the candidate set, consumed right to left.
+shrinks as cheaper solutions are found.  Both searches enter a node with
+the greedy colouring of its candidates and branch right to left; each
+child is coloured where it branches, at k_min, counted in the pass's node
+counter, and entered only if its colouring wrote a vertex.
 
 Label sets only grow as vertices join the clique, so a node whose cost
 equals its branch's limit drops from its candidates, before colouring
@@ -194,61 +196,52 @@ def _search(state, inc):
     dicts or None, budget) and its incumbent.
 
     It holds the pass's constants, then the counters ``[nodes, outcomes]``
-    (at index ``_NODES``): the nodes searched, and the label mask of T and
-    the final incumbent size of each label-subset sub-search run.  Last
-    come the scratch buffers: one ``(order, bounds)`` pair per clique size,
-    grown on demand, so a context serves one search at a time.
+    (at index ``_NODES``): the colourings both searches make, and the label
+    mask of T and the final incumbent size of each label-subset sub-search
+    run.  Last come the scratch buffers: one ``(order, bounds)`` pair per
+    clique size, level 0 for a G_T root and the rest grown on demand, so a
+    context serves one search at a time.
     """
     first_pass, (by_label, rows, tables), label_bits, budget = state
-    return (first_pass, inc, rows, tables, label_bits, by_label, budget, [0, []], [])
+    n = len(rows)
+    return (first_pass, inc, rows, tables, label_bits, by_label, budget, [0, []],
+            [([0] * n, [0] * n)])
 
 
-def _expand(search, clique, cands, labels, order=None, bounds=None, m=0):
-    """One node of the paper's search: colour, then branch right to left.
+def _expand(search, clique, cands, labels, order, bounds, m):
+    """One node of the paper's search, entered with its colouring: the
+    first ``m`` entries of ``order`` and their colour ``bounds``, taken
+    right to left.
 
     ``search`` is the pass's context from :func:`_search`.  ``clique`` is
     used like a stack (append/pop), never a bitset, so the label union only
-    ever scans the current clique, and its length picks the node's scratch
-    buffers.  The :class:`Incumbent` is updated in place.
+    ever scans the current clique, and its length picks the children's
+    scratch buffers.  The :class:`Incumbent` is updated in place.
 
     A branch whose reach (clique size plus colour bound) is below the
-    incumbent's size is pruned.  Its cost limit is the budget if it can beat
-    that size and the size is not yet proven (``first_pass``), else one
-    below the incumbent's cost.  A branch whose cost reaches its limit
-    keeps only the candidates that :func:`_within` joins to every clique
-    vertex by labels it already has.
+    incumbent's size ends the node, as the bounds only fall to the left.
+    Its cost limit is the budget if it can beat that size and the size is
+    not yet proven (``first_pass``), else one below the incumbent's cost.
+    A branch whose cost reaches its limit keeps only the candidates that
+    :func:`_within` joins to every clique vertex by labels it already has.
 
-    The node's colouring, by ``colour_top_down_into``, writes only the
-    vertices coloured k_min or above, k_min being the lowest colour whose
-    branch can reach the incumbent's size: a vertex below it would be
-    pruned, and the incumbent only improves.
-
-    A caller that has already coloured the node passes ``order``, ``bounds``
-    and ``m`` instead; that entry is not counted as a node, since the
-    colouring was counted where it was made.  Every root branch enters
-    this way, as a one-entry colouring of the root (:func:`_run_unit`).
-    Returns True when the colour bound cut the node off: a counted node
-    whose colouring wrote no vertex, or a branch pruned by its reach.
+    Each child is coloured here at k_min, the lowest colour whose branch
+    can reach the incumbent's size: ``colour_top_down_into`` writes no
+    vertex below it, as such a vertex would be pruned and the incumbent
+    only improves.
     """
     first_pass, inc, rows, tables, label_bits, by_label, budget, nodes, scratch = search
     csize = len(clique)
-    if order is None:
-        nodes[0] += 1
-        while csize >= len(scratch):
-            n = len(rows)
-            scratch.append(([0] * n, [0] * n))
-        order, bounds = scratch[csize]
-        m = colour_top_down_into(tables, cands, order, bounds, inc.size - csize)
-        if not m:
-            return True
+    size = csize + 1
+    if size == len(scratch):
+        scratch.append(([0] * len(rows), [0] * len(rows)))
+    child_order, child_bounds = scratch[size]
     bit = tables[1]
     for i in range(m - 1, -1, -1):
         reach = csize + bounds[i]
         inc_size = inc.size
-        # bounds never decreases with i, so every remaining branch
-        # would prune too: abandon the whole node.
         if reach < inc_size:
-            return True
+            return
         v = order[i]
         grown = labels
         row = label_bits[v]
@@ -258,17 +251,19 @@ def _expand(search, clique, cands, labels, order=None, bounds=None, m=0):
         cost = grown.bit_count()
         limit = budget if first_pass and reach > inc_size else inc.cost - 1
         if cost <= limit:
-            size = csize + 1
             if size > inc.size or (size == inc.size and cost < inc.cost):
                 inc.replace(clique, grown, size, cost)
             remaining = cands & rows[v]
             if remaining and cost == limit:
                 remaining &= _within(by_label, grown, clique)
             if remaining:
-                _expand(search, clique, remaining, grown)
+                nodes[0] += 1
+                k = colour_top_down_into(tables, remaining, child_order, child_bounds,
+                                         inc.size - size)
+                if k:
+                    _expand(search, clique, remaining, grown, child_order, child_bounds, k)
         clique.pop()
         cands ^= bit[v]
-    return False
 
 
 def _fit_recursion_limit(max_degree: int) -> None:
@@ -295,18 +290,20 @@ def _few(count: int, n: int, degree_sum: int) -> bool:
     return count * n <= degree_sum and cheap_rows(n, degree_sum)
 
 
-def _search_subset(inc, by_label, bit, labels: int, key: int) -> tuple[int, int]:
+def _search_subset(search, labels: int, key: int) -> int:
     """Search G_T for the T whose label mask is ``labels``, pruning against
-    ``key``, and install a clique that beats it in ``inc``; returns the
-    nodes searched and the final size of its own incumbent, an upper bound
-    on the clique number of G_T.
+    ``key``, and install a clique that beats it in the pass's incumbent;
+    returns the final size of its own incumbent, an upper bound on the
+    clique number of G_T.
 
-    ``by_label`` and ``bit`` come from the solve's :func:`_search_graph`.
-    G_T's rows are the OR of T's per-label rows, and ``below[v]`` keeps the
-    non-neighbours under ``v``, for :func:`colour_top_down_into`.  The
-    witness goes to ``inc`` with its own label set: the labels of T whose
-    rows join one of its vertices to another.
+    ``search`` is the pass's context from :func:`_search`.  G_T's rows are
+    the OR of T's per-label rows, and ``below[v]`` keeps the non-neighbours
+    under ``v``, for :func:`colour_top_down_into`.  G_T's root is coloured
+    into the context's level-0 scratch pair and counted like every node.
+    The witness goes to the incumbent with its own label set: the labels of
+    T whose rows join one of its vertices to another.
     """
+    _, inc, _, (_, bit), _, by_label, _, nodes, scratch = search
     rows = None
     for k, row in enumerate(by_label):
         if labels >> k & 1:
@@ -314,32 +311,32 @@ def _search_subset(inc, by_label, bit, labels: int, key: int) -> tuple[int, int]
     tables = ([(b - 1) & ~row for b, row in zip(bit, rows)], bit)
     found = Incumbent()
     found.lift(key)
-    n = len(bit)
-    every = (1 << n) - 1
-    scratch = [([0] * n, [0] * n)]
+    every = (1 << len(bit)) - 1
     order, bounds = scratch[0]
+    nodes[0] += 1
     m = colour_top_down_into(tables, every, order, bounds, found.size + 1)
-    nodes = 1 + _max_clique(found, rows, tables, [], every, order, bounds, m, scratch)
+    if m:
+        _max_clique((found, rows, tables, nodes, scratch), [], every, order, bounds, m)
     if found.clique:
         members = sum(map(bit.__getitem__, found.clique))
         clique_labels = sum(1 << k for k, row in enumerate(by_label)
                             if labels >> k & 1 and any(row[v] & members for v in found.clique))
         inc.replace(found.clique, clique_labels, len(found.clique), clique_labels.bit_count())
-    return nodes, found.size
+    return found.size
 
 
-def _max_clique(found, rows, tables, clique, cands, order, bounds, m, scratch) -> int:
-    """The branches of a coloured G_T node, right to left; returns the nodes
-    below it.  ``found`` rises on size alone.  Each child is coloured here
-    at k_min and entered only if its colouring wrote a vertex, so a child
-    its bound cuts off costs no call.  ``scratch`` holds one ``(order,
-    bounds)`` pair per clique size."""
+def _max_clique(search, clique, cands, order, bounds, m) -> None:
+    """One node of a G_T search, entered with its colouring like
+    :func:`_expand`, over ``search`` = (``found``, G_T's rows, their
+    tables, the pass's node counter, its scratch buffers).  ``found``
+    rises on size alone.  Each child is coloured and counted here at k_min
+    and entered only if its colouring wrote a vertex."""
+    found, rows, tables, nodes, scratch = search
     csize = len(clique)
     if csize + 1 == len(scratch):
         scratch.append(([0] * len(rows), [0] * len(rows)))
     child_order, child_bounds = scratch[csize + 1]
     bit = tables[1]
-    nodes = 0
     for i in range(m - 1, -1, -1):
         if csize + bounds[i] <= found.size:
             break
@@ -349,15 +346,13 @@ def _max_clique(found, rows, tables, clique, cands, order, bounds, m, scratch) -
             found.replace(clique, 0, csize + 1, 0)
         remaining = cands & rows[v]
         if remaining:
-            nodes += 1
+            nodes[0] += 1
             k = colour_top_down_into(tables, remaining, child_order, child_bounds,
                                      found.size - csize)
             if k:
-                nodes += _max_clique(found, rows, tables, clique, remaining, child_order,
-                                     child_bounds, k, scratch)
+                _max_clique(search, clique, remaining, child_order, child_bounds, k)
         clique.pop()
         cands ^= bit[v]
-    return nodes
 
 
 def _pass_subsets(shape: tuple[int, int, int], first_pass: bool, budget: int, cost: int,
@@ -396,28 +391,29 @@ def _run_unit(search, unit) -> bool:
     one, to ``search``'s counters.
 
     Returns False when this unit and every later unit of the pass are
-    dead.  A root branch enters :func:`_expand` as a one-entry colouring of
-    the root, which the pass counted; it is dead when its colour bound
-    falls below the incumbent's size (one equal to it may tie it more
-    cheaply), as root bounds never increase along the pass and the
-    incumbent only improves.  A pass-2 level asks whether G_T holds a
+    dead.  A root branch is dead when its colour bound falls below the
+    incumbent's size (one equal to it may tie it more cheaply), as root
+    bounds never increase along the pass and the incumbent only improves;
+    else it enters :func:`_expand` as a one-entry colouring of the root,
+    which the pass counted.  A pass-2 level asks whether G_T holds a
     clique of the incumbent's size, and T is dead unless |T| < inc.cost:
     once one T lowers the cost, a cheaper clique lies in a smaller T, which
     the next level lists.  The probe prunes against a clique one
     vertex short at cost 0, so only a clique of the full size beats it.
     """
+    first_pass, inc = search[:2]
     if isinstance(unit, Subproblem):
-        return not _expand(search, [], unit.cands, 0, (unit.vertex,), (unit.bound,), 1)
-    first_pass, inc, _, (_, bit), _, by_label, _, counts, _ = search
+        if unit.bound < inc.size:
+            return False
+        _expand(search, [], unit.cands, 0, (unit.vertex,), (unit.bound,), 1)
+        return True
     if first_pass:
         key = inc.key
     elif unit.bit_count() < inc.cost:
         key = incumbent_key(inc.size - 1, 0)
     else:
         return False
-    nodes, size = _search_subset(inc, by_label, bit, unit, key)
-    counts[0] += nodes
-    counts[1].append((unit, size))
+    search[_NODES][1].append((unit, _search_subset(search, unit, key)))
     return True
 
 

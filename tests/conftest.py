@@ -23,7 +23,9 @@ from labelled_clique import (
     splitmix_next,
 )
 from labelled_clique.graph import reduce_to_core
-from labelled_clique.sequential import _NODES, _expand, _label_dicts, _search, _search_graph
+from labelled_clique.colouring import colour_top_down_into
+from labelled_clique.sequential import (_NODES, _expand, _label_dicts, _root_branches, _run_in_order,
+                                        _search, _search_graph)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from gen_keller4 import keller4_edges  # noqa: E402
@@ -133,9 +135,23 @@ def paper_search(by_label: list[list[int]], first_pass: bool, inc: Incumbent,
     return _search(paper_state(by_label, first_pass, budget), inc)
 
 
+def expand_root(search: tuple, cands: int) -> None:
+    """One bare node of the paper's search over ``cands``, with an empty
+    clique: colour it at k_min = the incumbent's size into the context's
+    level-0 scratch pair, count that colouring, and enter ``_expand`` with
+    it if it wrote a vertex, as ``_expand`` enters a child."""
+    inc, tables, scratch = search[1], search[3], search[-1]
+    order, bounds = scratch[0]
+    search[_NODES][0] += 1
+    m = colour_top_down_into(tables, cands, order, bounds, inc.size)
+    if m:
+        _expand(search, [], cands, 0, order, bounds, m)
+
+
 def paper_solve(lg: LabelledGraph, budget: int) -> Solution:
-    """The paper's search, one pass in the solution order, run directly
-    through ``_expand`` on the graph ``solve`` searches (peeled, then
+    """The paper's search, one pass in the solution order, run as ``solve``
+    runs it (root branches through ``_run_in_order``, plus one node for the
+    root colouring) on the graph ``solve`` searches (peeled, then
     permuted), never through label subsets.
 
     The reference for the label-subset search and for the parallel solver's
@@ -144,9 +160,9 @@ def paper_solve(lg: LabelledGraph, budget: int) -> Solution:
     by_label, perm = permute_by_degree(lg, reduce_to_core(lg, budget))
     inc = Incumbent()
     n = len(perm.forward)
-    search = paper_search(by_label, True, inc, budget)
-    _expand(search, [], (1 << n) - 1, 0)
-    stats = SearchStats(search[_NODES][0], vertices_searched=n)
+    state = paper_state(by_label, True, budget)
+    nodes, _, _ = _run_in_order(_root_branches(state[1]), state, inc)
+    stats = SearchStats(1 + nodes, vertices_searched=n)
     witness = sorted(perm.to_original(n - 1 - v for v in inc.clique))
     return Solution(witness, inc.size, inc.labels, inc.cost, stats)
 

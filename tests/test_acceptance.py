@@ -412,7 +412,7 @@ def test_subset_rule_follows_average_degree(keller4, monkeypatch):
     # K=16, b=2: C(16, 2) = 120 subsets exceed the average degree, so the
     # paper's search runs, in one pass that no pass 2 follows.  The node
     # counts pin its tree, whose at-limit filter runs at 17,909 of its
-    # branches here; 619 of its 6,395 _expand calls lie below such a
+    # branches here; 213 of its 5,988 _expand calls lie below such a
     # branch, where every candidate adds no label.
     first = solve(random_labels(keller4, 16, 0), 2)
     assert (first.size, first.cost) == (5, 2)

@@ -356,6 +356,17 @@ def test_parse_labels_holds_one_label_list():
     assert peak < 3_000_000
 
 
+def test_parsed_labels_are_the_list_parse_labels_filled():
+    # A copy of 100,128 labels would take 0.8 MB; the first labels() call
+    # returns the parsed list itself.
+    g = build_graph(448, combinations(range(448), 2))
+    lg = random_labels(g, 64, seed=3)
+    parsed = parse_labels(write_labels(lg), g)
+    labels, _, peak = traced(parsed.labels)
+    assert peak < 10_000
+    assert labels == list(lg.edge_label_map().values())
+
+
 def test_labels_mix_a_block_of_lanes_at_a_time():
     # Mixing all 100,000 lanes in one int peaked at 8.5 MB; the labels kept
     # take 0.8 MB.

@@ -373,6 +373,20 @@ def test_unpicklable_worker_exception_keeps_its_message(fig1, monkeypatch):
     assert no_children_left()
 
 
+def test_worker_that_exits_without_a_result_is_an_error(fig1, monkeypatch):
+    # The child leaves before it writes anything, so the parent reads an
+    # empty pipe.
+    def exiting(state):
+        os._exit(0)
+
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(par_mod, "_worker", exiting)
+    with pytest.raises(RuntimeError, match="^a worker exited without a result$"):
+        solve_parallel(fig1, 3, workers=2)
+    assert len(forks) == 1
+    assert no_children_left()
+
+
 def test_keyboard_interrupt_kills_the_workers(fig1, monkeypatch):
     # The workers hang, so the interrupt lands while they run; fork does
     # not pass the timer on, so only the parent is interrupted.

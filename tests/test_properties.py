@@ -40,10 +40,9 @@ import labelled_clique.sequential as seq_mod
 from labelled_clique.graph import MAX_LABELS
 from labelled_clique.graph_io import MAX_VERTICES
 from labelled_clique.oracle import MAX_ORACLE_VERTICES
-from labelled_clique.sequential import _expand
 
-from conftest import (RecordingIncumbent, paper_search, paper_solve, planted_sparse_graph,
-                      random_instance)
+from conftest import (RecordingIncumbent, expand_root, paper_search, paper_solve,
+                      planted_sparse_graph, random_instance)
 
 
 @st.composite
@@ -388,12 +387,14 @@ def test_edge_lookups_follow_the_edge_label_map(lg, cached, data):
     # rows_among, masks and adjacent find edges in the sorted edge list,
     # with labels() built or not.  rows_among must give exactly the edges
     # among its vertex set, both ways round, as masks 1 << label, and label
-    # only those edges, or none once labels() is built; masks must be None
-    # exactly on the non-edges; adjacent must be symmetric.
+    # only those edges, or none once labels() is built, as it is from the
+    # start for build_labelled's label list; masks must be None exactly on
+    # the non-edges; adjacent must be symmetric.
     g = lg.graph
     want = dict(zip(g.edges(), lg.labels_at(range(g.edge_count()))))  # what edge_label_map gives
     if cached:
         lg.labels()
+    cached = lg._labels is not None
     labels_at, asked = lg.labels_at, []
     lg.labels_at = lambda at: asked.extend(at) or labels_at(at)
     picks = data.draw(st.lists(st.lists(st.booleans(), min_size=g.n, max_size=g.n), max_size=4))
@@ -420,7 +421,7 @@ def limit_drops_below_parent(lg, budget):
     node still has branches to try."""
     by_label, perm = permute_by_degree(lg)
     inc = RecordingIncumbent()
-    _expand(paper_search(by_label, True, inc, budget), [], (1 << lg.graph.n) - 1, 0)
+    expand_root(paper_search(by_label, True, inc, budget), (1 << lg.graph.n) - 1)
     # The search numbers the permuted graph top-down, vertex v as n - 1 - v.
     top = lg.graph.n - 1
     sizes = [0] + [size for _, size, _ in inc.improvements]

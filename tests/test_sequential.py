@@ -25,9 +25,10 @@ from labelled_clique import (
 import labelled_clique.graph as graph_mod
 import labelled_clique.sequential as seq_mod
 from labelled_clique.graph import LabelledGraph
-from labelled_clique.sequential import _NODES, _expand, _within
+from labelled_clique.sequential import _NODES, _root_branches, _run_in_order, _within
 
-from conftest import RecordingIncumbent, paper_search, paper_solve, random_graph, random_instance
+from conftest import (RecordingIncumbent, expand_root, paper_search, paper_solve, paper_state,
+                      random_graph, random_instance)
 
 
 def test_records_keep_their_fields_defaults_and_equality():
@@ -82,7 +83,7 @@ def test_expand_fig1_first_pass(fig1):
     by_label, _ = permute_by_degree(fig1)
     inc = RecordingIncumbent()
     search = paper_search(by_label, True, inc, 3)
-    _expand(search, [], (1 << 7) - 1, 0)
+    expand_root(search, (1 << 7) - 1)
     # The one pass first reaches a maximum feasible clique, with this branch
     # order {1,2,3,5} at cost 3 (hand-traced), and then brings the cost down
     # to 2 in a branch that can only tie its size.
@@ -90,7 +91,7 @@ def test_expand_fig1_first_pass(fig1):
     assert search[_NODES][0] > 0
     # It is complete: a cost pass from its incumbent finds nothing cheaper.
     found = len(inc.improvements)
-    _expand(paper_search(by_label, False, inc, 3), [], (1 << 7) - 1, 0)
+    expand_root(paper_search(by_label, False, inc, 3), (1 << 7) - 1)
     assert (inc.size, inc.cost, len(inc.improvements)) == (4, 2, found)
 
 
@@ -101,26 +102,25 @@ def test_expand_second_pass_admits_equal_sizes():
     by_label, _ = permute_by_degree(two_triangles())
     inc = RecordingIncumbent()
     search = paper_search(by_label, True, inc, 3)
-    _expand(search, [], (1 << 6) - 1, 0)
+    expand_root(search, (1 << 6) - 1)
     assert [(size, cost) for _, size, cost in inc.improvements][-2:] == [(3, 3), (3, 1)]
     assert search[_NODES][0] > 0
 
 
 def test_expand_reports_a_node_its_bound_cuts_off():
     # Two disjoint triangles need three colours.  Against a size-4
-    # incumbent, k_min at the root is 4, so the root's colouring writes no
-    # vertex: the counted node was cut off by its bound.
+    # incumbent, every root branch's bound is at most 3, below its size, so
+    # the first one is dead and the pass enters no node.
     by_label, _ = permute_by_degree(two_triangles())
     inc = Incumbent([2, 3, 4, 5], 0b111)
-    search = paper_search(by_label, True, inc, 3)
-    assert _expand(search, [], (1 << 6) - 1, 0)
-    assert search[_NODES][0] == 1
+    state = paper_state(by_label, True, 3)
+    assert _run_in_order(_root_branches(state[1]), state, inc) == (0, [], [])
     assert (inc.size, inc.cost, inc.clique) == (4, 3, [2, 3, 4, 5])
-    # A node whose every branch is searched was not cut off.
+    # A root branch that its bound does not cut off is searched.
     lone, _ = permute_by_degree(build_labelled(build_graph(1, []), 1, {}))
-    search = paper_search(lone, True, Incumbent(), 1)
-    assert not _expand(search, [], 1, 0)
-    assert search[1].size == 1
+    state, inc = paper_state(lone, True, 1), Incumbent()
+    assert _run_in_order(_root_branches(state[1]), state, inc) == (0, [], [])
+    assert (inc.size, inc.clique) == (1, [0])
 
 
 def test_at_limit_filter_keeps_the_neighbours_the_labels_join():
@@ -330,9 +330,9 @@ def test_pass_two_never_grows_and_never_costs_more():
         by_label, _ = permute_by_degree(lg)
         every = (1 << 12) - 1
         inc = Incumbent()
-        _expand(paper_search(by_label, True, inc, 2), [], every, 0)
+        expand_root(paper_search(by_label, True, inc, 2), every)
         pass1 = (inc.size, inc.cost)
-        _expand(paper_search(by_label, False, inc, 2), [], every, 0)
+        expand_root(paper_search(by_label, False, inc, 2), every)
         assert inc.size == pass1[0]
         assert inc.cost <= pass1[1]
 
